@@ -63,7 +63,6 @@ from .model import (
     TrainingSchedule,
     build,
     export_activations,
-    gradients,
     load,
     predict,
     save,

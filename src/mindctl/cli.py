@@ -380,14 +380,7 @@ def _cmd_replay(args) -> int:
     device.save_transcript(session.transcript, out / "transcript.csv")
 
     # decision-level match rate against the recorded labels
-    truth = []
-    labels = samples.labels
-    for start in range(0, len(labels), args.cadence):
-        window = labels[start : start + args.cadence]
-        counts = {}
-        for lbl in window:
-            counts[int(lbl)] = counts.get(int(lbl), 0) + 1
-        truth.append(max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0])
+    truth = device.majority_votes(samples.labels, args.cadence)
     matches = sum(1 for t, entry in zip(truth, log) if t == entry[2])
     rate = matches / len(log) if log else 0.0
     _log(f"replayed {len(log)} commands, match rate {rate:.4f}")

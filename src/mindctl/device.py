@@ -261,6 +261,20 @@ def serve(host: str, port: int, profile: CommandProfile, once: bool = True,
 # ---------------------------------------------------------------------------
 # end-to-end replay
 
+def majority_votes(labels, cadence: int) -> list:
+    """The majority label of each consecutive ``cadence``-long window.
+
+    Ties go to the smaller label; a shorter last window votes on its own.
+    """
+    votes = []
+    for start in range(0, len(labels), cadence):
+        counts = {}
+        for lbl in labels[start : start + cadence]:
+            counts[int(lbl)] = counts.get(int(lbl), 0) + 1
+        votes.append(max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0])
+    return votes
+
+
 def replay(model, samples, profile: CommandProfile, session: DeviceSession,
            cadence: int = 1, step_ms: int = 250):
     """Drive the device from recorded EEG through a trained model.
@@ -280,14 +294,7 @@ def replay(model, samples, profile: CommandProfile, session: DeviceSession,
     labels, _ = predict(model, features)
 
     log = []
-    seq = 0
-    for start in range(0, len(labels), cadence):
-        window = labels[start : start + cadence]
-        counts = {}
-        for lbl in window:
-            counts[int(lbl)] = counts.get(int(lbl), 0) + 1
-        decided = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        seq += 1
+    for seq, decided in enumerate(majority_votes(labels, cadence), start=1):
         t_ms = (seq - 1) * step_ms
         cmd = Command(
             seq=seq,

@@ -156,13 +156,6 @@ def build(hp: HyperParams, seed: int, forget_bias: float = 1.0) -> ModelParams:
     return ModelParams(topology=topology, layers=layers, hyper=hp, seed=seed)
 
 
-def gradients(model: ModelParams, batch: SampleSet, l2: float, window=None):
-    """Loss and analytic gradients for one batch-as-sequence."""
-    return sequence_gradients(
-        model.layers, batch.features, batch.labels, l2, window
-    )
-
-
 def predict(model: ModelParams, features, dtype=np.float64):
     """Forward pass over a time-ordered sequence.
 

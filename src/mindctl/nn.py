@@ -22,18 +22,6 @@ from .errors import NumericError, ShapeError
 GATE_ORDER = ("input", "forget", "output", "modulation")
 
 
-def sigmoid(x):
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass
 class DenseParams:
     """Affine layer: out = in @ W + b. W is (fan_in, fan_out)."""
@@ -131,6 +119,50 @@ def affine(X, params: DenseParams):
     return X @ params.W + params.b
 
 
+def _lstm_layer(A, layer: LstmParams, c0, h0):
+    """Run one LSTM layer over the rows of ``A``, starting from (c0, h0).
+
+    This is the one implementation of the cell. The gate pre-activations
+    ``A @ W_in + b`` are built as one (n, 4*width) block, with the three
+    sigmoid blocks halved; the recurrent weights are a copy of ``W_rec``
+    halved the same way. Halving is exact, so each step computes
+    ``x/2`` for every sigmoid pre-activation ``x``. A step adds
+    ``h_prev @ W_rec`` to its row, takes one tanh over the whole row
+    and maps the sigmoid blocks through sigmoid(x) = (1 + tanh(x/2)) / 2,
+    all in place: no branch, no mask and no overflow.
+
+    Returns ``(gates, cells, out)``: the activated gate block in
+    ``GATE_ORDER`` and the per-step cell memory and hidden output.
+    """
+    n = A.shape[0]
+    width = layer.width
+    sig = slice(0, 3 * width)
+    gates = A @ layer.W_in
+    gates += layer.b
+    gates[:, sig] *= 0.5
+    W_rec = layer.W_rec.copy()
+    W_rec[:, sig] *= 0.5
+    cells = np.empty((n, width), dtype=gates.dtype)
+    out = np.empty((n, width), dtype=gates.dtype)
+    rec = np.empty(4 * width, dtype=gates.dtype)
+    im = np.empty(width, dtype=gates.dtype)
+    c, h = c0, h0
+    rows = zip(gates, gates[:, sig], gates.reshape(n, 4, width), cells, out)
+    for g, s, (gi, gf, go, gm), c_t, h_t in rows:
+        np.dot(h, W_rec, out=rec)
+        g += rec
+        np.tanh(g, out=g)
+        s *= 0.5
+        s += 0.5
+        np.multiply(gf, c, out=c_t)
+        np.multiply(gi, gm, out=im)
+        c_t += im
+        np.tanh(c_t, out=h_t)
+        h_t *= go
+        c, h = c_t, h_t
+    return gates, cells, out
+
+
 def lstm_step(x, state: LstmState, params: LstmParams):
     """One LSTM time step.
 
@@ -138,7 +170,8 @@ def lstm_step(x, state: LstmState, params: LstmParams):
     input, forget and output gates pass through a sigmoid, the
     modulation gate through tanh. The new cell memory is
     ``forget * c_prev + input * modulation`` and the output is
-    ``output * tanh(c)``.
+    ``output * tanh(c)``. The step runs through the same fused cell as
+    ``forward_sequence``.
 
     Returns ``(h, new_state)``.
     """
@@ -153,14 +186,8 @@ def lstm_step(x, state: LstmState, params: LstmParams):
             f"lstm state shapes {state.c.shape}/{state.h.shape} "
             f"do not match width {width}"
         )
-    z = x @ params.W_in + state.h @ params.W_rec + params.b
-    gi = sigmoid(z[:width])
-    gf = sigmoid(z[width : 2 * width])
-    go = sigmoid(z[2 * width : 3 * width])
-    gm = np.tanh(z[3 * width :])
-    c = gf * state.c + gi * gm
-    h = go * np.tanh(c)
-    return h, LstmState(c=c, h=h)
+    _, cells, out = _lstm_layer(x[None, :], params, state.c, state.h)
+    return out[0], LstmState(c=cells[0], h=out[0])
 
 
 def softmax(logits):
@@ -246,7 +273,12 @@ def forward_sequence(layers, X, keep_caches: bool = False,
 
     ``activations[k]`` is the output of stack position k (activations[0]
     is the input itself). Caches hold the per-layer intermediates the
-    backward pass needs and are None unless requested. ``dtype`` selects
+    backward pass needs and are None unless requested: ``{"input"}`` for
+    an affine layer and ``{"input", "gates", "c", "h"}`` for an LSTM
+    layer, where ``gates`` is the (n, 4*width) block of activated gates
+    in ``GATE_ORDER`` and ``c``/``h`` are the per-step cell memory and
+    output. The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which
+    agrees with 1 / (1 + exp(-x)) to about one ulp. ``dtype`` selects
     the compute precision; float64 is the reference path and the only
     one the gradient oracles cover, float32 is an opt-in speed mode.
     """
@@ -255,7 +287,6 @@ def forward_sequence(layers, X, keep_caches: bool = False,
         raise ShapeError(f"sequence input must be 2-D, got {A.shape}")
     if dtype != np.float64:
         layers = cast_layers(layers, dtype)
-    n = A.shape[0]
     activations = [A]
     caches = [] if keep_caches else None
     for layer in layers:
@@ -264,43 +295,16 @@ def forward_sequence(layers, X, keep_caches: bool = False,
             if keep_caches:
                 caches.append({"input": A})
         else:
-            width = layer.width
             if A.shape[1] != layer.W_in.shape[0]:
                 raise ShapeError(
                     f"lstm input width {A.shape[1]} incompatible with "
                     f"W_in {layer.W_in.shape}"
                 )
-            z_in = A @ layer.W_in + layer.b
-            gates_i = np.empty((n, width), dtype=dtype)
-            gates_f = np.empty((n, width), dtype=dtype)
-            gates_o = np.empty((n, width), dtype=dtype)
-            gates_m = np.empty((n, width), dtype=dtype)
-            cells = np.empty((n, width), dtype=dtype)
-            out = np.empty((n, width), dtype=dtype)
-            h = np.zeros(width, dtype=dtype)
-            c = np.zeros(width, dtype=dtype)
-            for t in range(n):
-                z = z_in[t] + h @ layer.W_rec
-                gi = sigmoid(z[:width])
-                gf = sigmoid(z[width : 2 * width])
-                go = sigmoid(z[2 * width : 3 * width])
-                gm = np.tanh(z[3 * width :])
-                c = gf * c + gi * gm
-                h = go * np.tanh(c)
-                gates_i[t], gates_f[t], gates_o[t], gates_m[t] = gi, gf, go, gm
-                cells[t] = c
-                out[t] = h
+            zeros = np.zeros(layer.width, dtype=dtype)
+            gates, cells, out = _lstm_layer(A, layer, zeros, zeros)
             if keep_caches:
                 caches.append(
-                    {
-                        "input": A,
-                        "i": gates_i,
-                        "f": gates_f,
-                        "o": gates_o,
-                        "m": gates_m,
-                        "c": cells,
-                        "h": out,
-                    }
+                    {"input": A, "gates": gates, "c": cells, "h": out}
                 )
         A = out
         activations.append(A)
@@ -313,40 +317,66 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
     ``d_out`` is the loss gradient w.r.t. this layer's per-step outputs.
     Recurrent gradient flow stops at window boundaries; the forward
     state values crossing those boundaries are treated as constants.
+
+    Each gate pre-activation gradient is a per-step multiplier, which
+    depends only on forward values, times the step's cell gradient dc
+    (output gate: output gradient dh). The multipliers fill ``dZ`` for
+    all steps at once:
+
+    - input: ``gm * gi * (1 - gi)``
+    - forget: ``c_prev * gf * (1 - gf)``
+    - output: ``tanh(c) * go * (1 - go)``
+    - modulation: ``gi * (1 - gm**2)``
+
+    The step loop then scales row t of ``dZ`` in place and does one
+    matvec with ``W_rec.T``.
     """
     n, width = d_out.shape
-    A = cache["input"]
-    gi, gf, go, gm = cache["i"], cache["f"], cache["o"], cache["m"]
-    cells, outs = cache["c"], cache["h"]
+    A, cells, outs = cache["input"], cache["c"], cache["h"]
+    gi, gf, go, gm = np.split(cache["gates"], 4, axis=1)
+
+    dZ = np.empty((n, 4 * width))
+    zi, zf, zo, zm = np.split(dZ, 4, axis=1)
+    np.subtract(1.0, gi, out=zi)
+    zi *= gi
+    zi *= gm
+    zf[0] = 0.0
+    np.subtract(1.0, gf[1:], out=zf[1:])
+    zf[1:] *= gf[1:]
+    zf[1:] *= cells[:-1]
     tanh_c = np.tanh(cells)
+    np.subtract(1.0, go, out=zo)
+    zo *= go
+    zo *= tanh_c
+    np.square(gm, out=zm)
+    np.subtract(1.0, zm, out=zm)
+    zm *= gi
+    # dh to dc through h = go * tanh(c), reusing the tanh(c) buffer
+    dc_from_dh = np.square(tanh_c, out=tanh_c)
+    np.subtract(1.0, dc_from_dh, out=dc_from_dh)
+    dc_from_dh *= go
 
-    dZ = np.zeros((n, 4 * width))
-    dh_next = np.zeros(width)
-    dc_next = np.zeros(width)
-    boundaries = range(0, n, window)
-    for start in reversed(list(boundaries)):
+    zif = dZ[:, : 2 * width].reshape(n, 2, width)
+    per_step = (d_out, dc_from_dh, gf, dZ, zif, zo, zm)
+    W_rec_T = layer.W_rec.T
+    for start in reversed(range(0, n, window)):
         stop = min(start + window, n)
-        dh_next[:] = 0.0
-        dc_next[:] = 0.0
-        for t in range(stop - 1, start - 1, -1):
-            dh = d_out[t] + dh_next
-            dc = dh * go[t] * (1.0 - tanh_c[t] ** 2) + dc_next
-            c_prev = cells[t - 1] if t > 0 else 0.0
-            d_go = dh * tanh_c[t]
-            d_gf = dc * c_prev
-            d_gi = dc * gm[t]
-            d_gm = dc * gi[t]
-            dZ[t, :width] = d_gi * gi[t] * (1.0 - gi[t])
-            dZ[t, width : 2 * width] = d_gf * gf[t] * (1.0 - gf[t])
-            dZ[t, 2 * width : 3 * width] = d_go * go[t] * (1.0 - go[t])
-            dZ[t, 3 * width :] = d_gm * (1.0 - gm[t] ** 2)
-            dc_next = dc * gf[t]
-            dh_next = dZ[t] @ layer.W_rec.T
+        dh_next = np.zeros(width)
+        dc_next = np.zeros(width)
+        rows = zip(*(a[start:stop][::-1] for a in per_step))
+        for d, k, f, z, z_if, z_o, z_m in rows:
+            dh = d + dh_next
+            dc = dh * k
+            dc += dc_next
+            z_if *= dc
+            z_o *= dh
+            z_m *= dc
+            dc_next = dc * f
+            dh_next = z @ W_rec_T
 
-    h_prev = np.vstack([np.zeros((1, width)), outs[:-1]])
     grad = LstmParams(
         W_in=A.T @ dZ,
-        W_rec=h_prev.T @ dZ,
+        W_rec=outs[:-1].T @ dZ[1:],
         b=dZ.sum(axis=0),
     )
     d_in = dZ @ layer.W_in.T

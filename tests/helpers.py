@@ -1,6 +1,7 @@
 import numpy as np
 
 from mindctl.dataset import SampleSet
+from mindctl.nn import DenseParams, LstmParams
 
 
 def make_toy_samples(n=200, seed=7, spread=2.0, n_classes=2):
@@ -19,3 +20,101 @@ def make_toy_samples(n=200, seed=7, spread=2.0, n_classes=2):
             block = slice((c - 1) * 12, c * 12)
             features[labels == c, block] += 1.5 * spread
     return SampleSet(features, labels)
+
+
+# ---------------------------------------------------------------------------
+# straight-line LSTM reference: four separate gate slices per step and
+# the backward pass written step by step. The sigmoid is a parameter: the
+# masked exp form by default, or the tanh form the fused kernel uses.
+
+def reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def tanh_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def reference_forward(layers, X, sigmoid=reference_sigmoid):
+    """Logits and per-layer caches of a DenseParams/LstmParams stack."""
+    A = np.asarray(X, dtype=np.float64)
+    caches = []
+    for layer in layers:
+        if isinstance(layer, DenseParams):
+            caches.append({"input": A})
+            A = A @ layer.W + layer.b
+            continue
+        n, w = A.shape[0], layer.width
+        cache = {"input": A}
+        for key in ("i", "f", "o", "m", "c", "h"):
+            cache[key] = np.empty((n, w))
+        z_in = A @ layer.W_in + layer.b
+        h, c = np.zeros(w), np.zeros(w)
+        for t in range(n):
+            z = z_in[t] + h @ layer.W_rec
+            gi = sigmoid(z[:w])
+            gf = sigmoid(z[w : 2 * w])
+            go = sigmoid(z[2 * w : 3 * w])
+            gm = np.tanh(z[3 * w :])
+            c = gf * c + gi * gm
+            h = go * np.tanh(c)
+            cache["i"][t], cache["f"][t], cache["o"][t] = gi, gf, go
+            cache["m"][t], cache["c"][t], cache["h"][t] = gm, c, h
+        caches.append(cache)
+        A = cache["h"]
+    return A, caches
+
+
+def _reference_lstm_backward(layer, cache, d_out, window):
+    n, w = d_out.shape
+    gi, gf, go, gm = cache["i"], cache["f"], cache["o"], cache["m"]
+    cells, outs = cache["c"], cache["h"]
+    tanh_c = np.tanh(cells)
+    dZ = np.zeros((n, 4 * w))
+    for start in reversed(range(0, n, window)):
+        dh_next, dc_next = np.zeros(w), np.zeros(w)
+        for t in range(min(start + window, n) - 1, start - 1, -1):
+            dh = d_out[t] + dh_next
+            dc = dh * go[t] * (1.0 - tanh_c[t] ** 2) + dc_next
+            c_prev = cells[t - 1] if t > 0 else 0.0
+            dZ[t, :w] = dc * gm[t] * gi[t] * (1.0 - gi[t])
+            dZ[t, w : 2 * w] = dc * c_prev * gf[t] * (1.0 - gf[t])
+            dZ[t, 2 * w : 3 * w] = dh * tanh_c[t] * go[t] * (1.0 - go[t])
+            dZ[t, 3 * w :] = dc * gi[t] * (1.0 - gm[t] ** 2)
+            dc_next = dc * gf[t]
+            dh_next = dZ[t] @ layer.W_rec.T
+    h_prev = np.vstack([np.zeros((1, w)), outs[:-1]])
+    grad = LstmParams(W_in=cache["input"].T @ dZ, W_rec=h_prev.T @ dZ,
+                      b=dZ.sum(axis=0))
+    return grad, dZ @ layer.W_in.T
+
+
+def reference_gradients(layers, X, labels, l2, window,
+                        sigmoid=reference_sigmoid):
+    """(logits, grads) of the mean softmax cross-entropy plus l2 penalty."""
+    logits, caches = reference_forward(layers, X, sigmoid)
+    n = len(labels)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d_out = e / e.sum(axis=1, keepdims=True)
+    d_out[np.arange(n), np.asarray(labels) - 1] -= 1.0
+    d_out /= n
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[k], caches[k]
+        if isinstance(layer, DenseParams):
+            grads[k] = DenseParams(
+                W=cache["input"].T @ d_out + 2.0 * l2 * layer.W,
+                b=d_out.sum(axis=0),
+            )
+            d_out = d_out @ layer.W.T
+        else:
+            grads[k], d_out = _reference_lstm_backward(layer, cache, d_out,
+                                                       window)
+            grads[k].W_in += 2.0 * l2 * layer.W_in
+            grads[k].W_rec += 2.0 * l2 * layer.W_rec
+    return logits, grads

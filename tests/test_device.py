@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindctl.device import (
@@ -24,6 +24,7 @@ from mindctl.device import (
     encode_ack,
     encode_command,
     led_on,
+    majority_votes,
     map_intent,
     replay,
     serve,
@@ -293,6 +294,18 @@ def test_socket_server_ends_session_on_clean_disconnect(tmp_path):
 
 # ---------------------------------------------------------------------------
 # replay
+
+@example([3, 1, 1, 3, 5, 2, 2, 5, 4], 4)  # ties in full windows, short last
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=40), st.integers(1, 7))
+def test_majority_votes_match_counting_oracle(labels, cadence):
+    expected = []
+    for start in range(0, len(labels), cadence):
+        window = labels[start : start + cadence]
+        best = max(window.count(lbl) for lbl in window)
+        expected.append(min(lbl for lbl in window if window.count(lbl) == best))
+    assert majority_votes(np.array(labels, dtype=int), cadence) == expected
+
 
 def test_replay_empty_sequence():
     session = DeviceSession(APPLIANCE_PROFILE)

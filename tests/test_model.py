@@ -11,13 +11,13 @@ from mindctl.errors import CheckpointError, DataError, NumericError, ShapeError
 from mindctl.model import (
     accuracy,
     export_activations,
-    gradients,
     load,
     predict,
     save,
     save_activations,
     save_history,
 )
+from mindctl.nn import sequence_gradients
 from helpers import make_toy_samples
 
 
@@ -182,9 +182,10 @@ def test_history_rows_and_early_stop():
     assert trained.epochs_run <= 50
 
 
-def test_gradients_wrapper(toy_model, toy_split):
+def test_batch_sequence_gradients(toy_model, toy_split):
     batch = next(toy_split.train_batches())
-    loss, grads, _ = gradients(toy_model, batch, l2=0.01)
+    loss, grads, _ = sequence_gradients(toy_model.layers, batch.features,
+                                        batch.labels, l2=0.01)
     assert np.isfinite(loss)
     assert len(grads) == len(toy_model.layers)
 
