@@ -56,6 +56,12 @@ class SampleSet:
                 f"labels must be in 1..{N_CLASSES}, "
                 f"got range [{labels.min()}, {labels.max()}]"
             )
+        if not np.isfinite(features).all():
+            finite = np.isfinite(features).all(axis=1)
+            raise DataError(
+                f"features must be finite: {int((~finite).sum())} samples hold "
+                f"NaN or infinity, the first at row {int(np.argmin(finite))}"
+            )
         self.features = features
         self.labels = labels
 
@@ -325,7 +331,10 @@ def load_table(path) -> SampleSet:
     labels = data[:, -1]
     if not np.array_equal(labels, np.rint(labels)):
         raise DataError(f"{path}: non-integer label column")
-    return SampleSet(data[:, :-1], labels.astype(np.int64))
+    try:
+        return SampleSet(data[:, :-1], labels.astype(np.int64))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

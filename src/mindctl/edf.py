@@ -385,7 +385,13 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
         for text in parts[1:-1]:
             if text == b"":
                 continue  # timestamp TAL
-            out.append(EdfAnnotation(onset, duration, text.decode("utf-8")))
+            try:
+                decoded = text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EdfParseError(
+                    f"TAL text {text!r} is not valid UTF-8", offset=offset
+                ) from exc
+            out.append(EdfAnnotation(onset, duration, decoded))
     return out
 
 

@@ -35,14 +35,20 @@ def confusion(predicted, truth, class_labels=(1, 2, 3, 4, 5)) -> ConfusionMatrix
             f"predicted and truth must be equal-length 1-D sequences, "
             f"got {predicted.shape} and {truth.shape}"
         )
-    labels = list(class_labels)
-    index = {label: i for i, label in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for p, t in zip(predicted, truth):
-        if int(p) not in index or int(t) not in index:
-            raise ValueError(f"label pair ({p}, {t}) outside {labels}")
-        counts[index[int(p)], index[int(t)]] += 1
-    return ConfusionMatrix(counts=counts, class_labels=tuple(labels))
+    labels = np.asarray(class_labels, dtype=np.int64)
+    p_hit = predicted[:, None] == labels
+    t_hit = truth[:, None] == labels
+    outside = ~(p_hit.any(axis=1) & t_hit.any(axis=1))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(
+            f"label pair ({predicted[i]}, {truth[i]}) outside {list(class_labels)}"
+        )
+    n = len(labels)
+    counts = np.bincount(
+        p_hit.argmax(axis=1) * n + t_hit.argmax(axis=1), minlength=n * n
+    ).reshape(n, n)
+    return ConfusionMatrix(counts=counts, class_labels=tuple(class_labels))
 
 
 @dataclass
@@ -162,16 +168,11 @@ def roc_auc(scores, truth, class_label: int,
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    # a run of c ties ending at rank e holds ranks e-c+1..e, mean e-(c-1)/2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def save_roc(curve: RocCurve, path) -> None:
@@ -186,12 +187,20 @@ def save_roc(curve: RocCurve, path) -> None:
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor baseline: exact search in the raw 64-channel space
 
-def knn_classify(train: SampleSet, test_features, k: int = 3,
-                 chunk: int = 512) -> np.ndarray:
+# Bytes per block of query-to-training distances. Blocks this small stay
+# below glibc's mmap threshold (at most 32 MiB), so later blocks reuse the
+# pages of earlier ones instead of faulting in fresh ones.
+KNN_BLOCK_BYTES = 16 << 20
+
+
+def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     """Majority vote among the k nearest training samples (Euclidean).
 
-    Vote ties go to the tied label whose nearest member is closest;
-    distance ties rank by training index, so results are deterministic.
+    Exactness contract: neighbours are ordered by the direct float64 sum
+    of (x - y)^2 over the channels, and equal sums by lower training
+    index. A vote tie goes to the tied label whose nearest member ranks
+    first. Non-finite queries, and features whose squared distances
+    would overflow float64, raise :class:`DataError`.
     """
     if len(train) == 0:
         raise ValueError("empty training set")
@@ -204,26 +213,45 @@ def knn_classify(train: SampleSet, test_features, k: int = 3,
     X = train.features
     y = train.labels
     sq_train = np.einsum("ij,ij->i", X, X)
+    sq_test = np.einsum("ij,ij->i", test_features, test_features)
+    max_sq_train = sq_train.max()
+    # Every term below is at most 4 (|q|^2 + max|x|^2) in magnitude, so this
+    # keeps both distance forms finite; NaN and infinite queries fail it too.
+    if not np.isfinite(4.0 * (sq_test.max(initial=0.0) + max_sq_train)):
+        raise DataError(
+            "knn features are non-finite or too large: squared distances "
+            "overflow float64"
+        )
+    # Candidate slack. With d channels, S = |q|^2 + max|x|^2 and u = eps/2,
+    # the expanded form |q|^2 + |x|^2 - 2 q.x is off from the true squared
+    # distance by at most about (2d + 4) u S: each norm and the dot product
+    # carry the gamma_d = d u summation bound (2|q.x| <= S), and the two
+    # additions add u times partial sums below 2S. The direct sum of
+    # (x - q)^2 is off by at most (d + 2) u times a distance below 2S. So
+    # both errors together are E <= 2 (d + 2) eps S. A row whose expanded
+    # value exceeds the k-th smallest expanded value by more than 2E has a
+    # direct distance strictly above k rows that do not, and cannot be one
+    # of the k nearest. 4 (d + 3) eps S covers 2E with room for the
+    # second-order terms.
+    bound = 4.0 * (X.shape[1] + 3) * np.finfo(np.float64).eps
+    chunk = max(1, KNN_BLOCK_BYTES // (8 * len(train)))
     out = np.empty(test_features.shape[0], dtype=np.int64)
 
     for lo in range(0, test_features.shape[0], chunk):
         block = test_features[lo : lo + chunk]
-        d2 = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            + sq_train[None, :]
-            - 2.0 * block @ X.T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        # stable argsort: equal distances keep training-index order
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        for row in range(block.shape[0]):
-            votes: dict = {}
-            for rank, t in enumerate(nearest[row]):
-                label = int(y[t])
-                count, first = votes.get(label, (0, rank))
-                votes[label] = (count + 1, min(first, rank))
-            best = max(votes.items(), key=lambda kv: (kv[1][0], -kv[1][1]))
-            out[lo + row] = best[0]
+        sq_block = sq_test[lo : lo + chunk]
+        d2 = block @ X.T
+        d2 *= -2.0
+        d2 += sq_block[:, None]
+        d2 += sq_train
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        limit = kth + bound * (sq_block + max_sq_train)
+        for row, q in enumerate(block):
+            cand = np.flatnonzero(d2[row] <= limit[row])
+            exact = np.square(X[cand] - q).sum(axis=1)
+            top = y[cand[np.lexsort((cand, exact))[:k]]]
+            votes = np.bincount(top)
+            out[lo + row] = top[np.argmax(votes[top] == votes.max())]
     return out
 
 

@@ -118,3 +118,31 @@ def reference_gradients(layers, X, labels, l2, window,
             grads[k].W_in += 2.0 * l2 * layer.W_in
             grads[k].W_rec += 2.0 * l2 * layer.W_rec
     return logits, grads
+
+
+# ---------------------------------------------------------------------------
+# straight-loop evaluation references: one count per pair and one walk
+# over each run of tied values
+
+def reference_confusion(predicted, truth, class_labels=(1, 2, 3, 4, 5)):
+    labels = list(class_labels)
+    index = {label: i for i, label in enumerate(labels)}
+    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for p, t in zip(predicted, truth):
+        if int(p) not in index or int(t) not in index:
+            raise ValueError(f"label pair ({p}, {t}) outside {labels}")
+        counts[index[int(p)], index[int(t)]] += 1
+    return counts
+
+
+def reference_midranks(values):
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks

@@ -319,6 +319,26 @@ def test_missing_data_file_is_data_error(tmp_path):
     assert rc == 3
 
 
+def test_eval_non_finite_table_is_data_error(trained_run):
+    lines = trained_run["test"].read_text().splitlines()
+    lines[1] = "nan" + lines[1][lines[1].index(","):]
+    bad = trained_run["tmp"] / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--model", str(trained_run["model"]),
+               "--data", str(bad), "--out-dir", str(trained_run["tmp"] / "e")])
+    assert rc == 3
+
+
+def test_ingest_invalid_utf8_annotation_is_data_error(edf_dir, tmp_path):
+    path = edf_dir / "S002" / "S002R04.edf"
+    blob = path.read_bytes()
+    at = blob.index(b"\x14T1\x14")
+    path.write_bytes(blob[: at + 1] + b"\xff" + blob[at + 2 :])
+    rc = main(["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+
+
 def test_corrupt_checkpoint_is_data_error(tmp_path):
     bad = tmp_path / "bad.mctl"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -273,3 +273,21 @@ def test_sampleset_validation():
         SampleSet(np.zeros((3, 10)), np.ones(3))
     with pytest.raises(DataError, match="labels must be in 1..5"):
         SampleSet(np.zeros((2, 64)), np.array([1, 9]))
+    features = np.zeros((4, 64))
+    features[2, 7] = np.nan
+    features[3, 0] = np.inf
+    with pytest.raises(DataError, match="2 samples .* first at row 2"):
+        SampleSet(features, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_table_rejects_non_finite_features(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    save_table(_sequential_samples(4), path)
+    lines = path.read_text().splitlines()
+    values = lines[3].split(",")
+    values[10] = bad
+    lines[3] = ",".join(values)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="t.csv: features must be finite"):
+        load_table(path)

@@ -296,3 +296,12 @@ def test_decreasing_annotation_onsets_rejected():
     with pytest.raises(ValueError, match="sorted"):
         serialize_edf(rec)
     assert parse_edf(blob)  # original unaffected
+
+
+def test_invalid_utf8_tal_text_is_parse_error():
+    blob = serialize_edf(_make_recording())
+    at = blob.index(b"\x14T1\x14")
+    corrupt = blob[: at + 1] + b"\xff" + blob[at + 2 :]
+    with pytest.raises(EdfParseError, match="not valid UTF-8") as info:
+        parse_edf(corrupt)
+    assert info.value.offset is not None

@@ -10,13 +10,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_confusion, reference_midranks
 from mindctl.dataset import SampleSet
 from mindctl.errors import DataError
 from mindctl.evaluation import (
     ConfusionMatrix,
+    _midranks,
     confusion,
     knn_classify,
     metrics,
@@ -66,8 +68,27 @@ def test_confusion_matches_counting_oracle():
 def test_confusion_rejects_bad_input():
     with pytest.raises(ValueError, match="equal-length"):
         confusion([1, 2], [1])
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"\(9, 2\) outside \[1, 2, 3, 4, 5\]"):
         confusion([1, 9], [1, 2])
+    with pytest.raises(ValueError, match=r"\(1, 0\) outside \[1, 2\]"):
+        confusion([1, 2, 1], [2, 1, 0], class_labels=(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_confusion_and_midranks_match_loop_references(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 60))
+    labels = tuple(int(v) for v in rng.permutation([3, 7, 1, 4, 2])[:3])
+    predicted = rng.choice(labels, size=n)
+    truth = rng.choice(labels, size=n)
+    cm = confusion(predicted, truth, class_labels=labels)
+    assert cm.class_labels == labels
+    assert np.array_equal(cm.counts,
+                          reference_confusion(predicted, truth, labels))
+    # integer scores from a narrow range: most values are tied
+    scores = rng.integers(-3, 4, size=n).astype(np.float64)
+    assert np.array_equal(_midranks(scores), reference_midranks(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +259,20 @@ def _embed(points):
     return out
 
 
+def _knn_oracle(features, labels, q, k):
+    """Direct (q - t)^2 sums per training row, sorted with the row index."""
+    dists = sorted(
+        (float(((q - t) ** 2).sum()), i) for i, t in enumerate(features)
+    )
+    top = [int(labels[i]) for _, i in dists[:k]]
+    counts = {lbl: top.count(lbl) for lbl in set(top)}
+    best_count = max(counts.values())
+    tied = {lbl for lbl, c in counts.items() if c == best_count}
+    for lbl in top:  # nearest-first order breaks vote ties
+        if lbl in tied:
+            return lbl
+
+
 def test_knn_exact_match_k1():
     train = SampleSet(_embed([[0, 0], [5, 5], [9, 1]]), [1, 2, 3])
     got = knn_classify(train, _embed([[5, 5]]), k=1)
@@ -249,21 +284,7 @@ def test_knn_toy_matches_exhaustive_oracle():
     labels = [1, 1, 2, 3, 3, 2]
     train = SampleSet(_embed(points), labels)
     tests = _embed([[0.4, 0.4], [5.2, 5.2], [3, 3]])
-
-    def oracle(q):
-        dists = sorted(
-            (float(((q - t) ** 2).sum()), i)
-            for i, t in enumerate(train.features)
-        )
-        top = [labels[i] for _, i in dists[:3]]
-        counts = {lbl: top.count(lbl) for lbl in set(top)}
-        best_count = max(counts.values())
-        tied = [lbl for lbl, c in counts.items() if c == best_count]
-        for lbl in top:  # nearest-first order breaks ties
-            if lbl in tied:
-                return lbl
-
-    expected = [oracle(q) for q in tests]
+    expected = [_knn_oracle(train.features, labels, q, 3) for q in tests]
     got = knn_classify(train, tests, k=3)
     assert list(got) == expected
 
@@ -280,23 +301,39 @@ def test_knn_property_matches_brute_force(seed):
     test_pts = rng.integers(0, 4, size=(n_test, 3))
     labels = rng.integers(1, 6, size=n_train)
     train = SampleSet(_embed(train_pts), labels)
-
-    def oracle(q):
-        dists = sorted(
-            (float(((q - t) ** 2).sum()), i)
-            for i, t in enumerate(train.features)
-        )
-        top = [int(labels[i]) for _, i in dists[:k]]
-        counts = {lbl: top.count(lbl) for lbl in set(top)}
-        best_count = max(counts.values())
-        tied = {lbl for lbl, c in counts.items() if c == best_count}
-        for lbl in top:
-            if lbl in tied:
-                return lbl
-
     queries = _embed(test_pts)
-    expected = [oracle(q) for q in queries]
+    expected = [_knn_oracle(train.features, labels, q, k) for q in queries]
     assert list(knn_classify(train, queries, k=k)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(0)  # the expanded |a|^2+|b|^2-2ab form misorders ties here
+def test_knn_ties_on_offset_float_grid_match_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n_train = int(rng.integers(5, 201))
+    n_test = int(rng.integers(1, 10))
+    k = int(rng.integers(1, min(n_train, 7) + 1))
+    scale = 10.0 ** int(rng.integers(-3, 4))
+    # a 0.1-step grid offset by 7.3 is not exact in binary, so equal
+    # distances come out unequal in the expanded form
+    train_pts = (7.3 + 0.1 * rng.integers(0, 4, size=(n_train, 3))) * scale
+    test_pts = (7.3 + 0.1 * rng.integers(0, 4, size=(n_test, 3))) * scale
+    labels = rng.integers(1, 6, size=n_train)
+    train = SampleSet(_embed(train_pts), labels)
+    queries = _embed(test_pts)
+    expected = [_knn_oracle(train.features, labels, q, k) for q in queries]
+    assert list(knn_classify(train, queries, k=k)) == expected
+
+
+def test_knn_all_tied_full_vote_goes_to_lowest_index():
+    # every training row is the same point: all distances tie, and with
+    # k = len(train) labels 3 and 2 tie on votes; row 0 ranks first
+    labels = [3, 2, 2, 3, 1]
+    train = SampleSet(_embed([[1.5, -2.0]] * 5), labels)
+    assert list(knn_classify(train, _embed([[0.25, 4.0]]), k=5)) == [3]
+    train = SampleSet(_embed([[1.5, -2.0]] * 5), [2, 3, 3, 2, 1])
+    assert list(knn_classify(train, _embed([[0.25, 4.0]]), k=5)) == [2]
 
 
 def test_knn_argument_errors():
@@ -305,6 +342,20 @@ def test_knn_argument_errors():
         knn_classify(train, _embed([[1, 1]]), k=2)
     with pytest.raises(ValueError, match="empty"):
         knn_classify(SampleSet.empty(), _embed([[1, 1]]), k=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_knn_rejects_non_finite_or_overflowing_features(bad):
+    train = SampleSet(_embed([[0, 0], [1, 1]]), [1, 2])
+    queries = _embed([[0, 0], [1, 1]])
+    queries[1, 5] = bad
+    with pytest.raises(DataError, match="non-finite or too large"):
+        knn_classify(train, queries, k=1)
+    # 1e200 squared overflows: the expanded form turned the true nearest
+    # row's distance into NaN and silently voted for the other row
+    if np.isfinite(bad):
+        with pytest.raises(DataError, match="overflow"):
+            knn_classify(SampleSet(queries, [1, 2]), queries[1], k=1)
 
 
 # ---------------------------------------------------------------------------
