@@ -170,7 +170,6 @@ def _cmd_train(args) -> int:
     schedule = model.TrainingSchedule(
         max_epochs=settings["epochs"], patience=settings["patience"],
         eval_every=settings["eval_every"], bptt_window=settings["bptt"],
-        seed=settings["seed"],
     )
     samples = dataset.load_table(args.data)
     splits = dataset.split(samples, hp.batches)
@@ -226,7 +225,7 @@ def _cmd_tune(args) -> int:
         samples = dataset.load_table(args.data)
         schedule_kwargs = dict(
             max_epochs=args.epochs, patience=args.patience,
-            eval_every=args.eval_every, bptt_window=args.bptt, seed=args.seed,
+            eval_every=args.eval_every, bptt_window=args.bptt,
         )
 
         def runner(values):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -33,6 +34,10 @@ from .nn import (
 
 INPUT_WIDTH = 64
 OUTPUT_WIDTH = 5
+
+# LSTM forget-gate bias at initialization, so early gradients pass
+# through the cell memory.
+FORGET_BIAS = 1.0
 
 CHECKPOINT_MAGIC = b"MCTL"
 CHECKPOINT_VERSION = 1
@@ -79,7 +84,6 @@ class TrainingSchedule:
     patience: int = 20
     eval_every: int = 1
     bptt_window: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_epochs < 0:
@@ -122,37 +126,38 @@ def plan_topology(hp: HyperParams) -> list:
     return specs
 
 
-def build(hp: HyperParams, seed: int, forget_bias: float = 1.0) -> ModelParams:
+def layer_layouts(topology) -> list:
+    """``(class, {name: shape})`` per parameter layer, in checkpoint order.
+
+    Dense and output entries are DenseParams and lstm entries
+    LstmParams, each shaped by the previous entry's width and its own.
+    """
+    layouts = []
+    for prev, spec in zip(topology, topology[1:]):
+        cls = LstmParams if spec.kind == "lstm" else DenseParams
+        layouts.append((cls, cls.layout(prev.width, spec.width)))
+    return layouts
+
+
+def build(hp: HyperParams, seed: int) -> ModelParams:
     """Deterministically initialize a model from the seed.
 
-    Weights draw from the uniform Glorot range +-sqrt(6/(fan_in+fan_out));
-    biases start at zero except the LSTM forget-gate block, which starts
-    at ``forget_bias`` so early gradients pass through the cell memory.
+    Weight matrices draw, in layout order, from the uniform Glorot range
+    +-sqrt(6/(fan_in+fan_out)); biases start at zero except the LSTM
+    forget-gate block, which starts at ``FORGET_BIAS``.
     """
     topology = plan_topology(hp)
     rng = np.random.default_rng(seed)
     layers = []
-    prev = topology[0].width
-    for spec in topology[1:]:
-        if spec.kind in ("dense", "output"):
-            layers.append(
-                DenseParams(
-                    W=glorot_uniform(rng, prev, spec.width, (prev, spec.width)),
-                    b=np.zeros(spec.width),
-                )
-            )
-        else:
-            width = spec.width
-            b = np.zeros(4 * width)
-            b[width : 2 * width] = forget_bias
-            layers.append(
-                LstmParams(
-                    W_in=glorot_uniform(rng, prev, 4 * width, (prev, 4 * width)),
-                    W_rec=glorot_uniform(rng, width, 4 * width, (width, 4 * width)),
-                    b=b,
-                )
-            )
-        prev = spec.width
+    for cls, layout in layer_layouts(topology):
+        layer = cls(**{
+            name: glorot_uniform(rng, shape) if len(shape) == 2
+            else np.zeros(shape)
+            for name, shape in layout.items()
+        })
+        if cls is LstmParams:
+            layer.b[layer.width : 2 * layer.width] = FORGET_BIAS
+        layers.append(layer)
     return ModelParams(topology=topology, layers=layers, hyper=hp, seed=seed)
 
 
@@ -409,18 +414,9 @@ def load(data: bytes) -> ModelParams:
             field="hyper",
         )
 
-    expected_bytes = 0
-    prev_width = topology[0].width
-    for spec in topology[1:]:
-        if spec.kind in ("dense", "output"):
-            expected_bytes += (prev_width * spec.width + spec.width) * 8
-        else:
-            expected_bytes += (
-                prev_width * 4 * spec.width
-                + spec.width * 4 * spec.width
-                + 4 * spec.width
-            ) * 8
-        prev_width = spec.width
+    layouts = layer_layouts(topology)
+    shapes = [shape for _, layout in layouts for shape in layout.values()]
+    expected_bytes = 8 * sum(math.prod(shape) for shape in shapes)
 
     param_bytes = _manifest_field(manifest, "param_bytes")
     if param_bytes != expected_bytes:
@@ -441,31 +437,16 @@ def load(data: bytes) -> ModelParams:
             "parameter payload checksum mismatch", field="param_crc32"
         )
 
+    flat = np.frombuffer(payload, dtype="<f8")
     layers = []
     cursor = 0
-
-    def take(shape):
-        nonlocal cursor
-        count = int(np.prod(shape))
-        end = cursor + count * 8
-        arr = np.frombuffer(payload[cursor:end], dtype="<f8").reshape(shape)
-        cursor = end
-        return arr.copy()
-
-    prev = topology[0].width
-    for spec in topology[1:]:
-        if spec.kind in ("dense", "output"):
-            layers.append(DenseParams(W=take((prev, spec.width)),
-                                      b=take((spec.width,))))
-        else:
-            layers.append(
-                LstmParams(
-                    W_in=take((prev, 4 * spec.width)),
-                    W_rec=take((spec.width, 4 * spec.width)),
-                    b=take((4 * spec.width,)),
-                )
-            )
-        prev = spec.width
+    for cls, layout in layouts:
+        arrays = {}
+        for name, shape in layout.items():
+            size = math.prod(shape)
+            arrays[name] = flat[cursor : cursor + size].reshape(shape).copy()
+            cursor += size
+        layers.append(cls(**arrays))
 
     return ModelParams(
         topology=topology,

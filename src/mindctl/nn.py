@@ -10,8 +10,7 @@ graph, and is validated against central finite differences.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +20,56 @@ from .errors import NumericError, ShapeError
 # Fixed so checkpoints are unambiguous.
 GATE_ORDER = ("input", "forget", "output", "modulation")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+class _Layer:
+    """Walks shared by the parameter records.
+
+    Each record class declares ``layout(fan_in, width)``: its array
+    names and shapes, in checkpoint order. Every walk over a record's
+    arrays follows that order, and the 2-D arrays are the weight
+    matrices that take the l2 penalty; the 1-D arrays are biases.
+    """
+
+    @classmethod
+    def names(cls):
+        return tuple(cls.layout(1, 1))
+
+    def arrays(self):
+        return [(name, getattr(self, name)) for name in self.names()]
+
+    def weight_matrices(self):
+        return [arr for _, arr in self.arrays() if arr.ndim == 2]
+
+
+def map_layer(fn, *layers):
+    """A record of the first layer's class holding ``fn`` of the
+    same-named arrays of ``layers``, one call per array in layout order.
+    """
+    cls = type(layers[0])
+    return cls(**{
+        name: fn(*(getattr(layer, name) for layer in layers))
+        for name in cls.names()
+    })
+
 
 @dataclass
-class DenseParams:
+class DenseParams(_Layer):
     """Affine layer: out = in @ W + b. W is (fan_in, fan_out)."""
 
     W: np.ndarray
     b: np.ndarray
 
-    def arrays(self):
-        return [("W", self.W), ("b", self.b)]
-
-    def weight_matrices(self):
-        return [self.W]
+    @staticmethod
+    def layout(fan_in: int, width: int) -> dict:
+        return {"W": (fan_in, width), "b": (width,)}
 
 
 @dataclass
-class LstmParams:
+class LstmParams(_Layer):
     """One LSTM layer's parameters.
 
     ``W_in`` is (fan_in, 4*width), ``W_rec`` is (width, 4*width) and
@@ -49,15 +81,17 @@ class LstmParams:
     W_rec: np.ndarray
     b: np.ndarray
 
+    @staticmethod
+    def layout(fan_in: int, width: int) -> dict:
+        return {
+            "W_in": (fan_in, 4 * width),
+            "W_rec": (width, 4 * width),
+            "b": (4 * width,),
+        }
+
     @property
     def width(self) -> int:
         return self.W_rec.shape[0]
-
-    def arrays(self):
-        return [("W_in", self.W_in), ("W_rec", self.W_rec), ("b", self.b)]
-
-    def weight_matrices(self):
-        return [self.W_in, self.W_rec]
 
 
 @dataclass
@@ -72,29 +106,10 @@ class LstmState:
         return LstmState(np.zeros(width), np.zeros(width))
 
 
-def zeros_like_layer(layer):
-    if isinstance(layer, DenseParams):
-        return DenseParams(np.zeros_like(layer.W), np.zeros_like(layer.b))
-    return LstmParams(
-        np.zeros_like(layer.W_in),
-        np.zeros_like(layer.W_rec),
-        np.zeros_like(layer.b),
-    )
-
-
-def cast_layers(layers, dtype):
-    """Copies of the layer parameters in another float precision."""
-    out = []
-    for layer in layers:
-        cls = type(layer)
-        out.append(
-            cls(**{name: arr.astype(dtype) for name, arr in layer.arrays()})
-        )
-    return out
-
-
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform draw in +-sqrt(6/(fan_in+fan_out)) for a (fan_in, fan_out)
+    matrix."""
+    fan_in, fan_out = shape
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -205,28 +220,6 @@ def softmax(logits):
 # ---------------------------------------------------------------------------
 # loss
 
-class _ClampCounter:
-    """Counts probability clamps in the loss; purely diagnostic."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, n: int):
-        with self._lock:
-            self._count += n
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def reset(self):
-        with self._lock:
-            self._count = 0
-
-
-clamp_events = _ClampCounter()
-
 _PROB_FLOOR = 1e-12
 
 
@@ -235,8 +228,8 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
 
     ``labels`` are 1-based class ids indexing ``probs`` columns. The
     penalty is ``l2 * sum(W**2)`` over weight matrices only, never
-    biases. Probabilities at or below 1e-12 are clamped (and counted in
-    ``clamp_events``) so the loss is never infinite.
+    biases. Probabilities below 1e-12 are clamped to it so the loss is
+    never infinite.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -248,11 +241,8 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
         raise ShapeError(
             f"labels outside 1..{probs.shape[1]}"
         )
-    picked = probs[np.arange(len(labels)), labels - 1]
-    clamped = picked < _PROB_FLOOR
-    if clamped.any():
-        clamp_events.add(int(clamped.sum()))
-        picked = np.maximum(picked, _PROB_FLOOR)
+    picked = np.maximum(probs[np.arange(len(labels)), labels - 1],
+                        _PROB_FLOOR)
     loss = -np.log(picked).mean()
     for W in weight_matrices:
         loss += l2 * float(np.sum(np.square(W)))
@@ -286,7 +276,7 @@ def forward_sequence(layers, X, keep_caches: bool = False,
     if A.ndim != 2:
         raise ShapeError(f"sequence input must be 2-D, got {A.shape}")
     if dtype != np.float64:
-        layers = cast_layers(layers, dtype)
+        layers = [map_layer(lambda a: a.astype(dtype), layer) for layer in layers]
     activations = [A]
     caches = [] if keep_caches else None
     for layer in layers:
@@ -428,11 +418,8 @@ def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
 
     if l2 != 0.0:
         for layer, grad in zip(layers, grads):
-            if isinstance(layer, DenseParams):
-                grad.W += 2.0 * l2 * layer.W
-            else:
-                grad.W_in += 2.0 * l2 * layer.W_in
-                grad.W_rec += 2.0 * l2 * layer.W_rec
+            for W, dW in zip(layer.weight_matrices(), grad.weight_matrices()):
+                dW += 2.0 * l2 * W
 
     return loss, grads, probs
 
@@ -455,19 +442,12 @@ class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(layers, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(layers) -> AdamState:
     return AdamState(
-        m=[zeros_like_layer(layer) for layer in layers],
-        v=[zeros_like_layer(layer) for layer in layers],
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
+        m=[map_layer(np.zeros_like, layer) for layer in layers],
+        v=[map_layer(np.zeros_like, layer) for layer in layers],
     )
 
 
@@ -488,30 +468,23 @@ def adam_step(layers, grads, state: AdamState, lr: float):
                 )
 
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
 
-    new_layers, new_m, new_v = [], [], []
-    for layer, grad, m, v in zip(layers, grads, state.m, state.v):
-        updates = {}
-        mm = {}
-        vv = {}
-        for (name, p), (_, g), (_, m_a), (_, v_a) in zip(
-            layer.arrays(), grad.arrays(), m.arrays(), v.arrays()
-        ):
-            m_new = b1 * m_a + (1.0 - b1) * g
-            v_new = b2 * v_a + (1.0 - b2) * np.square(g)
-            step = lr * (m_new / bc1) / (np.sqrt(v_new / bc2) + eps)
-            updates[name] = p - step
-            mm[name] = m_new
-            vv[name] = v_new
-        cls = type(layer)
-        new_layers.append(cls(**updates))
-        new_m.append(cls(**mm))
-        new_v.append(cls(**vv))
+    def first_moment(m, g):
+        return b1 * m + (1.0 - b1) * g
 
-    return new_layers, replace(state, m=new_m, v=new_v, t=t)
+    def second_moment(v, g):
+        return b2 * v + (1.0 - b2) * np.square(g)
+
+    def update(p, m, v):
+        return p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    m = [map_layer(first_moment, *pair) for pair in zip(state.m, grads)]
+    v = [map_layer(second_moment, *pair) for pair in zip(state.v, grads)]
+    new_layers = [map_layer(update, *triple) for triple in zip(layers, m, v)]
+    return new_layers, AdamState(m=m, v=v, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +493,7 @@ def adam_step(layers, grads, state: AdamState, lr: float):
 def finite_difference_gradients(layers, X, labels, l2: float = 0.0,
                                 step: float = 1e-5):
     """Central-difference gradients of the full-sequence loss."""
-    grads = [zeros_like_layer(layer) for layer in layers]
+    grads = [map_layer(np.zeros_like, layer) for layer in layers]
     for layer, grad in zip(layers, grads):
         for (_, arr), (_, out) in zip(layer.arrays(), grad.arrays()):
             flat = arr.reshape(-1)

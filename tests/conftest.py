@@ -17,7 +17,7 @@ def toy_model(toy_split):
     suites reuse it for inference-level checks."""
     hp = HyperParams(l2=0.0, lr=0.01, width=16, layers=7, batches=3)
     schedule = TrainingSchedule(max_epochs=30, patience=30, eval_every=1,
-                                bptt_window=100, seed=1)
+                                bptt_window=100)
     trained, _ = train(build(hp, seed=1), toy_split, hp, schedule)
     return trained
 
@@ -29,6 +29,6 @@ def five_class_model():
     splits = split(samples, 3)
     hp = HyperParams(l2=0.0, lr=0.01, width=16, layers=7, batches=3)
     schedule = TrainingSchedule(max_epochs=60, patience=60, eval_every=1,
-                                bptt_window=100, seed=2)
+                                bptt_window=100)
     trained, _ = train(build(hp, seed=2), splits, hp, schedule)
     return trained

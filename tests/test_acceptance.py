@@ -168,7 +168,7 @@ def test_criterion_convergence_sanity():
         splits = split(samples, 3)
         hp = HyperParams(l2=0.0, lr=0.01, width=16, layers=7, batches=3)
         schedule = TrainingSchedule(max_epochs=50, patience=50,
-                                    eval_every=1, bptt_window=100, seed=1)
+                                    eval_every=1, bptt_window=100)
         trained, _ = train(build(hp, seed=1), splits, hp, schedule)
         return trained, model_accuracy(trained, splits.train)
 
@@ -353,7 +353,7 @@ def test_criterion_end_to_end_dataset():
 
     hp = HyperParams(l2=0.004, lr=0.005, width=64, layers=7, batches=3)
     schedule = TrainingSchedule(max_epochs=max_epochs, patience=10,
-                                eval_every=1, bptt_window=100, seed=0)
+                                eval_every=1, bptt_window=100)
     model_accs, knn_accs = [], []
     for subject in subjects:
         samples = ingest_subject(
