@@ -343,8 +343,8 @@ def _cmd_predict(args) -> int:
     path = out / "predictions.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("label," + ",".join(f"score{c}" for c in range(1, 6)) + "\n")
-        for label, row in zip(labels, scores):
-            fh.write(f"{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
+        for label, row in zip(labels.tolist(), scores.tolist()):
+            fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
     _log(f"wrote {len(labels)} predictions to {path}")
     _write_config(out, "predict", {
         "model": str(args.model), "data": str(args.data), "output": str(path),

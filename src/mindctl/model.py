@@ -319,9 +319,9 @@ def save_activations(table: np.ndarray, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in table:
-            cells = [str(int(row[0])), str(int(row[1]))]
-            cells += [repr(float(v)) for v in row[2:]]
-            fh.write(",".join(cells) + "\n")
+            idx, label, *values = row.tolist()
+            fh.write(",".join([str(int(idx)), str(int(label)), *map(repr, values)])
+                     + "\n")
 
 
 # ---------------------------------------------------------------------------

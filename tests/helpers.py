@@ -1,6 +1,6 @@
 import numpy as np
 
-from mindctl.dataset import SampleSet
+from mindctl.dataset import TABLE_HEADER, SampleSet
 from mindctl.nn import DenseParams, LstmParams
 
 
@@ -146,3 +146,14 @@ def reference_midranks(values):
         ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# straight-loop table writer: one repr per cell
+
+def reference_save_table(samples, path):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(TABLE_HEADER + "\n")
+        for row, label in zip(samples.features, samples.labels):
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(f",{int(label)}\n")

@@ -1,5 +1,6 @@
 """Labeling, splitting, and table-format tests."""
 
+import hashlib
 from datetime import datetime
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mindctl.dataset import (
+    SAVE_BLOCK_ROWS,
     LabelMapping,
     MappingRule,
     SampleSet,
@@ -21,6 +23,8 @@ from mindctl.dataset import (
 )
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording
 from mindctl.errors import DataError, MappingError, ShapeError, SplitError
+
+from helpers import reference_save_table
 
 
 def make_recording(total_samples=20, rate=10, annotations=()):
@@ -249,6 +253,61 @@ def test_table_header_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     first = p1.read_text().splitlines()[0]
     assert first.startswith("ch1,ch2,") and first.endswith("ch64,label")
+
+
+# values where repr switches notation or precision: signed zeros, the
+# smallest subnormal and normal, the extremes, and both sides of the
+# fixed/exponent boundaries at 1e16 and 1e-4
+_REPR_EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]
+_B = SAVE_BLOCK_ROWS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 3]),
+    pool=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=1, max_size=6),
+    layout=st.sampled_from(["C", "F", "row-sliced"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_table_bytes_match_reference(tmp_path_factory, n, pool, layout,
+                                          seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(pool + _REPR_EDGES)
+    features = values[rng.integers(0, len(values), size=(2 * n, 65))]
+    if layout == "row-sliced":
+        features = features[::2, 1:]
+    else:
+        features = np.asarray(features[:n, :64], order=layout)
+    samples = SampleSet(features, rng.integers(1, 6, size=n))
+    d = tmp_path_factory.mktemp("table")
+    save_table(samples, d / "new.csv")
+    reference_save_table(samples, d / "ref.csv")
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+    back = load_table(d / "new.csv")
+    assert np.array_equal(back.features.view(np.int64),
+                          samples.features.view(np.int64))
+    assert np.array_equal(back.labels, samples.labels)
+
+
+def test_quantized_table_digest_is_pinned(tmp_path):
+    # EDF-style values (digital - dmin) * gain + pmin with a non-dyadic
+    # gain per channel; the digest was recorded with the one-repr-per-cell
+    # writer, so any change to the written bytes shows here
+    rng = np.random.default_rng(21)
+    dmin, dmax = -32768, 32767
+    pmin = -500.0 - rng.integers(0, 300, size=64)
+    pmax = 500.0 + rng.integers(0, 300, size=64)
+    gain = (pmax - pmin) / (dmax - dmin)
+    digital = rng.normal(scale=400.0, size=(2100, 64)).round().astype(np.int16)
+    features = (digital.astype(np.float64) - dmin) * gain + pmin
+    path = tmp_path / "t.csv"
+    save_table(SampleSet(features, rng.integers(1, 6, size=2100)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2554df1fca91558fc50538e923757c0de43a932b6460220cbeadf4d0bde942b6"
+    )
 
 
 def test_table_rejects_wrong_header(tmp_path):
