@@ -125,6 +125,7 @@ def _cmd_split(args) -> int:
     return EXIT_OK
 
 
+_SCHEDULE = model.TrainingSchedule()
 _TRAIN_DEFAULTS = {
     "l2": 0.004,
     "lr": 0.005,
@@ -132,11 +133,33 @@ _TRAIN_DEFAULTS = {
     "layers": 7,
     "n_b": 3,
     "seed": 0,
-    "epochs": 300,
-    "patience": 20,
-    "eval_every": 1,
-    "bptt": 100,
+    "epochs": _SCHEDULE.max_epochs,
+    "patience": _SCHEDULE.patience,
+    "eval_every": _SCHEDULE.eval_every,
+    "bptt": _SCHEDULE.bptt_window,
 }
+
+
+def _fit(samples, values, settings, announce: bool = False):
+    """Train at factor ``values`` (l2, lr, width, layers, batches) with the
+    seed and schedule in ``settings``; returns (model, history, best test
+    accuracy)."""
+    l2, lr, width, layers, batches = values
+    hp = model.HyperParams(l2=l2, lr=lr, width=int(width),
+                           layers=int(layers), batches=int(batches))
+    schedule = model.TrainingSchedule(
+        max_epochs=settings["epochs"], patience=settings["patience"],
+        eval_every=settings["eval_every"], bptt_window=settings["bptt"],
+    )
+    splits = dataset.split(samples, hp.batches)
+    net = model.build(hp, settings["seed"])
+    if announce:
+        _log(
+            f"training {hp.layers}-layer model (width {hp.width}) on "
+            f"{len(splits.train)} samples, {hp.batches} batches"
+        )
+    trained, history = model.train(net, splits, hp, schedule)
+    return trained, history, max(h[2] for h in history)
 
 
 def _resolve_train_settings(args) -> dict:
@@ -163,26 +186,12 @@ def _resolve_train_settings(args) -> dict:
 def _cmd_train(args) -> int:
     out = _out_dir(args)
     settings = _resolve_train_settings(args)
-    hp = model.HyperParams(
-        l2=settings["l2"], lr=settings["lr"], width=settings["width"],
-        layers=settings["layers"], batches=settings["n_b"],
-    )
-    schedule = model.TrainingSchedule(
-        max_epochs=settings["epochs"], patience=settings["patience"],
-        eval_every=settings["eval_every"], bptt_window=settings["bptt"],
-    )
     samples = dataset.load_table(args.data)
-    splits = dataset.split(samples, hp.batches)
-    net = model.build(hp, settings["seed"])
-    _log(
-        f"training {hp.layers}-layer model (width {hp.width}) on "
-        f"{len(splits.train)} samples, {hp.batches} batches"
-    )
-    trained, history = model.train(net, splits, hp, schedule)
+    values = [settings[key] for key in ("l2", "lr", "width", "layers", "n_b")]
+    trained, history, best_acc = _fit(samples, values, settings, announce=True)
     checkpoint = out / "model.mctl"
     checkpoint.write_bytes(model.save(trained))
     model.save_history(history, out / "history.csv")
-    best_acc = max(h[2] for h in history)
     _log(f"best test accuracy {best_acc:.4f} after {trained.epochs_run} epochs")
 
     _write_config(out, "train", {
@@ -223,23 +232,9 @@ def _cmd_tune(args) -> int:
         if args.data is None:
             raise DataError("tune needs --data (or --accuracies-csv for a stub run)")
         samples = dataset.load_table(args.data)
-        schedule_kwargs = dict(
-            max_epochs=args.epochs, patience=args.patience,
-            eval_every=args.eval_every, bptt_window=args.bptt,
-        )
 
         def runner(values):
-            l2, lr, width, layers, batches = values
-            hp = model.HyperParams(
-                l2=l2, lr=lr, width=int(width), layers=int(layers),
-                batches=int(batches),
-            )
-            splits = dataset.split(samples, hp.batches)
-            net = model.build(hp, args.seed)
-            _, history = model.train(
-                net, splits, hp, model.TrainingSchedule(**schedule_kwargs)
-            )
-            best = max(h[2] for h in history)
+            _, _, best = _fit(samples, values, vars(args))
             _log(f"  run {values}: accuracy {best:.4f}")
             return best
 
@@ -259,17 +254,10 @@ def _cmd_tune(args) -> int:
 
     summary = {"best": best, "savings": oa.savings(plan)}
     if not args.accuracies_csv and args.confirm:
-        hp = model.HyperParams(
-            l2=best["l2"], lr=best["lr"], width=int(best["width"]),
-            layers=int(best["layers"]), batches=int(best["batches"]),
-        )
-        splits = dataset.split(dataset.load_table(args.data), hp.batches)
-        net = model.build(hp, args.seed)
-        trained, history = model.train(
-            net, splits, hp, model.TrainingSchedule(**schedule_kwargs)
+        trained, _, summary["confirmation_accuracy"] = _fit(
+            samples, analysis.best_values, vars(args)
         )
         (out / "tuned_model.mctl").write_bytes(model.save(trained))
-        summary["confirmation_accuracy"] = max(h[2] for h in history)
         _log(f"confirmation run accuracy {summary['confirmation_accuracy']:.4f}")
     (out / "best.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -464,11 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accuracies-csv",
                    help="stub objective: CSV of run,accuracy instead of training")
     p.add_argument("--levels", help="JSON file overriding factor level values")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=1)
-    p.add_argument("--bptt", type=int, default=100)
+    p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS["seed"])
+    p.add_argument("--epochs", type=int, default=_SCHEDULE.max_epochs)
+    p.add_argument("--patience", type=int, default=_SCHEDULE.patience)
+    p.add_argument("--eval-every", type=int, default=_SCHEDULE.eval_every)
+    p.add_argument("--bptt", type=int, default=_SCHEDULE.bptt_window)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--confirm", action=argparse.BooleanOptionalAction,
                    default=True,

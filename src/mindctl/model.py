@@ -10,7 +10,6 @@ start during training and at sequence start during prediction.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import struct
@@ -26,9 +25,12 @@ from .nn import (
     LstmParams,
     adam_init,
     adam_step,
+    cross_entropy_loss,
     forward_sequence,
     glorot_uniform,
+    map_layer,
     sequence_gradients,
+    sequence_loss,
     softmax,
 )
 
@@ -161,14 +163,12 @@ def build(hp: HyperParams, seed: int) -> ModelParams:
     return ModelParams(topology=topology, layers=layers, hyper=hp, seed=seed)
 
 
-def predict(model: ModelParams, features, dtype=np.float64):
+def predict(model: ModelParams, features):
     """Forward pass over a time-ordered sequence.
 
     Returns ``(labels, scores)``: per-sample argmax labels (1-based) and
     the 5-way softmax scores. LSTM state starts at zero and carries
     across the whole sequence, so outputs depend on sample order.
-    ``dtype=np.float32`` opts into faster, lower-precision inference;
-    the float64 path is the reference.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
@@ -177,7 +177,7 @@ def predict(model: ModelParams, features, dtype=np.float64):
         raise ShapeError(
             f"features must be (n, {INPUT_WIDTH}), got {features.shape}"
         )
-    logits, _, _ = forward_sequence(model.layers, features, dtype=dtype)
+    logits, _, _ = forward_sequence(model.layers, features)
     scores = softmax(logits)
     labels = scores.argmax(axis=1) + 1
     return labels, scores
@@ -188,19 +188,7 @@ def accuracy(model: ModelParams, samples: SampleSet) -> float:
     return float((labels == samples.labels).mean())
 
 
-def _batch_losses(layers, split: DatasetSplit, l2: float) -> float:
-    from .nn import sequence_loss
-
-    losses = [
-        sequence_loss(layers, batch.features, batch.labels, l2)
-        for batch in split.train_batches()
-    ]
-    return float(np.mean(losses))
-
-
 def _evaluate_test(layers, split: DatasetSplit, l2: float):
-    from .nn import cross_entropy_loss
-
     logits, _, _ = forward_sequence(layers, split.test.features)
     scores = softmax(logits)
     predicted = scores.argmax(axis=1) + 1
@@ -228,17 +216,22 @@ def train(
     if split.train.features.shape[1] != INPUT_WIDTH:
         raise ShapeError("split feature width does not match the model input")
 
-    layers = [copy.deepcopy(layer) for layer in model.layers]
+    # The returned model shares no array with ``model``. adam_step returns
+    # fresh arrays, so the best layers are kept by reference, uncopied.
+    layers = [map_layer(np.copy, layer) for layer in model.layers]
     adam = adam_init(layers)
     window = schedule.bptt_window
 
     test_acc, test_loss = _evaluate_test(layers, split, hp.l2)
-    history = [(0, _batch_losses(layers, split, hp.l2), test_acc)]
-    best_acc, best_layers = test_acc, [copy.deepcopy(l) for l in layers]
+    train_loss = float(np.mean([
+        sequence_loss(layers, batch.features, batch.labels, hp.l2)
+        for batch in split.train_batches()
+    ]))
+    history = [(0, train_loss, test_acc)]
+    best_acc, best_layers = test_acc, layers
     best_test_loss = test_loss
     epochs_without_improvement = 0
     epochs_run = 0
-    train_loss = history[0][1]
 
     for epoch in range(1, schedule.max_epochs + 1):
         epoch_losses = []
@@ -261,7 +254,7 @@ def train(
             history.append((epoch, train_loss, test_acc))
             if test_acc > best_acc:
                 best_acc = test_acc
-                best_layers = [copy.deepcopy(l) for l in layers]
+                best_layers = layers
             if test_loss < best_test_loss:
                 best_test_loss = test_loss
                 epochs_without_improvement = 0

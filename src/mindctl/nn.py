@@ -123,9 +123,7 @@ def affine(X, params: DenseParams):
     The layer connection is purely affine by design; nonlinearity enters
     through the LSTM layers.
     """
-    X = np.asarray(X)
-    if not np.issubdtype(X.dtype, np.floating):
-        X = X.astype(np.float64)
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
         raise ShapeError(
             f"affine input {X.shape} incompatible with weights "
@@ -157,10 +155,10 @@ def _lstm_layer(A, layer: LstmParams, c0, h0):
     gates[:, sig] *= 0.5
     W_rec = layer.W_rec.copy()
     W_rec[:, sig] *= 0.5
-    cells = np.empty((n, width), dtype=gates.dtype)
-    out = np.empty((n, width), dtype=gates.dtype)
-    rec = np.empty(4 * width, dtype=gates.dtype)
-    im = np.empty(width, dtype=gates.dtype)
+    cells = np.empty((n, width))
+    out = np.empty((n, width))
+    rec = np.empty(4 * width)
+    im = np.empty(width)
     c, h = c0, h0
     rows = zip(gates, gates[:, sig], gates.reshape(n, 4, width), cells, out)
     for g, s, (gi, gf, go, gm), c_t, h_t in rows:
@@ -257,8 +255,7 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
 # zero at t = 0 and carries forward across truncation windows; gradients
 # do not cross window boundaries.
 
-def forward_sequence(layers, X, keep_caches: bool = False,
-                     dtype=np.float64):
+def forward_sequence(layers, X, keep_caches: bool = False):
     """Run the stack over a sequence. Returns (logits, caches, activations).
 
     ``activations[k]`` is the output of stack position k (activations[0]
@@ -268,15 +265,11 @@ def forward_sequence(layers, X, keep_caches: bool = False,
     layer, where ``gates`` is the (n, 4*width) block of activated gates
     in ``GATE_ORDER`` and ``c``/``h`` are the per-step cell memory and
     output. The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which
-    agrees with 1 / (1 + exp(-x)) to about one ulp. ``dtype`` selects
-    the compute precision; float64 is the reference path and the only
-    one the gradient oracles cover, float32 is an opt-in speed mode.
+    agrees with 1 / (1 + exp(-x)) to about one ulp.
     """
-    A = np.asarray(X, dtype=dtype)
+    A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2:
         raise ShapeError(f"sequence input must be 2-D, got {A.shape}")
-    if dtype != np.float64:
-        layers = [map_layer(lambda a: a.astype(dtype), layer) for layer in layers]
     activations = [A]
     caches = [] if keep_caches else None
     for layer in layers:
@@ -290,7 +283,7 @@ def forward_sequence(layers, X, keep_caches: bool = False,
                     f"lstm input width {A.shape[1]} incompatible with "
                     f"W_in {layer.W_in.shape}"
                 )
-            zeros = np.zeros(layer.width, dtype=dtype)
+            zeros = np.zeros(layer.width)
             gates, cells, out = _lstm_layer(A, layer, zeros, zeros)
             if keep_caches:
                 caches.append(

@@ -116,17 +116,6 @@ def test_predict_rejects_wrong_width(toy_model):
         predict(toy_model, np.zeros((3, 10)))
 
 
-def test_float32_inference_mode_tracks_reference(toy_model, toy_split):
-    # opt-in speed mode: close to the float64 path but outside the
-    # oracle guarantees
-    _, ref = predict(toy_model, toy_split.test.features)
-    labels32, fast = predict(toy_model, toy_split.test.features,
-                             dtype=np.float32)
-    assert np.max(np.abs(ref - fast)) < 1e-3
-    ref_labels, _ = predict(toy_model, toy_split.test.features)
-    assert (labels32 == ref_labels).mean() > 0.99
-
-
 def test_prediction_is_order_sensitive_through_state(toy_model, toy_split):
     features = toy_split.test.features[:30]
     _, forward_scores = predict(toy_model, features)
@@ -151,6 +140,35 @@ def test_zero_epoch_schedule_returns_initial_model():
     for la, lb in zip(model.layers, trained.layers):
         for (_, xa), (_, xb) in zip(la.arrays(), lb.arrays()):
             assert np.array_equal(xa, xb)
+
+
+def test_train_returns_best_epoch_layers_sharing_no_array():
+    # On this toy the test accuracy peaks at epoch 2 of 8, so the long
+    # run must return the layers a run stopped at that epoch ends with.
+    splits = split(make_toy_samples(n=80, seed=0, spread=0.2, n_classes=5), 3)
+    hp = HyperParams(l2=0.0, lr=0.02, width=8, layers=5, batches=3)
+    model = build(hp, seed=5)
+
+    def run(epochs):
+        schedule = TrainingSchedule(max_epochs=epochs, patience=20,
+                                    bptt_window=10)
+        return train(model, splits, hp, schedule)
+
+    long_run, history = run(8)
+    accuracies = [row[2] for row in history]
+    best_epoch = accuracies.index(max(accuracies))
+    assert 0 < best_epoch < 8
+    short_run, _ = run(best_epoch)
+    untrained, _ = run(0)
+    assert not np.array_equal(long_run.layers[0].W, model.layers[0].W)
+    for layers in zip(model.layers, long_run.layers, short_run.layers,
+                      untrained.layers):
+        for (_, given_arr), (_, long_arr), (_, short_arr), (_, zero_arr) in zip(
+            *(layer.arrays() for layer in layers)
+        ):
+            assert np.array_equal(long_arr, short_arr)
+            for arr in (long_arr, zero_arr):
+                assert not np.shares_memory(arr, given_arr)
 
 
 def test_toy_convergence(toy_model, toy_split):
