@@ -7,8 +7,8 @@ environment variable, or the working directory). Every artifact-
 producing run writes its resolved configuration beside its outputs so
 it can be reproduced exactly.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 numeric failure,
-5 protocol error.
+Exit codes: 0 success, 1 internal error (a traceback is printed),
+2 usage, 3 data error, 4 numeric failure, 5 protocol error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from . import dataset, device, evaluation, model, oa
 from .errors import DataError, NumericError, PipelineError, ProtocolError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -68,6 +70,8 @@ def _cmd_ingest(args) -> int:
         if args.mapping
         else dataset.default_mapping()
     )
+    if not all(r.strip().isdecimal() for r in args.runs.split(",")):
+        raise DataError(f"--runs: expected run numbers like 4,8,12, got {args.runs!r}")
     runs = [int(r) for r in args.runs.split(",")]
     found = dataset.find_recordings(args.edf_dir)
     if not found:
@@ -141,9 +145,8 @@ _TRAIN_DEFAULTS = {
 
 
 def _fit(samples, values, settings, announce: bool = False):
-    """Train at factor ``values`` (l2, lr, width, layers, batches) with the
-    seed and schedule in ``settings``; returns (model, history, best test
-    accuracy)."""
+    """Train at factor ``values`` (oa.FACTOR_NAMES order) with the seed and
+    schedule in ``settings``; returns (model, history, best test accuracy)."""
     l2, lr, width, layers, batches = values
     hp = model.HyperParams(l2=l2, lr=lr, width=int(width),
                            layers=int(layers), batches=int(batches))
@@ -164,18 +167,17 @@ def _fit(samples, values, settings, announce: bool = False):
 
 def _resolve_train_settings(args) -> dict:
     """Explicit flag > persisted config > built-in default."""
-    from_config = {}
-    if args.config:
-        from_config = json.loads(Path(args.config).read_text())
+    from_config = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(from_config, dict):
+        raise DataError(f"{args.config}: expected a JSON object")
     settings = {}
     for key, default in _TRAIN_DEFAULTS.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[key] = flag_value
-        elif key in from_config:
-            settings[key] = from_config[key]
-        else:
-            settings[key] = default
+        value = getattr(args, key)
+        if value is None:
+            value = from_config.get(key, default)
+        if type(value) not in (type(default), int):  # exact type: bool is out
+            raise DataError(f"{args.config}: {key} needs type {type(default).__name__}")
+        settings[key] = value
     if args.data is None and "data" in from_config:
         args.data = from_config["data"]
     if args.data is None:
@@ -201,14 +203,23 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_stub_accuracies(path) -> list:
+def _load_stub_accuracies(path, n_runs: int) -> list:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "run,accuracy":
         raise DataError(f"{path}: expected header 'run,accuracy'")
-    accuracies = [None] * (len(lines) - 1)
-    for line in lines[1:]:
-        run_text, acc_text = line.split(",")
-        accuracies[int(run_text) - 1] = float(acc_text)
+    accuracies = [None] * n_runs
+    for number, line in enumerate(lines[1:], start=2):
+        where = f"{path} line {number}"
+        try:
+            run_text, acc_text = line.split(",")
+            run, accuracy = int(run_text), float(acc_text)
+        except ValueError:
+            raise DataError(f"{where}: expected 'run,accuracy', got {line!r}") from None
+        if not 1 <= run <= n_runs or accuracies[run - 1] is not None:
+            raise DataError(f"{where}: run {run} repeated or outside 1..{n_runs}")
+        accuracies[run - 1] = accuracy
+    if None in accuracies:
+        raise DataError(f"{path}: missing run accuracies")
     return accuracies
 
 
@@ -219,15 +230,13 @@ def _cmd_tune(args) -> int:
         raw = json.loads(Path(args.levels).read_text())
         try:
             levels = tuple(tuple(raw[name]) for name in oa.FACTOR_NAMES)
-        except KeyError as exc:
-            raise DataError(f"{args.levels}: missing factor {exc}")
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{args.levels}: factor lists expected ({exc})") from None
     plan = oa.build_plan(levels)
 
     results_path = out / "results.csv"
     if args.accuracies_csv:
-        results = _load_stub_accuracies(args.accuracies_csv)
-        if any(a is None for a in results):
-            raise DataError(f"{args.accuracies_csv}: missing run accuracies")
+        results = _load_stub_accuracies(args.accuracies_csv, plan.n_runs)
     else:
         if args.data is None:
             raise DataError("tune needs --data (or --accuracies-csv for a stub run)")
@@ -305,6 +314,8 @@ def _cmd_eval(args) -> int:
 
     if args.knn_train:
         knn_train = dataset.load_table(args.knn_train)
+        if not 1 <= args.knn_k <= len(knn_train):
+            raise DataError(f"--knn-k {args.knn_k} outside 1..{len(knn_train)}")
         knn_labels = evaluation.knn_classify(knn_train, samples.features,
                                              k=args.knn_k)
         summary["knn_accuracy"] = float((knn_labels == samples.labels).mean())
@@ -343,6 +354,8 @@ def _cmd_predict(args) -> int:
 def _cmd_export_activations(args) -> int:
     out = _out_dir(args)
     net = model.load(Path(args.model).read_bytes())
+    if not 1 <= args.layer <= len(net.topology):
+        raise DataError(f"--layer {args.layer} outside 1..{len(net.topology)}")
     samples = dataset.load_table(args.data)
     table = model.export_activations(net, samples, args.layer)
     path = out / f"activations_layer{args.layer}.csv"
@@ -523,10 +536,12 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
-    except (DataError, PipelineError, OSError, ValueError, IndexError,
-            KeyError, json.JSONDecodeError) as exc:
+    except (PipelineError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -336,6 +336,11 @@ def load_table(path) -> SampleSet:
             raise DataError(
                 f"{path}: unexpected table header (want 'ch1,...,ch64,label')"
             )
+        # numpy warns on a header-only table, so that case stops here
+        rows_start = fh.tell()
+        if not fh.readline():
+            return SampleSet.empty()
+        fh.seek(rows_start)
         try:
             data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as exc:

@@ -13,7 +13,7 @@ import re
 import socket
 from dataclasses import dataclass, field, replace
 
-from .errors import ProtocolError
+from .errors import DataError, ProtocolError
 
 LED_HOLD_MS = 2000
 LED_COLORS = ("blue", "white", "yellow", "red")
@@ -287,7 +287,7 @@ def replay(model, samples, profile: CommandProfile, session: DeviceSession,
     from .model import predict
 
     if cadence < 1:
-        raise ValueError(f"cadence must be >= 1, got {cadence}")
+        raise DataError(f"cadence must be >= 1, got {cadence}")
     features = samples.features if hasattr(samples, "features") else samples
     if len(features) == 0:
         return []

@@ -77,7 +77,7 @@ def metrics(cm: ConfusionMatrix) -> ClassMetrics:
     counts = cm.counts.astype(np.float64)
     total = counts.sum()
     if total <= 0:
-        raise ValueError("confusion matrix is empty")
+        raise DataError("confusion matrix is empty")
     diag = np.diag(counts)
     row_sums = counts.sum(axis=1)
     col_sums = counts.sum(axis=0)

@@ -351,9 +351,11 @@ def save(model: ModelParams) -> bytes:
     )
 
 
-def _manifest_field(manifest: dict, key: str):
+def _manifest_field(manifest: dict, key: str, kind=object):
     if key not in manifest:
         raise CheckpointError("manifest missing entry", field=key)
+    if not isinstance(manifest[key], kind):
+        raise CheckpointError(f"manifest entry is not {kind.__name__}", field=key)
     return manifest[key]
 
 
@@ -445,7 +447,7 @@ def load(data: bytes) -> ModelParams:
         topology=topology,
         layers=layers,
         hyper=hyper,
-        seed=int(_manifest_field(manifest, "seed")),
-        epochs_run=int(_manifest_field(manifest, "epochs_run")),
+        seed=_manifest_field(manifest, "seed", int),
+        epochs_run=_manifest_field(manifest, "epochs_run", int),
         final_loss=manifest.get("final_loss"),
     )

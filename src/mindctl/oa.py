@@ -291,17 +291,21 @@ def load_results(plan: OaPlan, path) -> list:
         cells = line.split(",")
         if len(cells) != plan.n_factors + 2:
             raise DataError(f"{path}: malformed row {line!r}")
-        run = int(cells[0]) - 1
+        try:
+            run = int(cells[0]) - 1
+            got = tuple(float(c) for c in cells[1:-1])
+            accuracy = float(cells[-1]) if cells[-1] else None
+        except ValueError:
+            raise DataError(f"{path}: malformed row {line!r}") from None
         if not 0 <= run < plan.n_runs:
             raise DataError(f"{path}: run index {cells[0]} out of range")
         expected = plan.run_values(run)
-        got = tuple(float(c) for c in cells[1:-1])
         if got != tuple(float(v) for v in expected):
             raise DataError(
                 f"{path}: run {run + 1} factor values {got} do not match "
                 f"the plan's {expected}"
             )
-        results[run] = float(cells[-1]) if cells[-1] else None
+        results[run] = accuracy
     return results
 
 

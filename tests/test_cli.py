@@ -1,12 +1,13 @@
 """End-to-end subcommand tests over tiny synthetic inputs."""
 
+import json
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from mindctl.cli import main
-from mindctl.dataset import load_table, save_table
+from mindctl.cli import EXIT_INTERNAL, main
+from mindctl.dataset import SampleSet, load_table, save_table
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, serialize_edf
 from helpers import make_toy_samples
 
@@ -212,6 +213,44 @@ def test_tune_resumes_from_partial_results(tmp_path):
     assert results[6] != 0.5
 
 
+@pytest.mark.parametrize("last_line", [
+    "0,0.404",      # outside 1..16: once stored as run 16
+    "17,0.404",     # outside 1..16
+    "1,0.404",      # repeated
+    "sixteen,0.404",
+    "16,0.404,1",
+])
+def test_tune_stub_rejects_bad_run_lines(tmp_path, last_line):
+    stub = tmp_path / "stub.csv"
+    stub.write_text("run,accuracy\n"
+                    + "".join(f"{run},0.5\n" for run in range(1, 16))
+                    + last_line + "\n")
+    out = tmp_path / "out"
+    rc = main(["tune", "--accuracies-csv", str(stub), "--out-dir", str(out)])
+    assert rc == 3
+    assert not (out / "results.csv").exists()
+
+
+def test_tune_confirm_outputs_identical_for_one_and_two_workers(tmp_path):
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps({
+        "l2": [0.0, 0.001, 0.002, 0.003], "lr": [0.01, 0.02, 0.03, 0.04],
+        "width": [2, 3, 4, 5], "layers": [4, 5, 6, 7], "batches": [1, 3, 6, 13],
+    }))
+    names = ("results.csv", "analysis.csv", "best.json", "tuned_model.mctl")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert main([
+            "tune", "--data", str(data), "--levels", str(levels), "--epochs", "2",
+            "--workers", workers, "--confirm", "--out-dir", str(out),
+        ]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]
+
+
 @pytest.fixture
 def trained_run(tmp_path):
     data = tmp_path / "data.csv"
@@ -347,3 +386,55 @@ def test_corrupt_checkpoint_is_data_error(tmp_path):
     rc = main(["predict", "--model", str(bad), "--data", str(data),
                "--out-dir", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("case", [
+    "runs", "layer", "knn_k", "cadence", "empty_table", "non_utf8_table",
+    "levels", "config",
+])
+def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
+                                                  capsys):
+    tmp = trained_run["tmp"]
+    net, test = str(trained_run["model"]), str(trained_run["test"])
+    header_only = tmp / "header_only.csv"
+    save_table(SampleSet.empty(), header_only)
+    non_utf8 = tmp / "non_utf8.csv"
+    non_utf8.write_bytes(trained_run["test"].read_bytes().replace(b",", b"\xff,", 1))
+    levels = tmp / "levels.json"
+    levels.write_text(json.dumps({
+        "l2": 0.001, "lr": [0.01, 0.02, 0.03, 0.04], "width": [2, 3, 4, 5],
+        "layers": [4, 5, 6, 7], "batches": [1, 3, 6, 13],
+    }))
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"data": str(trained_run["train"]), "width": "x"}))
+    argv = {
+        "runs": ["ingest", "--edf-dir", str(edf_dir), "--runs", "a"],
+        "layer": ["export-activations", "--model", net, "--data", test,
+                  "--layer", "99"],
+        "knn_k": ["eval", "--model", net, "--data", test,
+                  "--knn-train", str(trained_run["train"]), "--knn-k", "0"],
+        "cadence": ["replay", "--model", net, "--data", test,
+                    "--profile", "appliance", "--cadence", "0"],
+        "empty_table": ["eval", "--model", net, "--data", str(header_only)],
+        "non_utf8_table": ["eval", "--model", net, "--data", str(non_utf8)],
+        "levels": ["tune", "--data", test, "--levels", str(levels)],
+        "config": ["train", "--config", str(config)],
+    }[case]
+    assert main([*argv, "--out-dir", str(tmp / "out")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,
+                                                     capsys):
+    # a ValueError from program code is a bug, not bad input
+    def faulty(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr("mindctl.model.sequence_gradients", faulty)
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=1), data)
+    rc = main(_train_args(data, tmp_path / "out"))
+    assert rc == EXIT_INTERNAL
+    assert rc not in (0, 2, 3, 4, 5)
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "injected fault" in err

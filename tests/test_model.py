@@ -1,6 +1,8 @@
 """Topology, training behavior, activation export, and checkpoints."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -314,6 +316,17 @@ def test_manifest_tampering_detected(toy_model):
     blob = save(toy_model)
     with pytest.raises(CheckpointError, match="hyper"):
         load(blob[:9] + blob[9:].replace(b'"width": 16', b'"width": 17', 1))
+
+
+@pytest.mark.parametrize("key", ["seed", "epochs_run"])
+def test_manifest_integer_of_wrong_type_is_checkpoint_error(toy_model, key):
+    blob = save(toy_model)
+    (length,) = struct.unpack("<I", blob[5:9])
+    manifest = json.loads(blob[9 : 9 + length])
+    manifest[key] = "1"
+    text = json.dumps(manifest).encode()
+    with pytest.raises(CheckpointError, match=key):
+        load(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
 
 
 @settings(max_examples=110, deadline=None)

@@ -247,6 +247,17 @@ def test_load_results_rejects_stale_plan(tmp_path):
         load_results(other, path)
 
 
+def test_load_results_malformed_row_is_data_error(tmp_path):
+    plan = build_plan(LEVELS)
+    path = tmp_path / "results.csv"
+    save_plan(plan, KNOWN_RUN_ACCURACIES, path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",high"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="malformed row"):
+        load_results(plan, path)
+
+
 def test_load_plan_round_trip(tmp_path):
     plan = build_plan(LEVELS)
     path = tmp_path / "plan.csv"
