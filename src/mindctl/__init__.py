@@ -9,7 +9,6 @@ intents onto a simulated smart-home device over a line protocol.
 
 from .dataset import (
     DatasetSplit,
-    LabeledSample,
     LabelMapping,
     MappingRule,
     SampleSet,
@@ -88,7 +87,6 @@ from .oa import (
     build_plan,
     execute,
     is_orthogonal,
-    load_plan,
     range_analysis,
     savings,
 )

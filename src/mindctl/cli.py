@@ -203,26 +203,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_stub_accuracies(path, n_runs: int) -> list:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "run,accuracy":
-        raise DataError(f"{path}: expected header 'run,accuracy'")
-    accuracies = [None] * n_runs
-    for number, line in enumerate(lines[1:], start=2):
-        where = f"{path} line {number}"
-        try:
-            run_text, acc_text = line.split(",")
-            run, accuracy = int(run_text), float(acc_text)
-        except ValueError:
-            raise DataError(f"{where}: expected 'run,accuracy', got {line!r}") from None
-        if not 1 <= run <= n_runs or accuracies[run - 1] is not None:
-            raise DataError(f"{where}: run {run} repeated or outside 1..{n_runs}")
-        accuracies[run - 1] = accuracy
-    if None in accuracies:
-        raise DataError(f"{path}: missing run accuracies")
-    return accuracies
-
-
 def _cmd_tune(args) -> int:
     out = _out_dir(args)
     levels = DEFAULT_LEVELS
@@ -235,26 +215,28 @@ def _cmd_tune(args) -> int:
     plan = oa.build_plan(levels)
 
     results_path = out / "results.csv"
-    if args.accuracies_csv:
-        results = _load_stub_accuracies(args.accuracies_csv, plan.n_runs)
-    else:
+    existing = None
+    if results_path.exists():
+        existing = oa.load_results(plan, results_path)
+        done = sum(a is not None for a in existing)
+        _log(f"resuming: {done} of {plan.n_runs} runs already recorded")
+    samples = None
+    if existing is None or None in existing or args.confirm:
         if args.data is None:
-            raise DataError("tune needs --data (or --accuracies-csv for a stub run)")
+            raise DataError("tune needs --data to train its pending runs "
+                            "or the confirmation model")
         samples = dataset.load_table(args.data)
 
-        def runner(values):
+    def runner(values):
+        try:
             _, _, best = _fit(samples, values, vars(args))
-            _log(f"  run {values}: accuracy {best:.4f}")
-            return best
+        except PipelineError as exc:  # bad input for this run, not a fault
+            _log(f"  run {values}: failed: {exc}")
+            return None
+        _log(f"  run {values}: accuracy {best:.4f}")
+        return best
 
-        existing = None
-        if results_path.exists():
-            existing = oa.load_results(plan, results_path)
-            done = sum(a is not None for a in existing)
-            _log(f"resuming: {done} of {plan.n_runs} runs already recorded")
-        results = oa.execute(plan, runner, workers=args.workers,
-                             existing=existing)
-
+    results = oa.execute(plan, runner, workers=args.workers, existing=existing)
     oa.save_plan(plan, results, results_path)
     analysis = oa.range_analysis(plan, results)
     oa.save_analysis(analysis, out / "analysis.csv")
@@ -262,7 +244,7 @@ def _cmd_tune(args) -> int:
     _log(f"best levels: {best}")
 
     summary = {"best": best, "savings": oa.savings(plan)}
-    if not args.accuracies_csv and args.confirm:
+    if args.confirm:
         trained, _, summary["confirmation_accuracy"] = _fit(
             samples, analysis.best_values, vars(args)
         )
@@ -272,7 +254,6 @@ def _cmd_tune(args) -> int:
 
     _write_config(out, "tune", {
         "data": str(args.data) if args.data else None,
-        "accuracies_csv": str(args.accuracies_csv) if args.accuracies_csv else None,
         "levels": {name: list(vals) for name, vals in zip(oa.FACTOR_NAMES, levels)},
         "seed": args.seed, "epochs": args.epochs, "patience": args.patience,
         "eval_every": args.eval_every, "bptt": args.bptt,
@@ -461,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("tune", help="16-run orthogonal-array sweep")
-    p.add_argument("--data")
-    p.add_argument("--accuracies-csv",
-                   help="stub objective: CSV of run,accuracy instead of training")
+    p.add_argument("--data", help="dataset table; not needed when results.csv in "
+                   "--out-dir records every run and --no-confirm is given")
     p.add_argument("--levels", help="JSON file overriding factor level values")
     p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS["seed"])
     p.add_argument("--epochs", type=int, default=_SCHEDULE.max_epochs)

@@ -24,19 +24,11 @@ LABELS = (1, 2, 3, 4, 5)
 TABLE_HEADER = ",".join(f"ch{i}" for i in range(1, N_CHANNELS + 1)) + ",label"
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One EEG reading (64 channel values) with its intent label."""
-
-    features: np.ndarray
-    label: int
-
-
 class SampleSet:
     """An ordered block of labeled samples, stored as arrays.
 
     ``features`` is (n, 64) float64, ``labels`` is (n,) int with values
-    in 1..5. Indexing yields :class:`LabeledSample` views.
+    in 1..5.
     """
 
     def __init__(self, features, labels):
@@ -67,9 +59,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, index: int) -> LabeledSample:
-        return LabeledSample(self.features[index], int(self.labels[index]))
 
     def __eq__(self, other):
         if not isinstance(other, SampleSet):
@@ -336,9 +325,14 @@ def load_table(path) -> SampleSet:
             raise DataError(
                 f"{path}: unexpected table header (want 'ch1,...,ch64,label')"
             )
-        # numpy warns on a header-only table, so that case stops here
+        # numpy warns on a table without rows, so that case stops here;
+        # numpy skips empty lines, so only those are passed over
         rows_start = fh.tell()
-        if not fh.readline():
+        line = fh.readline()
+        while line == "\n":
+            rows_start = fh.tell()
+            line = fh.readline()
+        if not line:
             return SampleSet.empty()
         fh.seek(rows_start)
         try:

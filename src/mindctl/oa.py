@@ -9,6 +9,7 @@ sharing a factor level and picks the level with the largest sum.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ FACTOR_NAMES = ("l2", "lr", "width", "layers", "batches")
 N_RUNS = 16
 N_LEVELS = 4
 N_FACTORS = 5
+INTEGER_FACTORS = ("width", "layers", "batches")
 
 # Standard 16-run, 5-factor, 4-level assignment (level indices 1..4).
 _L16_4_5 = (
@@ -79,25 +81,35 @@ class OaPlan:
 def build_plan(level_values) -> OaPlan:
     """Build the 16-run plan for 5 factors with 4 candidate values each.
 
-    Only this design is generated natively; other designs can be loaded
-    from a plan file.
+    Every level is a finite ``int`` or ``float`` (``bool`` is not a
+    number here); the integer factors take ``int`` levels only.
     """
     level_values = tuple(tuple(values) for values in level_values)
     if len(level_values) != N_FACTORS:
         raise DataError(
             f"plan needs exactly {N_FACTORS} factors, got {len(level_values)}"
         )
-    for f, values in enumerate(level_values):
+    for name, values in zip(FACTOR_NAMES, level_values):
         if len(values) != N_LEVELS:
             raise DataError(
-                f"factor {FACTOR_NAMES[f]} needs exactly {N_LEVELS} level "
+                f"factor {name} needs exactly {N_LEVELS} level "
                 f"values, got {len(values)}"
             )
+        integral = name in INTEGER_FACTORS
+        if not all(_is_level(v, integral) for v in values):
+            kind = "integers" if integral else "finite numbers"
+            raise DataError(f"factor {name} levels must be {kind}, got {values}")
         if len(set(values)) != N_LEVELS:
-            raise DataError(
-                f"factor {FACTOR_NAMES[f]} level values must be distinct"
-            )
+            raise DataError(f"factor {name} level values must be distinct")
     return OaPlan(factor_names=FACTOR_NAMES, level_values=level_values)
+
+
+def _is_level(value, integral: bool) -> bool:
+    # exact types: bool and numpy scalars are out, so results.csv
+    # writes every value as plain Python formats it
+    if type(value) is int:
+        return True
+    return not integral and type(value) is float and math.isfinite(value)
 
 
 def is_orthogonal(plan: OaPlan) -> bool:
@@ -125,15 +137,16 @@ def savings(plan: OaPlan) -> float:
 
 
 def execute(plan: OaPlan, runner, workers: int = 1, existing=None) -> list:
-    """Evaluate every run's factor combination with ``runner``.
+    """Evaluate every pending run's factor combination with ``runner``.
 
     ``runner(values)`` receives one run's concrete factor values and
-    returns its accuracy in [0, 1]. Runs are independent; with
-    ``workers > 1`` they execute concurrently and results still join by
-    run index, so the outcome is schedule-independent. A failed run is
-    recorded as None and rejected later by the analysis. ``existing``
-    carries accuracies from an interrupted sweep; those runs are kept
-    as-is and skipped.
+    returns its accuracy in [0, 1], or None for a run that could not
+    produce one, which the analysis rejects later. Runs are independent;
+    with ``workers > 1`` they execute concurrently and results still
+    join by run index, so the outcome is schedule-independent. An
+    exception from ``runner`` propagates and cancels the runs not yet
+    started. ``existing`` carries accuracies from an interrupted sweep;
+    those runs are kept as-is and skipped.
     """
     results = list(existing) if existing is not None else [None] * plan.n_runs
     if len(results) != plan.n_runs:
@@ -141,21 +154,17 @@ def execute(plan: OaPlan, runner, workers: int = 1, existing=None) -> list:
             f"existing results cover {len(results)} runs, plan has {plan.n_runs}"
         )
     pending = [run for run in range(plan.n_runs) if results[run] is None]
-
-    def attempt(run):
-        try:
-            return runner(plan.run_values(run))
-        except Exception:  # noqa: BLE001 - a failed run must not sink the rest
-            return None
-
     if workers <= 1:
         for run in pending:
-            results[run] = attempt(run)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {run: pool.submit(attempt, run) for run in pending}
-            for run, future in futures.items():
-                results[run] = future.result()
+            results[run] = runner(plan.run_values(run))
+        return results
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = {run: pool.submit(runner, plan.run_values(run)) for run in pending}
+        for run, future in futures.items():
+            results[run] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results
 
 
@@ -221,62 +230,12 @@ def save_plan(plan: OaPlan, results, path) -> None:
             fh.write(f"{run + 1},{values},{acc_text}\n")
 
 
-def load_plan(path) -> tuple:
-    """Reconstruct a plan (plus any recorded accuracies) from a CSV.
-
-    The file uses the :func:`save_plan` layout. Only the 16-run design is
-    generated natively; this loader admits other balanced designs (every
-    factor showing the same number of distinct values) produced
-    elsewhere. Level indices follow first appearance per factor column.
-    """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("run,") or not lines[0].endswith(",accuracy"):
-        raise DataError(f"{path}: unexpected plan header")
-    factor_names = tuple(lines[0].split(",")[1:-1])
-    rows = []
-    results = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(factor_names) + 2:
-            raise DataError(f"{path}: malformed row {line!r}")
-        rows.append(cells[1:-1])
-        results.append(float(cells[-1]) if cells[-1] else None)
-    if not rows:
-        raise DataError(f"{path}: plan has no runs")
-
-    def parse_value(text):
-        value = float(text)
-        return int(value) if value == int(value) else value
-
-    level_values = []
-    assignment = []
-    for f in range(len(factor_names)):
-        seen = []
-        for row in rows:
-            value = parse_value(row[f])
-            if value not in seen:
-                seen.append(value)
-        level_values.append(tuple(seen))
-        assignment.append([seen.index(parse_value(row[f])) + 1 for row in rows])
-    counts = {len(values) for values in level_values}
-    if len(counts) != 1:
-        raise DataError(
-            f"{path}: factors disagree on level count ({sorted(counts)})"
-        )
-    plan = OaPlan(
-        factor_names=factor_names,
-        level_values=tuple(level_values),
-        assignment=tuple(zip(*assignment)),
-    )
-    return plan, results
-
-
 def load_results(plan: OaPlan, path) -> list:
     """Read back accuracies saved by :func:`save_plan`; None where blank.
 
-    Rows must agree with the plan's run values, so stale files from a
-    different plan are rejected.
+    Each run appears once, with the plan's factor values (so a stale
+    file from a different plan is rejected) and an accuracy that is
+    blank or a number in [0, 1].
     """
     path = Path(path)
     results = [None] * plan.n_runs
@@ -287,6 +246,7 @@ def load_results(plan: OaPlan, path) -> list:
         raise DataError(
             f"{path}: expected {plan.n_runs} result rows, got {len(lines) - 1}"
         )
+    seen = set()
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != plan.n_factors + 2:
@@ -297,13 +257,20 @@ def load_results(plan: OaPlan, path) -> list:
             accuracy = float(cells[-1]) if cells[-1] else None
         except ValueError:
             raise DataError(f"{path}: malformed row {line!r}") from None
-        if not 0 <= run < plan.n_runs:
-            raise DataError(f"{path}: run index {cells[0]} out of range")
+        if not 0 <= run < plan.n_runs or run in seen:
+            raise DataError(
+                f"{path}: run {cells[0]} repeated or outside 1..{plan.n_runs}"
+            )
+        seen.add(run)
         expected = plan.run_values(run)
         if got != tuple(float(v) for v in expected):
             raise DataError(
                 f"{path}: run {run + 1} factor values {got} do not match "
                 f"the plan's {expected}"
+            )
+        if accuracy is not None and not 0.0 <= accuracy <= 1.0:
+            raise DataError(
+                f"{path}: run {run + 1} accuracy {cells[-1]} is not a number in [0, 1]"
             )
         results[run] = accuracy
     return results

@@ -6,7 +6,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from mindctl.cli import EXIT_INTERNAL, main
+from mindctl import oa
+from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, main
 from mindctl.dataset import SampleSet, load_table, save_table
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, serialize_edf
 from helpers import make_toy_samples
@@ -132,24 +133,28 @@ def test_train_config_rerun_is_identical(tmp_path):
     assert (out_a / "model.mctl").read_bytes() == (out_b / "model.mctl").read_bytes()
 
 
-def test_tune_stub_objective_reproduces_best_levels(tmp_path):
+def test_tune_stub_objective_reproduces_best_levels(tmp_path, monkeypatch):
+    # a recorded outcome replays from a complete results.csv, no data read
     accuracies = [
         0.689, 0.91, 0.893, 0.667, 0.925, 0.717, 0.848, 0.77,
         0.926, 0.826, 0.322, 0.367, 0.93, 0.422, 0.684, 0.404,
     ]
-    stub = tmp_path / "stub.csv"
-    stub.write_text(
-        "run,accuracy\n"
-        + "".join(f"{i + 1},{a}\n" for i, a in enumerate(accuracies))
-    )
     out = tmp_path / "out"
-    rc = main(["tune", "--accuracies-csv", str(stub), "--out-dir", str(out)])
+    out.mkdir()
+    oa.save_plan(oa.build_plan(DEFAULT_LEVELS), accuracies, out / "results.csv")
+    recorded = (out / "results.csv").read_bytes()
+
+    def no_table(path):
+        raise AssertionError(f"load_table({path}) called")
+
+    monkeypatch.setattr("mindctl.dataset.load_table", no_table)
+    rc = main(["tune", "--no-confirm", "--out-dir", str(out)])
     assert rc == 0
     lines = (out / "analysis.csv").read_text().splitlines()
     best = {line.split(",")[0]: line.split(",")[-1] for line in lines[1:]}
     assert best == {"l2": "0.004", "lr": "0.005", "width": "64",
                     "layers": "7", "batches": "3"}
-    assert (out / "results.csv").exists()
+    assert (out / "results.csv").read_bytes() == recorded
     assert (out / "best.json").exists()
 
 
@@ -191,8 +196,6 @@ def test_tune_resumes_from_partial_results(tmp_path):
     out.mkdir()
 
     # a previous sweep that finished all but run 7
-    from mindctl import oa
-
     plan = oa.build_plan((
         (0.0, 0.001, 0.002, 0.003), (0.01, 0.02, 0.03, 0.04),
         (2, 3, 4, 5), (4, 5, 6, 7), (1, 3, 6, 13),
@@ -206,7 +209,7 @@ def test_tune_resumes_from_partial_results(tmp_path):
         "--epochs", "1", "--out-dir", str(out), "--no-confirm",
     ])
     assert rc == 0
-    _, results = oa.load_plan(out / "results.csv")
+    results = oa.load_results(plan, out / "results.csv")
     assert all(a is not None for a in results)
     assert results[:6] == [0.5] * 6  # recorded runs were not re-trained
     assert results[7:] == [0.5] * 9
@@ -219,16 +222,67 @@ def test_tune_resumes_from_partial_results(tmp_path):
     "1,0.404",      # repeated
     "sixteen,0.404",
     "16,0.404,1",
+    "16,nan",
+    "16,1.5",
 ])
-def test_tune_stub_rejects_bad_run_lines(tmp_path, last_line):
-    stub = tmp_path / "stub.csv"
-    stub.write_text("run,accuracy\n"
-                    + "".join(f"{run},0.5\n" for run in range(1, 16))
-                    + last_line + "\n")
+def test_tune_stub_rejects_bad_run_lines(tmp_path, capsys, last_line):
+    # the last results.csv row becomes "run,<values>,accuracy[,extra]",
+    # with the factor values of that run (run 16's if there is no such run)
     out = tmp_path / "out"
-    rc = main(["tune", "--accuracies-csv", str(stub), "--out-dir", str(out)])
+    out.mkdir()
+    path = out / "results.csv"
+    oa.save_plan(oa.build_plan(DEFAULT_LEVELS), [0.5] * 16, path)
+    lines = path.read_text().splitlines()
+    run, rest = last_line.split(",", 1)
+    source = lines[int(run)] if run in ("1", "16") else lines[16]
+    lines[16] = ",".join([run, *source.split(",")[1:-1], rest])
+    path.write_text("\n".join(lines) + "\n")
+    recorded = path.read_bytes()
+    rc = main(["tune", "--no-confirm", "--out-dir", str(out)])
     assert rc == 3
-    assert not (out / "results.csv").exists()
+    assert "results.csv" in capsys.readouterr().err
+    assert path.read_bytes() == recorded
+    assert not (out / "analysis.csv").exists()
+
+
+_TINY_LEVELS = {
+    "l2": [0.0, 0.001, 0.002, 0.003], "lr": [0.01, 0.02, 0.03, 0.04],
+    "width": [2, 3, 4, 5], "layers": [4, 5, 6, 7], "batches": [1, 3, 6, 13],
+}
+
+
+def test_tune_run_with_bad_input_is_recorded_as_failed(tmp_path, capsys):
+    # 28 rows do not split into 5 + 1 batches: those 4 runs fail, the
+    # rest complete, and the analysis refuses the gaps
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps({**_TINY_LEVELS, "batches": [1, 3, 6, 5]}))
+    out = tmp_path / "out"
+    rc = main(["tune", "--data", str(data), "--levels", str(levels),
+               "--epochs", "1", "--no-confirm", "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count(": failed: ") == 4 and "missing accuracies" in err
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert sum(not row.split(",")[-1] for row in rows) == 4
+
+
+def test_fault_inside_a_tune_run_is_internal_error(tmp_path, monkeypatch,
+                                                   capsys):
+    def faulty(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr("mindctl.model.sequence_gradients", faulty)
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps(_TINY_LEVELS))
+    rc = main(["tune", "--data", str(data), "--levels", str(levels),
+               "--epochs", "1", "--no-confirm", "--out-dir", str(tmp_path / "out")])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "injected fault" in err
 
 
 def test_tune_confirm_outputs_identical_for_one_and_two_workers(tmp_path):
@@ -388,9 +442,19 @@ def test_corrupt_checkpoint_is_data_error(tmp_path):
     assert rc == 3
 
 
+_BAD_LEVELS = {
+    "levels": {"l2": 0.001},
+    "levels_list": {"l2": [[0], [1], [2], [3]]},
+    "levels_text": {"l2": "abcd"},
+    "levels_nan": {"lr": [float("nan"), 0.02, 0.03, 0.04]},
+    "levels_bool": {"layers": [True, 5, 6, 7]},
+    "levels_fraction": {"width": [2.5, 3, 4, 5]},
+}
+
+
 @pytest.mark.parametrize("case", [
     "runs", "layer", "knn_k", "cadence", "empty_table", "non_utf8_table",
-    "levels", "config",
+    *_BAD_LEVELS, "tune_no_data", "config",
 ])
 def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
                                                   capsys):
@@ -401,12 +465,10 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
     non_utf8 = tmp / "non_utf8.csv"
     non_utf8.write_bytes(trained_run["test"].read_bytes().replace(b",", b"\xff,", 1))
     levels = tmp / "levels.json"
-    levels.write_text(json.dumps({
-        "l2": 0.001, "lr": [0.01, 0.02, 0.03, 0.04], "width": [2, 3, 4, 5],
-        "layers": [4, 5, 6, 7], "batches": [1, 3, 6, 13],
-    }))
+    levels.write_text(json.dumps({**_TINY_LEVELS, **_BAD_LEVELS.get(case, {})}))
     config = tmp / "config.json"
     config.write_text(json.dumps({"data": str(trained_run["train"]), "width": "x"}))
+    tune = ["tune", "--data", test, "--levels", str(levels)]
     argv = {
         "runs": ["ingest", "--edf-dir", str(edf_dir), "--runs", "a"],
         "layer": ["export-activations", "--model", net, "--data", test,
@@ -417,11 +479,13 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
                     "--profile", "appliance", "--cadence", "0"],
         "empty_table": ["eval", "--model", net, "--data", str(header_only)],
         "non_utf8_table": ["eval", "--model", net, "--data", str(non_utf8)],
-        "levels": ["tune", "--data", test, "--levels", str(levels)],
+        **{name: tune for name in _BAD_LEVELS},
+        "tune_no_data": ["tune", "--levels", str(levels)],
         "config": ["train", "--config", str(config)],
     }[case]
     assert main([*argv, "--out-dir", str(tmp / "out")]) == 3
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp / "out" / "results.csv").exists()  # no tune run trained
 
 
 def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,

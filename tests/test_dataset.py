@@ -1,6 +1,7 @@
 """Labeling, splitting, and table-format tests."""
 
 import hashlib
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -290,6 +291,20 @@ def test_save_table_bytes_match_reference(tmp_path_factory, n, pool, layout,
     assert np.array_equal(back.features.view(np.int64),
                           samples.features.view(np.int64))
     assert np.array_equal(back.labels, samples.labels)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("blank", ["", "\n", "\n\n\n"])
+def test_blank_lines_after_header_are_skipped(tmp_path, rows, blank):
+    # numpy's "input contained no data" warning must not reach the caller
+    samples = _sequential_samples(rows)
+    path = tmp_path / "t.csv"
+    save_table(samples, path)
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header + "\n" + blank + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_table(path) == samples
 
 
 def test_quantized_table_digest_is_pinned(tmp_path):

@@ -15,7 +15,6 @@ from mindctl.oa import (
     build_plan,
     execute,
     is_orthogonal,
-    load_plan,
     load_results,
     range_analysis,
     save_analysis,
@@ -110,14 +109,26 @@ def test_failed_run_recorded_and_blocks_analysis():
     plan = build_plan(LEVELS)
 
     def flaky(values):
-        if values[2] == 48:
-            raise RuntimeError("boom")
-        return 0.5
+        return None if values[2] == 48 else 0.5
 
     results = execute(plan, flaky)
     assert results.count(None) == 4  # width=48 appears in 4 runs
     with pytest.raises(AnalysisError, match="missing accuracies"):
         range_analysis(plan, results)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_runner_propagates(workers):
+    # a runner exception is a fault, not a failed run: it is not recorded
+    plan = build_plan(LEVELS)
+
+    def faulty(values):
+        if values[2] == 48:
+            raise RuntimeError("boom")
+        return 0.5
+
+    with pytest.raises(RuntimeError, match="boom"):
+        execute(plan, faulty, workers=workers)
 
 
 def test_execute_skips_existing_results():
@@ -256,32 +267,6 @@ def test_load_results_malformed_row_is_data_error(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="malformed row"):
         load_results(plan, path)
-
-
-def test_load_plan_round_trip(tmp_path):
-    plan = build_plan(LEVELS)
-    path = tmp_path / "plan.csv"
-    save_plan(plan, KNOWN_RUN_ACCURACIES, path)
-    loaded, results = load_plan(path)
-    assert loaded == plan
-    assert results == KNOWN_RUN_ACCURACIES
-
-
-def test_load_plan_admits_external_design(tmp_path):
-    # a 9-run, 3-factor, 3-level design produced elsewhere
-    l9 = (
-        (1, 1, 1), (1, 2, 2), (1, 3, 3),
-        (2, 1, 2), (2, 2, 3), (2, 3, 1),
-        (3, 1, 3), (3, 2, 1), (3, 3, 2),
-    )
-    original = OaPlan(factor_names=("a", "b", "c"),
-                      level_values=((10, 20, 30),) * 3, assignment=l9)
-    path = tmp_path / "l9.csv"
-    save_plan(original, [None] * 9, path)
-    loaded, results = load_plan(path)
-    assert loaded == original
-    assert results == [None] * 9
-    assert is_orthogonal(loaded)
 
 
 def test_save_analysis_layout(tmp_path):
