@@ -86,10 +86,8 @@ def _cmd_ingest(args) -> int:
 
     parts = []
     for subject in subjects:
-        samples = dataset.ingest_subject(
-            found[subject], runs, mapping,
-            cap=args.per_subject, zscore=args.zscore,
-        )
+        samples = dataset.ingest_subject(found[subject], runs, mapping,
+                                         cap=args.per_subject)
         _log(f"subject {subject}: {len(samples)} samples")
         parts.append(samples)
     combined = dataset.SampleSet.concat(parts)
@@ -103,7 +101,6 @@ def _cmd_ingest(args) -> int:
         "runs": runs,
         "mapping": str(args.mapping) if args.mapping else "builtin-default",
         "per_subject": args.per_subject,
-        "zscore": args.zscore,
         "output": str(table_path),
     })
     return EXIT_OK
@@ -112,7 +109,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_split(args) -> int:
     out = _out_dir(args)
     samples = dataset.load_table(args.data)
-    result = dataset.split(samples, args.n_b, shuffle_seed=args.shuffle_seed)
+    result = dataset.split(samples, args.n_b)
     dataset.save_table(result.train, out / "train.csv")
     dataset.save_table(result.test, out / "test.csv")
     _log(
@@ -122,7 +119,6 @@ def _cmd_split(args) -> int:
     _write_config(out, "split", {
         "data": str(args.data),
         "n_b": args.n_b,
-        "shuffle_seed": args.shuffle_seed,
         "train": str(out / "train.csv"),
         "test": str(out / "test.csv"),
     })
@@ -139,7 +135,6 @@ _TRAIN_DEFAULTS = {
     "seed": 0,
     "epochs": _SCHEDULE.max_epochs,
     "patience": _SCHEDULE.patience,
-    "eval_every": _SCHEDULE.eval_every,
     "bptt": _SCHEDULE.bptt_window,
 }
 
@@ -147,12 +142,10 @@ _TRAIN_DEFAULTS = {
 def _fit(samples, values, settings, announce: bool = False):
     """Train at factor ``values`` (oa.FACTOR_NAMES order) with the seed and
     schedule in ``settings``; returns (model, history, best test accuracy)."""
-    l2, lr, width, layers, batches = values
-    hp = model.HyperParams(l2=l2, lr=lr, width=int(width),
-                           layers=int(layers), batches=int(batches))
+    hp = model.HyperParams(**dict(zip(oa.FACTOR_NAMES, values)))
     schedule = model.TrainingSchedule(
         max_epochs=settings["epochs"], patience=settings["patience"],
-        eval_every=settings["eval_every"], bptt_window=settings["bptt"],
+        bptt_window=settings["bptt"],
     )
     splits = dataset.split(samples, hp.batches)
     net = model.build(hp, settings["seed"])
@@ -161,7 +154,7 @@ def _fit(samples, values, settings, announce: bool = False):
             f"training {hp.layers}-layer model (width {hp.width}) on "
             f"{len(splits.train)} samples, {hp.batches} batches"
         )
-    trained, history = model.train(net, splits, hp, schedule)
+    trained, history = model.train(net, splits, schedule)
     return trained, history, max(h[2] for h in history)
 
 
@@ -170,6 +163,10 @@ def _resolve_train_settings(args) -> dict:
     from_config = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(from_config, dict):
         raise DataError(f"{args.config}: expected a JSON object")
+    unknown = sorted(from_config.keys() - _TRAIN_DEFAULTS.keys()
+                     - {"command", "data", "checkpoint"})
+    if unknown:
+        raise DataError(f"{args.config}: unknown key {unknown[0]!r}")
     settings = {}
     for key, default in _TRAIN_DEFAULTS.items():
         value = getattr(args, key)
@@ -205,6 +202,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_tune(args) -> int:
     out = _out_dir(args)
+    if args.workers < 1:
+        raise DataError(f"--workers must be at least 1, got {args.workers}")
     levels = DEFAULT_LEVELS
     if args.levels:
         raw = json.loads(Path(args.levels).read_text())
@@ -215,13 +214,13 @@ def _cmd_tune(args) -> int:
     plan = oa.build_plan(levels)
 
     results_path = out / "results.csv"
-    existing = None
+    results = [None] * plan.n_runs
     if results_path.exists():
-        existing = oa.load_results(plan, results_path)
-        done = sum(a is not None for a in existing)
+        results = oa.load_results(plan, results_path)
+        done = sum(a is not None for a in results)
         _log(f"resuming: {done} of {plan.n_runs} runs already recorded")
     samples = None
-    if existing is None or None in existing or args.confirm:
+    if None in results or args.confirm:
         if args.data is None:
             raise DataError("tune needs --data to train its pending runs "
                             "or the confirmation model")
@@ -236,8 +235,10 @@ def _cmd_tune(args) -> int:
         _log(f"  run {values}: accuracy {best:.4f}")
         return best
 
-    results = oa.execute(plan, runner, workers=args.workers, existing=existing)
-    oa.save_plan(plan, results, results_path)
+    try:
+        oa.execute(plan, runner, workers=args.workers, results=results)
+    finally:  # a stopped sweep keeps its finished runs for the resume
+        oa.save_plan(plan, results, results_path)
     analysis = oa.range_analysis(plan, results)
     oa.save_analysis(analysis, out / "analysis.csv")
     best = dict(zip(plan.factor_names, analysis.best_values))
@@ -256,8 +257,7 @@ def _cmd_tune(args) -> int:
         "data": str(args.data) if args.data else None,
         "levels": {name: list(vals) for name, vals in zip(oa.FACTOR_NAMES, levels)},
         "seed": args.seed, "epochs": args.epochs, "patience": args.patience,
-        "eval_every": args.eval_every, "bptt": args.bptt,
-        "workers": args.workers, "confirm": args.confirm,
+        "bptt": args.bptt, "workers": args.workers, "confirm": args.confirm,
     })
     return EXIT_OK
 
@@ -411,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int, help="use the first N subjects")
     p.add_argument("--per-subject", type=int,
                    help="keep exactly N samples per subject")
-    p.add_argument("--zscore", action="store_true",
-                   help="per-channel standardization (off by default)")
     p.add_argument("--name", default="dataset.csv")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_ingest)
@@ -421,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--n-b", type=int, required=True, dest="n_b",
                    help="training batch count; test share is 1/(n_b+1)")
-    p.add_argument("--shuffle-seed", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_split)
 
@@ -436,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
     p.add_argument("--bptt", type=int, help="truncation window")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_train)
@@ -448,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS["seed"])
     p.add_argument("--epochs", type=int, default=_SCHEDULE.max_epochs)
     p.add_argument("--patience", type=int, default=_SCHEDULE.patience)
-    p.add_argument("--eval-every", type=int, default=_SCHEDULE.eval_every)
     p.add_argument("--bptt", type=int, default=_SCHEDULE.bptt_window)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--confirm", action=argparse.BooleanOptionalAction,

@@ -170,15 +170,12 @@ def label_samples(
     recording: EdfRecording,
     run: int,
     mapping: LabelMapping,
-    zscore: bool = False,
 ) -> SampleSet:
     """Turn annotated stretches of a recording into labeled samples.
 
     Every time point inside a matched annotation window becomes one
-    sample holding the 64 channel readings at that instant; time points
-    outside matched windows are dropped. ``zscore`` standardizes each
-    channel over the whole recording before windowing (off by default;
-    the model is designed to consume raw signal values).
+    sample holding the 64 raw channel readings at that instant; time
+    points outside matched windows are dropped.
     """
     if len(recording.channels) < N_CHANNELS:
         raise ShapeError(
@@ -196,11 +193,6 @@ def label_samples(
     data = np.stack(
         [recording.physical(i) for i in range(N_CHANNELS)], axis=1
     )
-    if zscore:
-        mean = data.mean(axis=0)
-        std = data.std(axis=0)
-        std[std == 0.0] = 1.0
-        data = (data - mean) / std
     total = data.shape[0]
 
     windows = []
@@ -255,12 +247,11 @@ class DatasetSplit:
             yield SampleSet(self.train.features[lo:hi], self.train.labels[lo:hi])
 
 
-def split(samples: SampleSet, n_batches: int, shuffle_seed=None) -> DatasetSplit:
+def split(samples: SampleSet, n_batches: int) -> DatasetSplit:
     """Partition samples into train/test by the batch count.
 
-    The default is a deterministic block split preserving recording
-    order. ``shuffle_seed`` applies a seeded permutation first (for
-    sensitivity studies only; it breaks the temporal-order contract).
+    A deterministic block split that keeps recording order, which the
+    recurrent model depends on.
     """
     if n_batches < 1:
         raise SplitError(f"batch count must be >= 1, got {n_batches}")
@@ -273,9 +264,6 @@ def split(samples: SampleSet, n_batches: int, shuffle_seed=None) -> DatasetSplit
         )
     batch_size = total // divisor
     features, labels = samples.features, samples.labels
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(total)
-        features, labels = features[order], labels[order]
     cut = n_batches * batch_size
     return DatasetSplit(
         train=SampleSet(features[:cut], labels[:cut]),
@@ -377,7 +365,6 @@ def ingest_subject(
     runs,
     mapping: LabelMapping,
     cap=None,
-    zscore: bool = False,
 ) -> SampleSet:
     """Extract one subject's labeled samples from the requested runs.
 
@@ -391,7 +378,7 @@ def ingest_subject(
         if run not in run_paths:
             raise DataError(f"run {run} not found (have {sorted(run_paths)})")
         recording = parse_edf(Path(run_paths[run]).read_bytes())
-        parts.append(label_samples(recording, run, mapping, zscore=zscore))
+        parts.append(label_samples(recording, run, mapping))
     samples = SampleSet.concat(parts)
     if cap is not None:
         if len(samples) < cap:

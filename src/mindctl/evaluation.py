@@ -11,8 +11,6 @@ import numpy as np
 from .dataset import SampleSet
 from .errors import DataError
 
-N_CLASSES = 5
-
 
 @dataclass
 class ConfusionMatrix:

@@ -84,16 +84,13 @@ class TrainingSchedule:
 
     max_epochs: int = 300
     patience: int = 20
-    eval_every: int = 1
     bptt_window: int = 100
 
     def __post_init__(self):
         if self.max_epochs < 0:
             raise DataError("max_epochs must be >= 0")
-        if self.patience < 1 or self.eval_every < 1 or self.bptt_window < 1:
-            raise DataError(
-                "patience, eval_every and bptt_window must be positive"
-            )
+        if self.patience < 1 or self.bptt_window < 1:
+            raise DataError("patience and bptt_window must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,17 +198,17 @@ def _evaluate_test(layers, split: DatasetSplit, l2: float):
 def train(
     model: ModelParams,
     split: DatasetSplit,
-    hp: HyperParams,
     schedule: TrainingSchedule,
 ):
     """Train on the split's batches; returns (best_model, history).
 
-    Each epoch walks the training batches in order, treating every batch
-    as one time sequence, and applies one Adam update per batch. The
-    test set is scored every ``eval_every`` epochs; history rows are
-    (epoch, train loss, test accuracy) and the returned model is the
-    checkpoint with the best test accuracy seen. Training stops early
-    after ``patience`` epochs without test-loss improvement.
+    The l2 coefficient and learning rate come from ``model.hyper``. Each
+    epoch walks the training batches in order, treating every batch as
+    one time sequence, and applies one Adam update per batch. The test
+    set is scored after every epoch; history rows are (epoch, train
+    loss, test accuracy) and the returned model is the checkpoint with
+    the best test accuracy seen. Training stops early after
+    ``patience`` epochs without test-loss improvement.
     """
     if split.train.features.shape[1] != INPUT_WIDTH:
         raise ShapeError("split feature width does not match the model input")
@@ -220,6 +217,7 @@ def train(
     # fresh arrays, so the best layers are kept by reference, uncopied.
     layers = [map_layer(np.copy, layer) for layer in model.layers]
     adam = adam_init(layers)
+    hp = model.hyper
     window = schedule.bptt_window
 
     test_acc, test_loss = _evaluate_test(layers, split, hp.l2)
@@ -249,19 +247,18 @@ def train(
         train_loss = float(np.mean(epoch_losses))
         epochs_run = epoch
 
-        if epoch % schedule.eval_every == 0 or epoch == schedule.max_epochs:
-            test_acc, test_loss = _evaluate_test(layers, split, hp.l2)
-            history.append((epoch, train_loss, test_acc))
-            if test_acc > best_acc:
-                best_acc = test_acc
-                best_layers = layers
-            if test_loss < best_test_loss:
-                best_test_loss = test_loss
-                epochs_without_improvement = 0
-            else:
-                epochs_without_improvement += schedule.eval_every
-                if epochs_without_improvement >= schedule.patience:
-                    break
+        test_acc, test_loss = _evaluate_test(layers, split, hp.l2)
+        history.append((epoch, train_loss, test_acc))
+        if test_acc > best_acc:
+            best_acc = test_acc
+            best_layers = layers
+        if test_loss < best_test_loss:
+            best_test_loss = test_loss
+            epochs_without_improvement = 0
+        else:
+            epochs_without_improvement += 1
+            if epochs_without_improvement >= schedule.patience:
+                break
 
     trained = ModelParams(
         topology=list(model.topology),

@@ -136,33 +136,36 @@ def savings(plan: OaPlan) -> float:
     return 1.0 - plan.n_runs / exhaustive
 
 
-def execute(plan: OaPlan, runner, workers: int = 1, existing=None) -> list:
+def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
     """Evaluate every pending run's factor combination with ``runner``.
 
     ``runner(values)`` receives one run's concrete factor values and
     returns its accuracy in [0, 1], or None for a run that could not
-    produce one, which the analysis rejects later. Runs are independent;
-    with ``workers > 1`` they execute concurrently and results still
-    join by run index, so the outcome is schedule-independent. An
-    exception from ``runner`` propagates and cancels the runs not yet
-    started. ``existing`` carries accuracies from an interrupted sweep;
-    those runs are kept as-is and skipped.
+    produce one, which the analysis rejects later. Runs are independent
+    and execute on ``workers`` threads. ``results`` is the caller's list
+    (a new all-pending one when None), filled in place by run index as
+    each run returns and then returned, so the outcome is
+    schedule-independent; runs already holding an accuracy, from an
+    interrupted sweep, are skipped. An exception from ``runner``
+    propagates and cancels the runs not yet started, and the runs that
+    finished stay in ``results``.
     """
-    results = list(existing) if existing is not None else [None] * plan.n_runs
+    if results is None:
+        results = [None] * plan.n_runs
     if len(results) != plan.n_runs:
         raise AnalysisError(
             f"existing results cover {len(results)} runs, plan has {plan.n_runs}"
         )
-    pending = [run for run in range(plan.n_runs) if results[run] is None]
-    if workers <= 1:
-        for run in pending:
-            results[run] = runner(plan.run_values(run))
-        return results
+
+    def run(index):
+        results[index] = runner(plan.run_values(index))
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = {run: pool.submit(runner, plan.run_values(run)) for run in pending}
-        for run, future in futures.items():
-            results[run] = future.result()
+        futures = [pool.submit(run, index)
+                   for index in range(plan.n_runs) if results[index] is None]
+        for future in futures:
+            future.result()
     finally:
         pool.shutdown(cancel_futures=True)
     return results

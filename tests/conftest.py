@@ -16,9 +16,8 @@ def toy_model(toy_split):
     """A small model fitted to the separable toy. Session-scoped: several
     suites reuse it for inference-level checks."""
     hp = HyperParams(l2=0.0, lr=0.01, width=16, layers=7, batches=3)
-    schedule = TrainingSchedule(max_epochs=30, patience=30, eval_every=1,
-                                bptt_window=100)
-    trained, _ = train(build(hp, seed=1), toy_split, hp, schedule)
+    schedule = TrainingSchedule(max_epochs=30, patience=30, bptt_window=100)
+    trained, _ = train(build(hp, seed=1), toy_split, schedule)
     return trained
 
 
@@ -28,7 +27,6 @@ def five_class_model():
     samples = make_toy_samples(n=400, seed=17, n_classes=5)
     splits = split(samples, 3)
     hp = HyperParams(l2=0.0, lr=0.01, width=16, layers=7, batches=3)
-    schedule = TrainingSchedule(max_epochs=60, patience=60, eval_every=1,
-                                bptt_window=100)
-    trained, _ = train(build(hp, seed=2), splits, hp, schedule)
+    schedule = TrainingSchedule(max_epochs=60, patience=60, bptt_window=100)
+    trained, _ = train(build(hp, seed=2), splits, schedule)
     return trained

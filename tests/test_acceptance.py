@@ -168,8 +168,8 @@ def test_criterion_convergence_sanity():
         splits = split(samples, 3)
         hp = HyperParams(l2=0.0, lr=0.01, width=16, layers=7, batches=3)
         schedule = TrainingSchedule(max_epochs=50, patience=50,
-                                    eval_every=1, bptt_window=100)
-        trained, _ = train(build(hp, seed=1), splits, hp, schedule)
+                                    bptt_window=100)
+        trained, _ = train(build(hp, seed=1), splits, schedule)
         return trained, model_accuracy(trained, splits.train)
 
     model_a, acc_a = run()
@@ -353,7 +353,7 @@ def test_criterion_end_to_end_dataset():
 
     hp = HyperParams(l2=0.004, lr=0.005, width=64, layers=7, batches=3)
     schedule = TrainingSchedule(max_epochs=max_epochs, patience=10,
-                                eval_every=1, bptt_window=100)
+                                bptt_window=100)
     model_accs, knn_accs = [], []
     for subject in subjects:
         samples = ingest_subject(
@@ -363,7 +363,7 @@ def test_criterion_end_to_end_dataset():
         splits = split(samples, 3)
         assert len(splits.train) == 21000 and len(splits.test) == 7000
 
-        trained, _ = train(build(hp, seed=0), splits, hp, schedule)
+        trained, _ = train(build(hp, seed=0), splits, schedule)
         acc = model_accuracy(trained, splits.test)
         knn_labels = knn_classify(splits.train, splits.test.features, k=3)
         knn_acc = float((knn_labels == splits.test.labels).mean())

@@ -1,13 +1,17 @@
 """End-to-end subcommand tests over tiny synthetic inputs."""
 
+import itertools
 import json
+import re
+import shlex
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mindctl import oa
-from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, main
+from mindctl import model, oa
+from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, build_parser, main
 from mindctl.dataset import SampleSet, load_table, save_table
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, serialize_edf
 from helpers import make_toy_samples
@@ -285,6 +289,45 @@ def test_fault_inside_a_tune_run_is_internal_error(tmp_path, monkeypatch,
     assert "Traceback" in err and "injected fault" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_stopped_sweep_keeps_finished_runs_and_resumes(tmp_path, monkeypatch,
+                                                       capsys, workers):
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps(_TINY_LEVELS))
+    tune = ["tune", "--data", str(data), "--levels", str(levels), "--epochs", "1",
+            "--workers", workers, "--confirm", "--out-dir"]
+    names = ("results.csv", "analysis.csv", "best.json", "tuned_model.mctl")
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    assert main([*tune, str(whole)]) == 0
+
+    calls = itertools.count(1)
+    real = model.sequence_gradients
+
+    def faulty(*args, **kwargs):
+        # runs 1-3 take 1 + 3 + 6 calls at one epoch, run 4 takes 13
+        if next(calls) > 20:
+            raise ValueError("injected fault")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("mindctl.model.sequence_gradients", faulty)
+    capsys.readouterr()
+    assert main([*tune, str(out)]) == EXIT_INTERNAL
+    finished = capsys.readouterr().err.count(": accuracy ")
+    plan = oa.build_plan(tuple(_TINY_LEVELS[n] for n in oa.FACTOR_NAMES))
+    recorded = oa.load_results(plan, out / "results.csv")
+    assert 0 < finished == sum(a is not None for a in recorded) < 16
+    if workers == "1":
+        assert finished == 3
+
+    monkeypatch.setattr("mindctl.model.sequence_gradients", real)
+    assert main([*tune, str(out)]) == 0
+    assert capsys.readouterr().err.count(": accuracy ") == 16 - finished
+    assert ({n: (out / n).read_bytes() for n in names}
+            == {n: (whole / n).read_bytes() for n in names})
+
+
 def test_tune_confirm_outputs_identical_for_one_and_two_workers(tmp_path):
     data = tmp_path / "data.csv"
     save_table(make_toy_samples(n=28, seed=2), data)
@@ -442,6 +485,7 @@ def test_corrupt_checkpoint_is_data_error(tmp_path):
     assert rc == 3
 
 
+_BAD_CONFIGS = {"config": {"width": "x"}, "config_key": {"widht": 4}}
 _BAD_LEVELS = {
     "levels": {"l2": 0.001},
     "levels_list": {"l2": [[0], [1], [2], [3]]},
@@ -454,7 +498,7 @@ _BAD_LEVELS = {
 
 @pytest.mark.parametrize("case", [
     "runs", "layer", "knn_k", "cadence", "empty_table", "non_utf8_table",
-    *_BAD_LEVELS, "tune_no_data", "config",
+    *_BAD_LEVELS, "tune_no_data", "workers", *_BAD_CONFIGS,
 ])
 def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
                                                   capsys):
@@ -467,7 +511,8 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
     levels = tmp / "levels.json"
     levels.write_text(json.dumps({**_TINY_LEVELS, **_BAD_LEVELS.get(case, {})}))
     config = tmp / "config.json"
-    config.write_text(json.dumps({"data": str(trained_run["train"]), "width": "x"}))
+    config.write_text(json.dumps({"data": str(trained_run["train"]),
+                                  **_BAD_CONFIGS.get(case, {})}))
     tune = ["tune", "--data", test, "--levels", str(levels)]
     argv = {
         "runs": ["ingest", "--edf-dir", str(edf_dir), "--runs", "a"],
@@ -481,11 +526,13 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
         "non_utf8_table": ["eval", "--model", net, "--data", str(non_utf8)],
         **{name: tune for name in _BAD_LEVELS},
         "tune_no_data": ["tune", "--levels", str(levels)],
-        "config": ["train", "--config", str(config)],
+        "workers": [*tune, "--workers", "0"],
+        **{name: ["train", "--config", str(config)] for name in _BAD_CONFIGS},
     }[case]
     assert main([*argv, "--out-dir", str(tmp / "out")]) == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp / "out" / "results.csv").exists()  # no tune run trained
+    assert not (tmp / "out" / "model.mctl").exists()
 
 
 def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,
@@ -502,3 +549,24 @@ def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,
     assert rc not in (0, 2, 3, 4, 5)
     err = capsys.readouterr().err
     assert "Traceback" in err and "injected fault" in err
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    script = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    lines = [shlex.split(line, comments=True)
+             for line in script.replace("\\\n", " ").splitlines()]
+    commands = [line[1:] for line in lines if line[:1] == ["mindctl"]]
+    assert {argv[0] for argv in commands} == {
+        "ingest", "split", "train", "tune", "eval", "predict",
+        "export-activations", "replay", "serve-device",
+    }
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: mindctl {shlex.join(argv)}")

@@ -210,17 +210,6 @@ def test_split_indivisible_total_names_divisor():
         split(_sequential_samples(27), 3)
 
 
-def test_shuffled_split_is_seeded_and_conserving():
-    samples = _sequential_samples(28)
-    a = split(samples, 3, shuffle_seed=5)
-    b = split(samples, 3, shuffle_seed=5)
-    assert a.train == b.train and a.test == b.test
-    merged = np.concatenate([a.train.features, a.test.features])
-    assert np.array_equal(
-        np.sort(merged.reshape(-1)), np.sort(samples.features.reshape(-1))
-    )
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     n_batches=st.integers(1, 6),

@@ -135,9 +135,8 @@ def test_zero_epoch_schedule_returns_initial_model():
     splits = split(samples, 3)
     hp = HyperParams(l2=0.0, lr=0.01, width=8, layers=5, batches=3)
     model = build(hp, seed=5)
-    schedule = TrainingSchedule(max_epochs=0, patience=5, eval_every=1,
-                                bptt_window=10)
-    trained, history = train(model, splits, hp, schedule)
+    schedule = TrainingSchedule(max_epochs=0, patience=5, bptt_window=10)
+    trained, history = train(model, splits, schedule)
     assert len(history) == 1 and history[0][0] == 0
     for la, lb in zip(model.layers, trained.layers):
         for (_, xa), (_, xb) in zip(la.arrays(), lb.arrays()):
@@ -154,7 +153,7 @@ def test_train_returns_best_epoch_layers_sharing_no_array():
     def run(epochs):
         schedule = TrainingSchedule(max_epochs=epochs, patience=20,
                                     bptt_window=10)
-        return train(model, splits, hp, schedule)
+        return train(model, splits, schedule)
 
     long_run, history = run(8)
     accuracies = [row[2] for row in history]
@@ -181,10 +180,9 @@ def test_training_is_bit_reproducible():
     samples = make_toy_samples(n=40, seed=3)
     splits = split(samples, 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=8, layers=5, batches=3)
-    schedule = TrainingSchedule(max_epochs=5, patience=10, eval_every=1,
-                                bptt_window=10)
-    a, hist_a = train(build(hp, seed=5), splits, hp, schedule)
-    b, hist_b = train(build(hp, seed=5), splits, hp, schedule)
+    schedule = TrainingSchedule(max_epochs=5, patience=10, bptt_window=10)
+    a, hist_a = train(build(hp, seed=5), splits, schedule)
+    b, hist_b = train(build(hp, seed=5), splits, schedule)
     assert hist_a == hist_b
     assert save(a) == save(b)
 
@@ -197,19 +195,17 @@ def test_training_aborts_on_non_finite_loss():
     hp = HyperParams(l2=0.0, lr=0.01, width=8, layers=5, batches=3)
     model = build(hp, seed=5)
     model.layers[0].W[:] = 1e300  # overflow the forward pass
-    schedule = TrainingSchedule(max_epochs=3, patience=5, eval_every=1,
-                                bptt_window=10)
+    schedule = TrainingSchedule(max_epochs=3, patience=5, bptt_window=10)
     with pytest.raises((NumericError, FloatingPointError), match="batch 0|non-finite"):
-        train(model, splits, hp, schedule)
+        train(model, splits, schedule)
 
 
 def test_history_rows_and_early_stop():
     samples = make_toy_samples(n=40, seed=3)
     splits = split(samples, 3)
     hp = HyperParams(l2=0.0, lr=0.01, width=8, layers=5, batches=3)
-    schedule = TrainingSchedule(max_epochs=50, patience=3, eval_every=1,
-                                bptt_window=10)
-    trained, history = train(build(hp, seed=5), splits, hp, schedule)
+    schedule = TrainingSchedule(max_epochs=50, patience=3, bptt_window=10)
+    trained, history = train(build(hp, seed=5), splits, schedule)
     epochs = [h[0] for h in history]
     assert epochs[0] == 0
     assert epochs == sorted(epochs)

@@ -4,13 +4,17 @@ The 16 run accuracies used as a regression fixture are a known outcome
 of a full tuning sweep with known analysis results.
 """
 
+import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from mindctl.errors import AnalysisError, DataError
+from mindctl.model import HyperParams
 from mindctl.oa import (
+    FACTOR_NAMES,
     OaPlan,
     build_plan,
     execute,
@@ -141,10 +145,29 @@ def test_execute_skips_existing_results():
         calls.append(values)
         return 0.9
 
-    results = execute(plan, runner, existing=existing)
+    results = execute(plan, runner, results=existing)
     assert len(calls) == 1
     assert results[3] == 0.9
     assert results[0] == 0.1
+
+
+def test_worker_threads_fill_every_run_under_fast_switching():
+    # more workers than cores, each storing its own run's result
+    plan = build_plan(LEVELS)
+    expected = [(v[0] * 1000 + v[2]) / 1e6 for v in map(plan.run_values, range(16))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            results = execute(plan, lambda v: (v[0] * 1000 + v[2]) / 1e6, workers=8)
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_factor_names_follow_hyperparams_fields():
+    # the CLI builds HyperParams by name from a run's factor values
+    assert FACTOR_NAMES == tuple(f.name for f in dataclasses.fields(HyperParams))
 
 
 # ---------------------------------------------------------------------------
