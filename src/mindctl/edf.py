@@ -13,10 +13,8 @@ Layout handled here (all header fields are fixed-width ASCII):
         8   number of data records
         8   record duration in seconds
         4   number of signals
-    per-signal header block, one field for all signals at a time:
-        16 label, 80 transducer, 8 physical dimension,
-        8 physical min, 8 physical max, 8 digital min, 8 digital max,
-        80 prefiltering, 8 samples per record, 32 reserved
+    per-signal header block, one field for all signals at a time,
+        fields and widths as ``_SIGNAL_FIELDS`` lists them
     data records: for each record, for each signal,
         samples-per-record two's-complement 16-bit little-endian values
 
@@ -30,6 +28,7 @@ derived on demand through the per-channel linear calibration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -40,7 +39,6 @@ from .errors import EdfParseError, EdfRangeError, EdfUnsupportedError
 ANNOTATION_LABEL = "EDF Annotations"
 
 _FIXED_HEADER = 256
-_PER_SIGNAL_HEADER = 256
 
 
 @dataclass
@@ -64,6 +62,23 @@ class EdfChannel:
 
     def offset(self) -> float:
         return self.physical_min - self.gain() * self.digital_min
+
+
+# The per-signal header in file order: the EdfChannel attribute each field
+# holds (None for the reserved field), its byte width and its type.
+_SIGNAL_FIELDS = (
+    ("label", 16, str),
+    ("transducer", 80, str),
+    ("physical_dim", 8, str),
+    ("physical_min", 8, float),
+    ("physical_max", 8, float),
+    ("digital_min", 8, int),
+    ("digital_max", 8, int),
+    ("prefiltering", 80, str),
+    ("samples_per_record", 8, int),
+    (None, 32, str),
+)
+_PER_SIGNAL_HEADER = sum(width for _, width, _ in _SIGNAL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -151,24 +166,18 @@ def _ascii(data: bytes, start: int, size: int) -> str:
         raise EdfParseError("non-ASCII bytes in header field", offset=start) from exc
 
 
-def _int_field(data: bytes, start: int, size: int, name: str) -> int:
+def _number_field(data: bytes, start: int, size: int, name: str, kind):
+    """The field's ASCII text as a finite ``kind`` (int or float)."""
     text = _ascii(data, start, size).strip()
     try:
-        return int(text)
+        value = kind(text)
     except ValueError as exc:
         raise EdfParseError(
             f"non-numeric {name} field {text!r}", offset=start
         ) from exc
-
-
-def _float_field(data: bytes, start: int, size: int, name: str) -> float:
-    text = _ascii(data, start, size).strip()
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise EdfParseError(
-            f"non-numeric {name} field {text!r}", offset=start
-        ) from exc
+    if kind is float and not math.isfinite(value):
+        raise EdfParseError(f"non-finite {name} field {text!r}", offset=start)
+    return value
 
 
 def _parse_start(data: bytes) -> datetime:
@@ -207,10 +216,10 @@ def parse_edf(data: bytes) -> EdfRecording:
     patient_id = _ascii(data, 8, 80)
     recording_id = _ascii(data, 88, 80)
     start = _parse_start(data)
-    header_bytes = _int_field(data, 184, 8, "header byte count")
-    n_records = _int_field(data, 236, 8, "data record count")
-    record_duration = _float_field(data, 244, 8, "record duration")
-    n_signals = _int_field(data, 252, 4, "signal count")
+    header_bytes = _number_field(data, 184, 8, "header byte count", int)
+    n_records = _number_field(data, 236, 8, "data record count", int)
+    record_duration = _number_field(data, 244, 8, "record duration", float)
+    n_signals = _number_field(data, 252, 4, "signal count", int)
 
     if n_signals <= 0:
         raise EdfParseError(f"signal count must be positive, got {n_signals}", offset=252)
@@ -235,48 +244,39 @@ def parse_edf(data: bytes) -> EdfRecording:
             offset=len(data),
         )
 
-    # per-signal blocks appear in file order; offsets are cumulative widths
-    labels = [_ascii(data, o, w) for o, w in _field_spans(n_signals, 0, 16)]
-    transducers = [_ascii(data, o, w) for o, w in _field_spans(n_signals, 16, 80)]
-    phys_dims = [_ascii(data, o, w) for o, w in _field_spans(n_signals, 96, 8)]
-    phys_min = [
-        _float_field(data, o, w, "physical min")
-        for o, w in _field_spans(n_signals, 104, 8)
-    ]
-    phys_max = [
-        _float_field(data, o, w, "physical max")
-        for o, w in _field_spans(n_signals, 112, 8)
-    ]
-    dig_min = [
-        _int_field(data, o, w, "digital min")
-        for o, w in _field_spans(n_signals, 120, 8)
-    ]
-    dig_max = [
-        _int_field(data, o, w, "digital max")
-        for o, w in _field_spans(n_signals, 128, 8)
-    ]
-    prefilters = [_ascii(data, o, w) for o, w in _field_spans(n_signals, 136, 80)]
-    spr = [
-        _int_field(data, o, w, "samples per record")
-        for o, w in _field_spans(n_signals, 216, 8)
-    ]
+    # each field holds every signal's value before the next field starts
+    entries = [{} for _ in range(n_signals)]
+    offset = _FIXED_HEADER
+    for name, width, kind in _SIGNAL_FIELDS:
+        for entry in entries:
+            if name is not None:
+                entry[name] = (
+                    _ascii(data, offset, width) if kind is str
+                    else _number_field(data, offset, width,
+                                       name.replace("_", " "), kind)
+                )
+            offset += width
+    headers = [EdfChannel(**entry) for entry in entries]
 
-    for i in range(n_signals):
-        if spr[i] <= 0:
+    for i, h in enumerate(headers):
+        if h.samples_per_record <= 0:
             raise EdfParseError(
-                f"samples per record must be positive for signal {i}, got {spr[i]}"
+                f"samples per record must be positive for signal {i}, "
+                f"got {h.samples_per_record}"
             )
-        if labels[i] != ANNOTATION_LABEL:
-            if dig_min[i] >= dig_max[i]:
+        if h.label != ANNOTATION_LABEL:
+            if h.digital_min >= h.digital_max:
                 raise EdfParseError(
-                    f"signal {i}: digital min {dig_min[i]} not below "
-                    f"digital max {dig_max[i]}"
+                    f"signal {i}: digital min {h.digital_min} not below "
+                    f"digital max {h.digital_max}"
                 )
-            if phys_min[i] == phys_max[i]:
+            if h.physical_min == h.physical_max:
                 raise EdfParseError(
-                    f"signal {i}: physical min equals physical max ({phys_min[i]})"
+                    f"signal {i}: physical min equals physical max "
+                    f"({h.physical_min})"
                 )
 
+    spr = [h.samples_per_record for h in headers]
     record_samples = sum(spr)
     expected = n_records * record_samples * 2
     actual = len(data) - header_size
@@ -294,9 +294,9 @@ def parse_edf(data: bytes) -> EdfRecording:
     raw = np.frombuffer(data, dtype="<i2", offset=header_size)
     raw = raw.reshape(n_records, record_samples) if n_records else raw.reshape(0, record_samples)
 
-    for i in range(n_signals):
+    for i, h in enumerate(headers):
         lo, hi = int(sample_offsets[i]), int(sample_offsets[i + 1])
-        if labels[i] == ANNOTATION_LABEL:
+        if h.label == ANNOTATION_LABEL:
             chunk_offset = header_size + 2 * lo
             for r in range(n_records):
                 payload = raw[r, lo:hi].tobytes()
@@ -304,19 +304,7 @@ def parse_edf(data: bytes) -> EdfRecording:
                     _parse_tals(payload, chunk_offset + r * record_samples * 2)
                 )
             continue
-        channels.append(
-            EdfChannel(
-                label=labels[i],
-                physical_min=phys_min[i],
-                physical_max=phys_max[i],
-                digital_min=dig_min[i],
-                digital_max=dig_max[i],
-                samples_per_record=spr[i],
-                transducer=transducers[i],
-                physical_dim=phys_dims[i],
-                prefiltering=prefilters[i],
-            )
-        )
+        channels.append(h)
         signals.append(np.ascontiguousarray(raw[:, lo:hi]).reshape(-1))
 
     if not channels:
@@ -335,11 +323,6 @@ def parse_edf(data: bytes) -> EdfRecording:
         annotations=annotations,
         version=version,
     )
-
-
-def _field_spans(n_signals: int, block_offset: int, width: int):
-    base = _FIXED_HEADER + block_offset * n_signals
-    return [(base + i * width, width) for i in range(n_signals)]
 
 
 def _check_annotation_order(annotations: list[EdfAnnotation]) -> None:
@@ -382,6 +365,10 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
             raise EdfParseError(
                 f"non-numeric TAL onset/duration in {chunk!r}", offset=offset
             ) from exc
+        if not (math.isfinite(onset) and math.isfinite(duration)):
+            raise EdfParseError(
+                f"non-finite TAL onset/duration in {chunk!r}", offset=offset
+            )
         for text in parts[1:-1]:
             if text == b"":
                 continue  # timestamp TAL
@@ -398,9 +385,9 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Written independently of the parser: fields are assembled one by one in
-# file order rather than through a shared table, so round-trip tests cross-
-# check two separate treatments of the layout.
+# The per-signal layout is declared once, in _SIGNAL_FIELDS, and both
+# directions walk it, so a round trip cannot catch a wrong table; the
+# hand-assembled golden files in the tests check it against the spec.
 
 def _pad(text: str, width: int, what: str) -> bytes:
     raw = text.encode("ascii", errors="strict") if text else b""
@@ -448,8 +435,6 @@ def _annotation_payloads(recording: EdfRecording) -> list[bytes]:
                     raise ValueError(
                         f"annotation text {ann.text!r} contains reserved bytes"
                     )
-                if ann.onset < 0:
-                    raise ValueError(f"negative annotation onset {ann.onset}")
                 block += (
                     b"+"
                     + _fmt_tal_number(ann.onset)
@@ -503,12 +488,13 @@ def serialize_edf(recording: EdfRecording) -> bytes:
             )
 
     has_annotations = bool(recording.annotations)
-    ann_payloads = _annotation_payloads(recording) if has_annotations else []
-    ann_spr = (
-        max((len(p) + 1) // 2 for p in ann_payloads) if ann_payloads else 0
-    )
+    headers = list(recording.channels)
+    if has_annotations:
+        ann_payloads = _annotation_payloads(recording)
+        ann_spr = max((len(p) + 1) // 2 for p in ann_payloads)
+        headers.append(EdfChannel(ANNOTATION_LABEL, -1, 1, -32768, 32767, ann_spr))
 
-    n_signals = len(recording.channels) + (1 if has_annotations else 0)
+    n_signals = len(headers)
     header_bytes = _FIXED_HEADER + _PER_SIGNAL_HEADER * n_signals
 
     out = bytearray()
@@ -535,38 +521,13 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     )
     out += _pad(str(n_signals), 4, "signal count")
 
-    def each_signal(ordinary, annotation):
-        for ch in recording.channels:
-            out.extend(ordinary(ch))
-        if has_annotations:
-            out.extend(annotation())
-
-    each_signal(lambda ch: _pad(ch.label, 16, "label"),
-                lambda: _pad(ANNOTATION_LABEL, 16, "label"))
-    each_signal(lambda ch: _pad(ch.transducer, 80, "transducer"),
-                lambda: _pad("", 80, "transducer"))
-    each_signal(lambda ch: _pad(ch.physical_dim, 8, "physical dimension"),
-                lambda: _pad("", 8, "physical dimension"))
-    each_signal(
-        lambda ch: _pad(_fmt_header_number(ch.physical_min, "physical min"), 8,
-                        "physical min"),
-        lambda: _pad("-1", 8, "physical min"),
-    )
-    each_signal(
-        lambda ch: _pad(_fmt_header_number(ch.physical_max, "physical max"), 8,
-                        "physical max"),
-        lambda: _pad("1", 8, "physical max"),
-    )
-    each_signal(lambda ch: _pad(str(ch.digital_min), 8, "digital min"),
-                lambda: _pad("-32768", 8, "digital min"))
-    each_signal(lambda ch: _pad(str(ch.digital_max), 8, "digital max"),
-                lambda: _pad("32767", 8, "digital max"))
-    each_signal(lambda ch: _pad(ch.prefiltering, 80, "prefiltering"),
-                lambda: _pad("", 80, "prefiltering"))
-    each_signal(lambda ch: _pad(str(ch.samples_per_record), 8, "samples per record"),
-                lambda: _pad(str(ann_spr), 8, "samples per record"))
-    each_signal(lambda ch: _pad("", 32, "reserved"),
-                lambda: _pad("", 32, "reserved"))
+    for name, width, kind in _SIGNAL_FIELDS:
+        what = (name or "reserved").replace("_", " ")
+        for ch in headers:
+            value = "" if name is None else getattr(ch, name)
+            if kind is float:
+                value = _fmt_header_number(value, what)
+            out += _pad(str(value), width, what)
 
     for r in range(recording.n_records):
         for ch, sig in zip(recording.channels, recording.signals):

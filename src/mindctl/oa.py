@@ -10,6 +10,7 @@ sharing a factor level and picks the level with the largest sum.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,9 +147,10 @@ def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
     (a new all-pending one when None), filled in place by run index as
     each run returns and then returned, so the outcome is
     schedule-independent; runs already holding an accuracy, from an
-    interrupted sweep, are skipped. An exception from ``runner``
-    propagates and cancels the runs not yet started, and the runs that
-    finished stay in ``results``.
+    interrupted sweep, are skipped. An exception from ``runner`` stops
+    the sweep: no run starts after it, the running ones finish, and the
+    exception of the first faulted run in run order propagates; the runs
+    that finished stay in ``results``.
     """
     if results is None:
         results = [None] * plan.n_runs
@@ -157,8 +159,16 @@ def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
             f"existing results cover {len(results)} runs, plan has {plan.n_runs}"
         )
 
+    faulted = threading.Event()
+
     def run(index):
-        results[index] = runner(plan.run_values(index))
+        if faulted.is_set():
+            return
+        try:
+            results[index] = runner(plan.run_values(index))
+        except BaseException:
+            faulted.set()
+            raise
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:

@@ -475,6 +475,18 @@ def test_ingest_invalid_utf8_annotation_is_data_error(edf_dir, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("duration", [b"nan     ", b"inf     "])
+def test_ingest_non_finite_record_duration_is_data_error(edf_dir, tmp_path,
+                                                         capsys, duration):
+    path = edf_dir / "S002" / "S002R04.edf"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:244] + duration + blob[252:])  # record duration field
+    rc = main(["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "non-finite record duration" in capsys.readouterr().err
+
+
 def test_corrupt_checkpoint_is_data_error(tmp_path):
     bad = tmp_path / "bad.mctl"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)

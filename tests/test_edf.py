@@ -1,10 +1,12 @@
 """EDF parse/serialize conformance and round-trip properties."""
 
+import math
+import re
 from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindctl.edf import (
@@ -16,6 +18,7 @@ from mindctl.edf import (
     serialize_edf,
 )
 from mindctl.errors import (
+    EdfError,
     EdfParseError,
     EdfRangeError,
     EdfUnsupportedError,
@@ -87,6 +90,90 @@ def test_empty_annotation_recording_declares_no_annotation_channel():
     blob = serialize_edf(rec)
     # header signal count field: bytes 252..256
     assert blob[252:256].decode("ascii").strip() == "1"
+
+
+def golden_two_channel_annotated_bytes():
+    """Two ordinary channels and an annotation signal over two 0.5 s
+    records, assembled by hand from the spec's field widths, independent
+    of the parser's and the serializer's shared field table. Every
+    per-signal field differs between the signals, so a field read from
+    the wrong place or written in the wrong order shows."""
+
+    def pad(text, width):
+        return text.encode("ascii").ljust(width)
+
+    def field(width, *values):
+        # the per-signal header holds one field for every signal at a time
+        return b"".join(pad(value, width) for value in values)
+
+    header = b"".join(
+        [
+            pad("0", 8),
+            pad("X F 01-JAN-1990 Pat", 80),
+            pad("Startdate 02-MAR-2001 R", 80),
+            pad("02.03.01", 8),
+            pad("04.05.06", 8),
+            pad("1024", 8),
+            pad("EDF+C", 44),
+            pad("2", 8),
+            pad("0.5", 8),
+            pad("3", 4),
+        ]
+    )
+    signal_header = b"".join(
+        [
+            field(16, "EEG Fz", "EEG Cz", "EDF Annotations"),
+            field(80, "AgAgCl electrode", "Ag cup", ""),
+            field(8, "uV", "mV", ""),
+            field(8, "-187.5", "-2", "-1"),
+            field(8, "312.25", "3", "1"),
+            field(8, "-2048", "-100", "-32768"),
+            field(8, "2047", "100", "32767"),
+            field(80, "HP:0.1Hz LP:75Hz", "N:50Hz", ""),
+            field(8, "3", "2", "17"),
+            field(32, "", "", ""),
+        ]
+    )
+    # record 0 holds its timestamp TAL and both annotations (33 bytes,
+    # 17 samples); record 1 only its timestamp
+    tals = (
+        b"+0\x14\x14\x00+0.25\x150.75\x14T1\x14\x00+0.5\x150.5\x14T2\x14\x00",
+        b"+0.5\x14\x14\x00",
+    )
+    records = zip(([-2048, 0, 2047], [5, -5, 100]), ([-100, 100], [7, -7]), tals)
+    data = b"".join(
+        np.array(fz, dtype="<i2").tobytes()
+        + np.array(cz, dtype="<i2").tobytes()
+        + tal.ljust(34, b"\x00")
+        for fz, cz, tal in records
+    )
+    return header + signal_header + data
+
+
+def two_channel_annotated_recording():
+    return EdfRecording(
+        patient_id="X F 01-JAN-1990 Pat",
+        recording_id="Startdate 02-MAR-2001 R",
+        start=datetime(2001, 3, 2, 4, 5, 6),
+        n_records=2,
+        record_duration=0.5,
+        channels=[
+            EdfChannel("EEG Fz", -187.5, 312.25, -2048, 2047, 3,
+                       "AgAgCl electrode", "uV", "HP:0.1Hz LP:75Hz"),
+            EdfChannel("EEG Cz", -2.0, 3.0, -100, 100, 2, "Ag cup", "mV", "N:50Hz"),
+        ],
+        signals=[
+            np.array([-2048, 0, 2047, 5, -5, 100], dtype=np.int16),
+            np.array([-100, 100, 7, -7], dtype=np.int16),
+        ],
+        annotations=[EdfAnnotation(0.25, 0.75, "T1"), EdfAnnotation(0.5, 0.5, "T2")],
+    )
+
+
+def test_two_channel_golden_parses_and_serializes_exactly():
+    golden = golden_two_channel_annotated_bytes()
+    assert parse_edf(golden) == two_channel_annotated_recording()
+    assert serialize_edf(two_channel_annotated_recording()) == golden
 
 
 def _make_recording(n_channels=2, n_records=2, spr=3, with_annotations=True):
@@ -230,6 +317,37 @@ def test_round_trip_randomized(rec):
 # ---------------------------------------------------------------------------
 # error paths
 
+def _patched(offset, text, width=8):
+    data = bytearray(golden_two_channel_annotated_bytes())
+    data[offset : offset + width] = text.encode("ascii").ljust(width)[:width]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("offset, text", [
+    (244, "nan"),  # record duration
+    (244, "inf"),
+    (244, "1e400"),  # overflows to inf
+    (568, "nan"),  # signal 0 physical min: 256 + 3 * 104
+    (600, "-inf"),  # signal 1 physical max: 256 + 3 * 112 + 8
+])
+def test_non_finite_header_number_is_parse_error(offset, text):
+    with pytest.raises(EdfParseError, match=f"non-finite .*byte offset {offset}\\)"):
+        parse_edf(_patched(offset, text))
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"+0.5\x150.5", b"+inf\x150.5"),  # onset
+    (b"\x150.75\x14", b"\x15 nan\x14"),  # duration
+    (b"\x150.5\x14", b"\x15inf\x14"),
+])
+def test_non_finite_tal_number_is_parse_error(old, new):
+    golden = golden_two_channel_annotated_bytes()
+    assert golden.count(old) == 1
+    with pytest.raises(EdfParseError, match="non-finite TAL") as info:
+        parse_edf(golden.replace(old, new))
+    assert info.value.offset is not None
+
+
 def test_truncated_header_reports_offset():
     with pytest.raises(EdfParseError, match="fixed header truncated"):
         parse_edf(b"0       " * 10)
@@ -305,3 +423,59 @@ def test_invalid_utf8_tal_text_is_parse_error():
     with pytest.raises(EdfParseError, match="not valid UTF-8") as info:
         parse_edf(corrupt)
     assert info.value.offset is not None
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the parser with mutations of the two-channel golden file
+
+def _golden_spans():
+    """(offset, width) of every header field and TAL element."""
+    spans = [(0, 8), (8, 80), (88, 80), (168, 8), (176, 8), (184, 8),
+             (192, 44), (236, 8), (244, 8), (252, 4)]
+    offset = 256
+    for width in (16, 80, 8, 8, 8, 8, 8, 80, 8, 32):
+        for _ in range(3):
+            spans.append((offset, width))
+            offset += width
+    golden = golden_two_channel_annotated_bytes()
+    for record in range(2):
+        start = 1024 + record * 44 + 10  # after 3 + 2 samples of the channels
+        for m in re.finditer(rb"[^\x00\x14\x15]+", golden[start : start + 34]):
+            spans.append((start + m.start(), m.end() - m.start()))
+    return spans
+
+
+_FUZZ_TEXT = ["nan", "inf", "-inf", "+inf", "+nan", "1e400", "-1e400", "-1",
+              "0", "", " ", "abc", "1e-400", "+0.5"]
+
+
+@st.composite
+def mutated_golden(draw):
+    data = bytearray(golden_two_channel_annotated_bytes())
+    if draw(st.booleans()):
+        start, width = draw(st.sampled_from(_golden_spans()))
+        text = draw(st.sampled_from(_FUZZ_TEXT) | st.text(
+            alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+            max_size=width))
+        data[start : start + width] = text.encode("ascii").ljust(width)[:width]
+    else:
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_golden())
+@example(_patched(244, "nan"))
+@example(_patched(568, "inf"))
+@example(golden_two_channel_annotated_bytes().replace(b"\x150.75", b"\x15 nan"))
+def test_mutated_golden_parses_finite_or_fails_as_edf_error(blob):
+    try:
+        rec = parse_edf(blob)
+    except EdfError:
+        return
+    assert math.isfinite(rec.record_duration)
+    for ch in rec.channels:
+        assert math.isfinite(ch.physical_min) and math.isfinite(ch.physical_max)
+    for ann in rec.annotations:
+        assert math.isfinite(ann.onset) and math.isfinite(ann.duration)

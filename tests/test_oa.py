@@ -7,6 +7,7 @@ of a full tuning sweep with known analysis results.
 import dataclasses
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -133,6 +134,27 @@ def test_raising_runner_propagates(workers):
 
     with pytest.raises(RuntimeError, match="boom"):
         execute(plan, faulty, workers=workers)
+
+
+def test_fault_stops_the_sweep_before_earlier_runs_return():
+    # run 0 is slow and run 1 faults at once: no queued run may start
+    # while run 0 still runs
+    plan = build_plan(LEVELS)
+    runs = [plan.run_values(i) for i in range(plan.n_runs)]
+    started = []
+
+    def runner(values):
+        index = runs.index(values)
+        started.append(index)
+        if index == 0:
+            time.sleep(0.2)
+        elif index == 1:
+            raise RuntimeError("boom")
+        return 0.5
+
+    with pytest.raises(RuntimeError, match="boom"):
+        execute(plan, runner, workers=2)
+    assert sorted(started) == [0, 1]
 
 
 def test_execute_skips_existing_results():
