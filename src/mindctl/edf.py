@@ -29,6 +29,7 @@ derived on demand through the per-channel linear calibration.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -169,6 +170,8 @@ def _ascii(data: bytes, start: int, size: int) -> str:
 def _number_field(data: bytes, start: int, size: int, name: str, kind):
     """The field's ASCII text as a finite ``kind`` (int or float)."""
     text = _ascii(data, start, size).strip()
+    if "_" in text:  # int() and float() take Python's digit separator
+        raise EdfParseError(f"non-numeric {name} field {text!r}", offset=start)
     try:
         value = kind(text)
     except ValueError as exc:
@@ -181,17 +184,20 @@ def _number_field(data: bytes, start: int, size: int, name: str, kind):
 
 
 def _parse_start(data: bytes) -> datetime:
-    date_text = _ascii(data, 168, 8)
-    time_text = _ascii(data, 176, 8)
+    parts = []
+    for offset, layout in ((168, "dd.mm.yy"), (176, "hh.mm.ss")):
+        text = _ascii(data, offset, 8)
+        if not re.fullmatch(r"[0-9]{2}\.[0-9]{2}\.[0-9]{2}", text):
+            raise EdfParseError(
+                f"start field {text!r} is not {layout}", offset=offset
+            )
+        parts += [int(p) for p in text.split(".")]
+    day, month, yy, hour, minute, second = parts
+    year = 1900 + yy if yy >= 85 else 2000 + yy
     try:
-        day, month, yy = (int(p) for p in date_text.split("."))
-        hour, minute, second = (int(p) for p in time_text.split("."))
-        year = 1900 + yy if yy >= 85 else 2000 + yy
         return datetime(year, month, day, hour, minute, second)
     except ValueError as exc:
-        raise EdfParseError(
-            f"invalid start date/time {date_text!r} {time_text!r}", offset=168
-        ) from exc
+        raise EdfParseError(f"invalid start date/time: {exc}", offset=168) from exc
 
 
 def parse_edf(data: bytes) -> EdfRecording:

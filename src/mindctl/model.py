@@ -10,15 +10,17 @@ start during training and at sequence start during prediction.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DatasetSplit, SampleSet
+from .dataset import N_CHANNELS, N_CLASSES, DatasetSplit, SampleSet
 from .errors import CheckpointError, DataError, NumericError, ShapeError
 from .nn import (
     DenseParams,
@@ -33,9 +35,6 @@ from .nn import (
     sequence_loss,
     softmax,
 )
-
-INPUT_WIDTH = 64
-OUTPUT_WIDTH = 5
 
 # LSTM forget-gate bias at initialization, so early gradients pass
 # through the cell memory.
@@ -63,19 +62,26 @@ class HyperParams:
     batches: int
 
     def __post_init__(self):
+        # exact types, so a bool, 4.0 or NaN from a flag, config or
+        # checkpoint fails here rather than inside the array shapes or
+        # the first training step
+        for name in ("width", "layers", "batches"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("l2", "lr"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise DataError(f"{name} must be a finite number, got {value!r}")
         if self.l2 < 0:
             raise DataError(f"l2 coefficient must be >= 0, got {self.l2}")
         if self.lr <= 0:
             raise DataError(f"learning rate must be > 0, got {self.lr}")
-        if self.width < 1:
-            raise DataError(f"hidden width must be >= 1, got {self.width}")
         if self.layers < 4:
             raise DataError(
                 f"need at least 4 layers (input, 2 recurrent, output), "
                 f"got {self.layers}"
             )
-        if self.batches < 1:
-            raise DataError(f"batch count must be >= 1, got {self.batches}")
 
 
 @dataclass(frozen=True)
@@ -93,35 +99,39 @@ class TrainingSchedule:
             raise DataError("patience and bptt_window must be positive")
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
+    """One topology entry; as JSON, the manifest's ``[kind, width]``."""
+
     kind: str  # input | dense | lstm | output
     width: int
 
 
 @dataclass
 class ModelParams:
-    """All weights and biases plus the topology that shapes them.
+    """All weights and biases plus the hyperparameters that shape them.
 
     ``layers`` holds one parameter record per topology entry after the
     input (dense and output entries carry DenseParams, lstm entries
     LstmParams).
     """
 
-    topology: list
     layers: list
     hyper: HyperParams
     seed: int
     epochs_run: int = 0
     final_loss: float | None = None
 
+    @property
+    def topology(self) -> list:
+        return plan_topology(self.hyper)
+
 
 def plan_topology(hp: HyperParams) -> list:
     n_dense = hp.layers - 4  # hidden layers before the two recurrent ones
-    specs = [LayerSpec("input", INPUT_WIDTH)]
+    specs = [LayerSpec("input", N_CHANNELS)]
     specs += [LayerSpec("dense", hp.width)] * n_dense
     specs += [LayerSpec("lstm", hp.width), LayerSpec("lstm", hp.width)]
-    specs += [LayerSpec("output", OUTPUT_WIDTH)]
+    specs += [LayerSpec("output", N_CLASSES)]
     return specs
 
 
@@ -145,10 +155,9 @@ def build(hp: HyperParams, seed: int) -> ModelParams:
     +-sqrt(6/(fan_in+fan_out)); biases start at zero except the LSTM
     forget-gate block, which starts at ``FORGET_BIAS``.
     """
-    topology = plan_topology(hp)
     rng = np.random.default_rng(seed)
     layers = []
-    for cls, layout in layer_layouts(topology):
+    for cls, layout in layer_layouts(plan_topology(hp)):
         layer = cls(**{
             name: glorot_uniform(rng, shape) if len(shape) == 2
             else np.zeros(shape)
@@ -157,7 +166,7 @@ def build(hp: HyperParams, seed: int) -> ModelParams:
         if cls is LstmParams:
             layer.b[layer.width : 2 * layer.width] = FORGET_BIAS
         layers.append(layer)
-    return ModelParams(topology=topology, layers=layers, hyper=hp, seed=seed)
+    return ModelParams(layers=layers, hyper=hp, seed=seed)
 
 
 def predict(model: ModelParams, features):
@@ -170,9 +179,9 @@ def predict(model: ModelParams, features):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[None, :]
-    if features.ndim != 2 or features.shape[1] != INPUT_WIDTH:
+    if features.ndim != 2 or features.shape[1] != N_CHANNELS:
         raise ShapeError(
-            f"features must be (n, {INPUT_WIDTH}), got {features.shape}"
+            f"features must be (n, {N_CHANNELS}), got {features.shape}"
         )
     logits, _, _ = forward_sequence(model.layers, features)
     scores = softmax(logits)
@@ -210,9 +219,6 @@ def train(
     the best test accuracy seen. Training stops early after
     ``patience`` epochs without test-loss improvement.
     """
-    if split.train.features.shape[1] != INPUT_WIDTH:
-        raise ShapeError("split feature width does not match the model input")
-
     # The returned model shares no array with ``model``. adam_step returns
     # fresh arrays, so the best layers are kept by reference, uncopied.
     layers = [map_layer(np.copy, layer) for layer in model.layers]
@@ -260,13 +266,8 @@ def train(
             if epochs_without_improvement >= schedule.patience:
                 break
 
-    trained = ModelParams(
-        topology=list(model.topology),
-        layers=best_layers,
-        hyper=hp,
-        seed=model.seed,
-        epochs_run=epochs_run,
-        final_loss=train_loss,
+    trained = dataclasses.replace(
+        model, layers=best_layers, epochs_run=epochs_run, final_loss=train_loss
     )
     return trained, history
 
@@ -318,40 +319,39 @@ def save_activations(table: np.ndarray, path) -> None:
 # checkpoints: magic + version byte + JSON manifest + little-endian
 # float64 parameter blocks in declared order
 
-def save(model: ModelParams) -> bytes:
-    blob = bytearray()
-    for layer in model.layers:
-        for _, arr in layer.arrays():
-            blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _manifest(model: ModelParams, payload: bytes) -> bytes:
+    """The manifest ``save`` writes for ``model`` and its parameter bytes."""
     manifest = {
-        "topology": [[s.kind, s.width] for s in model.topology],
-        "hyper": {
-            "l2": model.hyper.l2,
-            "lr": model.hyper.lr,
-            "width": model.hyper.width,
-            "layers": model.hyper.layers,
-            "batches": model.hyper.batches,
-        },
+        "topology": model.topology,
+        "hyper": dataclasses.asdict(model.hyper),
         "seed": model.seed,
         "epochs_run": model.epochs_run,
         "final_loss": model.final_loss,
-        "param_bytes": len(blob),
-        "param_crc32": zlib.crc32(bytes(blob)),
+        "param_bytes": len(payload),
+        "param_crc32": zlib.crc32(payload),
     }
-    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return json.dumps(manifest, sort_keys=True).encode("utf-8")
+
+
+def save(model: ModelParams) -> bytes:
+    payload = b"".join(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        for layer in model.layers for _, arr in layer.arrays()
+    )
+    manifest_bytes = _manifest(model, payload)
     return (
         CHECKPOINT_MAGIC
         + bytes([CHECKPOINT_VERSION])
         + struct.pack("<I", len(manifest_bytes))
         + manifest_bytes
-        + bytes(blob)
+        + payload
     )
 
 
-def _manifest_field(manifest: dict, key: str, kind=object):
+def _manifest_field(manifest: dict, key: str, kind=None):
     if key not in manifest:
         raise CheckpointError("manifest missing entry", field=key)
-    if not isinstance(manifest[key], kind):
+    if kind is not None and type(manifest[key]) is not kind:  # bool is no int
         raise CheckpointError(f"manifest entry is not {kind.__name__}", field=key)
     return manifest[key]
 
@@ -378,39 +378,26 @@ def load(data: bytes) -> ModelParams:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"manifest unreadable: {exc}", field="manifest")
 
-    raw_topology = _manifest_field(manifest, "topology")
     try:
-        topology = [LayerSpec(str(kind), int(width)) for kind, width in raw_topology]
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed topology: {exc}", field="topology")
-    if (
-        len(topology) < 4
-        or topology[0] != LayerSpec("input", INPUT_WIDTH)
-        or topology[-1] != LayerSpec("output", OUTPUT_WIDTH)
-        or sum(s.kind == "lstm" for s in topology) != 2
-        or any(s.kind not in ("input", "dense", "lstm", "output") for s in topology)
-        or any(s.width < 1 for s in topology)
+        hyper = HyperParams(**_manifest_field(manifest, "hyper", dict))
+    except (DataError, TypeError) as exc:
+        raise CheckpointError(f"invalid hyperparameters: {exc}", field="hyper")
+    # The length test comes first, so a huge recorded layer count is never
+    # planned; as JSON text, 16.0 or true in place of 16 is a mismatch.
+    recorded = _manifest_field(manifest, "topology", list)
+    if len(recorded) != hyper.layers or json.dumps(recorded) != json.dumps(
+        plan_topology(hyper)
     ):
         raise CheckpointError(
-            "topology must run input(64) .. two lstm layers .. output(5)",
+            "topology does not match the recorded hyperparameters",
             field="topology",
         )
 
-    try:
-        hyper = HyperParams(**_manifest_field(manifest, "hyper"))
-    except (DataError, TypeError) as exc:
-        raise CheckpointError(f"invalid hyperparameters: {exc}", field="hyper")
-    if topology != plan_topology(hyper):
-        raise CheckpointError(
-            "topology does not match the recorded hyperparameters",
-            field="hyper",
-        )
-
-    layouts = layer_layouts(topology)
+    layouts = layer_layouts(plan_topology(hyper))
     shapes = [shape for _, layout in layouts for shape in layout.values()]
     expected_bytes = 8 * sum(math.prod(shape) for shape in shapes)
 
-    param_bytes = _manifest_field(manifest, "param_bytes")
+    param_bytes = _manifest_field(manifest, "param_bytes", int)
     if param_bytes != expected_bytes:
         raise CheckpointError(
             f"topology implies {expected_bytes} parameter bytes but the "
@@ -424,7 +411,7 @@ def load(data: bytes) -> ModelParams:
             f"got {len(payload)}",
             field="params",
         )
-    if zlib.crc32(payload) != _manifest_field(manifest, "param_crc32"):
+    if zlib.crc32(payload) != _manifest_field(manifest, "param_crc32", int):
         raise CheckpointError(
             "parameter payload checksum mismatch", field="param_crc32"
         )
@@ -440,11 +427,16 @@ def load(data: bytes) -> ModelParams:
             cursor += size
         layers.append(cls(**arrays))
 
-    return ModelParams(
-        topology=topology,
+    model = ModelParams(
         layers=layers,
         hyper=hyper,
         seed=_manifest_field(manifest, "seed", int),
         epochs_run=_manifest_field(manifest, "epochs_run", int),
         final_loss=manifest.get("final_loss"),
     )
+    # JSON that spells the same values another way (spacing, 0e0 for 0.0,
+    # a misspelt optional key) would not survive save; refuse it here
+    if _manifest(model, payload) != data[9 : 9 + manifest_len]:
+        raise CheckpointError("manifest is not in the form save writes",
+                              field="manifest")
+    return model

@@ -506,11 +506,12 @@ _BAD_LEVELS = {
     "levels_bool": {"layers": [True, 5, 6, 7]},
     "levels_fraction": {"width": [2.5, 3, 4, 5]},
 }
+_BAD_FLAGS = {"lambda_nan": ["--lambda", "nan"], "lr_inf": ["--lr", "inf"]}
 
 
 @pytest.mark.parametrize("case", [
     "runs", "layer", "knn_k", "cadence", "empty_table", "non_utf8_table",
-    *_BAD_LEVELS, "tune_no_data", "workers", *_BAD_CONFIGS,
+    *_BAD_LEVELS, "tune_no_data", "workers", *_BAD_CONFIGS, *_BAD_FLAGS,
 ])
 def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
                                                   capsys):
@@ -540,6 +541,8 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
         "tune_no_data": ["tune", "--levels", str(levels)],
         "workers": [*tune, "--workers", "0"],
         **{name: ["train", "--config", str(config)] for name in _BAD_CONFIGS},
+        **{name: ["train", "--data", str(trained_run["train"]), "--epochs", "1",
+                  *flags] for name, flags in _BAD_FLAGS.items()},
     }[case]
     assert main([*argv, "--out-dir", str(tmp / "out")]) == 3
     assert "Traceback" not in capsys.readouterr().err

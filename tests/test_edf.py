@@ -335,6 +335,23 @@ def test_non_finite_header_number_is_parse_error(offset, text):
         parse_edf(_patched(offset, text))
 
 
+@pytest.mark.parametrize("offset, text", [
+    (168, "02.03.-1"),  # start date; int() reads -1 as year 99
+    (168, "2.3.99"),
+    (176, "04.05.+6"),  # start time
+    (236, "0_2"),  # data record count; int() takes "_" as a digit separator
+    (184, "1_024"),  # header byte count
+])
+def test_non_canonical_header_text_is_parse_error(offset, text):
+    with pytest.raises(EdfParseError, match=f"byte offset {offset}\\)"):
+        parse_edf(_patched(offset, text))
+
+
+def test_signed_and_exponent_header_numbers_still_parse():
+    assert parse_edf(_patched(236, "+2")).n_records == 2
+    assert parse_edf(_patched(244, "5e-1")).record_duration == 0.5
+
+
 @pytest.mark.parametrize("old, new", [
     (b"+0.5\x150.5", b"+inf\x150.5"),  # onset
     (b"\x150.75\x14", b"\x15 nan\x14"),  # duration

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindctl import HyperParams, TrainingSchedule, build, train
@@ -323,6 +323,101 @@ def test_manifest_integer_of_wrong_type_is_checkpoint_error(toy_model, key):
     text = json.dumps(manifest).encode()
     with pytest.raises(CheckpointError, match=key):
         load(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
+
+
+def _replaced(blob, path, value):
+    """``blob`` with the manifest value at ``path`` replaced, re-framed."""
+    (length,) = struct.unpack("<I", blob[5:9])
+    manifest = json.loads(blob[9 : 9 + length])
+    *parents, key = path
+    entry = manifest
+    for step in parents:
+        entry = entry[step]
+    entry[key] = value
+    text = json.dumps(manifest, sort_keys=True).encode()
+    return blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("hyper", "layers"), 7.0),
+    (("hyper", "width"), 16.0),
+    (("hyper", "batches"), 2.5),
+    (("hyper", "batches"), True),
+    (("hyper", "l2"), float("nan")),
+    (("hyper", "lr"), float("inf")),
+    (("topology", 4), ["lstm", 16.0]),
+    (("seed",), True),
+], ids=lambda v: ".".join(map(str, v)) if type(v) is tuple else repr(v))
+def test_manifest_value_of_wrong_type_is_checkpoint_error(toy_model, path, value):
+    # 7.0 == 7 and True == 1 in Python, but neither is the saved integer
+    with pytest.raises(CheckpointError, match=path[0]):
+        load(_replaced(save(toy_model), path, value))
+
+
+def test_manifest_in_another_json_spelling_is_checkpoint_error(toy_model):
+    # the values are the same, but save would write other bytes
+    blob = save(toy_model)
+    for old, new in [(b'"seed": 1', b'"seed":\t1'), (b'"l2": 0.0', b'"l2": 0e0'),
+                     (b'"final_loss"', b'"final_losz"')]:
+        assert old in blob
+        (length,) = struct.unpack("<I", blob[5:9])
+        changed = blob.replace(old, new, 1)
+        changed = (changed[:5] + struct.pack("<I", length + len(new) - len(old))
+                   + changed[9:])
+        with pytest.raises(CheckpointError, match="manifest"):
+            load(changed)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing load with mutations of a small checkpoint
+
+def _fuzz_base():
+    hp = HyperParams(l2=0.001, lr=0.01, width=16, layers=5, batches=2)
+    model = build(hp, seed=3)
+    model.epochs_run = 4
+    model.final_loss = 0.75
+    return save(model)
+
+
+_FUZZ_BASE = _fuzz_base()
+_FUZZ_PATHS = [
+    *[("hyper", key) for key in ("l2", "lr", "width", "layers", "batches")],
+    ("topology",),
+    *[("topology", i) for i in range(5)],
+    *[("topology", i, j) for i in range(5) for j in range(2)],
+    ("seed",), ("epochs_run",), ("final_loss",), ("param_bytes",), ("param_crc32",),
+]
+_JSON_SCALARS = (
+    st.sampled_from([5.0, True, "3", -1, 1e308, float("nan"), [], None, 0, 16])
+    | st.integers() | st.floats() | st.text(max_size=4)
+)
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    if draw(st.booleans()):
+        return _replaced(_FUZZ_BASE, draw(st.sampled_from(_FUZZ_PATHS)),
+                         draw(_JSON_VALUES))
+    data = bytearray(_FUZZ_BASE)
+    (length,) = struct.unpack("<I", data[5:9])
+    # half the changes land in the header and manifest, the rest anywhere
+    where = st.integers(0, 8 + length) | st.integers(0, len(data) - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(where)] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_checkpoint())
+@example(_replaced(_FUZZ_BASE, ("hyper", "layers"), 5.0))
+@example(_replaced(_FUZZ_BASE, ("topology", 3), ["lstm", 16.0]))
+def test_mutated_checkpoint_loads_exactly_or_fails_as_checkpoint_error(blob):
+    try:
+        model = load(blob)
+    except CheckpointError:
+        return
+    assert save(model) == blob
 
 
 @settings(max_examples=110, deadline=None)
