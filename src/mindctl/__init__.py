@@ -16,7 +16,6 @@ from .dataset import (
     label_samples,
     load_mapping,
     load_table,
-    save_mapping,
     save_table,
     split,
 )
@@ -34,7 +33,6 @@ from .device import (
     encode_ack,
     encode_command,
     led_on,
-    map_intent,
     replay,
     serve,
 )
@@ -42,7 +40,6 @@ from .edf import (
     EdfAnnotation,
     EdfChannel,
     EdfRecording,
-    digital_from_physical,
     parse_edf,
     serialize_edf,
 )
@@ -71,13 +68,11 @@ from .nn import (
     AdamState,
     DenseParams,
     LstmParams,
-    LstmState,
     adam_init,
     adam_step,
     affine,
     cross_entropy_loss,
     gradient_check,
-    lstm_step,
     sequence_gradients,
     softmax,
 )

@@ -56,8 +56,7 @@ def _out_dir(args) -> Path:
 
 def _write_config(out: Path, command: str, payload: dict) -> None:
     path = out / f"{command.replace('-', '_')}_config.json"
-    path.write_text(json.dumps({"command": command, **payload},
-                               indent=2, sort_keys=True) + "\n")
+    dataset.write_json(path, {"command": command, **payload})
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,7 @@ def _cmd_tune(args) -> int:
         )
         (out / "tuned_model.mctl").write_bytes(model.save(trained))
         _log(f"confirmation run accuracy {summary['confirmation_accuracy']:.4f}")
-    (out / "best.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    dataset.write_json(out / "best.json", summary)
 
     _write_config(out, "tune", {
         "data": str(args.data) if args.data else None,
@@ -295,16 +294,12 @@ def _cmd_eval(args) -> int:
 
     if args.knn_train:
         knn_train = dataset.load_table(args.knn_train)
-        if not 1 <= args.knn_k <= len(knn_train):
-            raise DataError(f"--knn-k {args.knn_k} outside 1..{len(knn_train)}")
         knn_labels = evaluation.knn_classify(knn_train, samples.features,
                                              k=args.knn_k)
         summary["knn_accuracy"] = float((knn_labels == samples.labels).mean())
         _log(f"knn (k={args.knn_k}) accuracy {summary['knn_accuracy']:.4f}")
 
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    dataset.write_json(out / "summary.json", summary)
     _log(f"accuracy {m.accuracy:.4f}")
 
     _write_config(out, "eval", {
@@ -321,10 +316,9 @@ def _cmd_predict(args) -> int:
     samples = dataset.load_table(args.data)
     labels, scores = model.predict(net, samples.features)
     path = out / "predictions.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("label," + ",".join(f"score{c}" for c in range(1, 6)) + "\n")
-        for label, row in zip(labels.tolist(), scores.tolist()):
-            fh.write(f"{label}," + ",".join(map(repr, row)) + "\n")
+    header = ("label", *(f"score{c}" for c in range(1, dataset.N_CLASSES + 1)))
+    dataset.write_csv(path, header, ((label, *row) for label, row
+                                     in zip(labels.tolist(), scores.tolist())))
     _log(f"wrote {len(labels)} predictions to {path}")
     _write_config(out, "predict", {
         "model": str(args.model), "data": str(args.data), "output": str(path),
@@ -335,8 +329,6 @@ def _cmd_predict(args) -> int:
 def _cmd_export_activations(args) -> int:
     out = _out_dir(args)
     net = model.load(Path(args.model).read_bytes())
-    if not 1 <= args.layer <= len(net.topology):
-        raise DataError(f"--layer {args.layer} outside 1..{len(net.topology)}")
     samples = dataset.load_table(args.data)
     table = model.export_activations(net, samples, args.layer)
     path = out / f"activations_layer{args.layer}.csv"
@@ -355,7 +347,7 @@ def _cmd_replay(args) -> int:
     samples = dataset.load_table(args.data)
     profile = device.PROFILES[args.profile]
     session = device.DeviceSession(profile)
-    log = device.replay(net, samples, profile, session,
+    log = device.replay(net, samples.features, profile, session,
                         cadence=args.cadence, step_ms=args.step_ms)
     device.save_command_log(log, out / "command_log.csv")
     device.save_transcript(session.transcript, out / "transcript.csv")
@@ -365,10 +357,8 @@ def _cmd_replay(args) -> int:
     matches = sum(1 for t, entry in zip(truth, log) if t == entry[2])
     rate = matches / len(log) if log else 0.0
     _log(f"replayed {len(log)} commands, match rate {rate:.4f}")
-    (out / "replay_summary.json").write_text(
-        json.dumps({"commands": len(log), "match_rate": rate},
-                   indent=2, sort_keys=True) + "\n"
-    )
+    dataset.write_json(out / "replay_summary.json",
+                       {"commands": len(log), "match_rate": rate})
     _write_config(out, "replay", {
         "model": str(args.model), "data": str(args.data),
         "profile": args.profile, "cadence": args.cadence,

@@ -1,4 +1,5 @@
-"""Labeled EEG samples: extraction from recordings, splits, and table files.
+"""Labeled EEG samples: extraction from recordings, splits, table files,
+and the writers of every other CSV and JSON artifact.
 
 A sample is one 64-channel reading (physical units, microvolts) plus an
 intent label 1..5. Sample order is temporal and must be preserved: the
@@ -33,7 +34,7 @@ class SampleSet:
 
     def __init__(self, features, labels):
         features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         if features.ndim != 2 or features.shape[1] != N_CHANNELS:
             raise ShapeError(
                 f"features must be (n, {N_CHANNELS}), got {features.shape}"
@@ -43,11 +44,12 @@ class SampleSet:
                 f"labels shape {labels.shape} does not match "
                 f"{features.shape[0]} samples"
             )
-        if labels.size and (labels.min() < 1 or labels.max() > N_CLASSES):
-            raise DataError(
-                f"labels must be in 1..{N_CLASSES}, "
-                f"got range [{labels.min()}, {labels.max()}]"
-            )
+        # checked before the integer cast, which would mangle 1.5 or inf
+        outside = ~np.isin(labels, LABELS)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise DataError(f"labels must be in 1..{N_CLASSES}, got "
+                            f"{labels[row].item()!r} at row {row}")
         if not np.isfinite(features).all():
             finite = np.isfinite(features).all(axis=1)
             raise DataError(
@@ -55,7 +57,7 @@ class SampleSet:
                 f"NaN or infinity, the first at row {int(np.argmin(finite))}"
             )
         self.features = features
-        self.labels = labels
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -153,17 +155,6 @@ def load_mapping(path) -> LabelMapping:
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise MappingError(f"invalid mapping file {path}: {exc}") from exc
     return LabelMapping(rules)
-
-
-def save_mapping(mapping: LabelMapping, path) -> None:
-    payload = {
-        "rules": [
-            {"runs": sorted(rule.runs), "annotation": rule.annotation,
-             "label": rule.label}
-            for rule in mapping.rules
-        ]
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def label_samples(
@@ -274,6 +265,31 @@ def split(samples: SampleSet, n_batches: int) -> DatasetSplit:
 
 
 # ---------------------------------------------------------------------------
+# artifact files: every CSV and JSON output goes through these writers
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """One header line, then one line per row, with LF line ends.
+
+    A float cell is written in shortest round-trip form, None as an
+    empty cell and anything else with ``str``.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_json(path, obj) -> None:
+    """2-space indent, sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # flat table interchange format: one row per sample, 64 channel columns
 # then the label, with a one-line header. Values are written with
 # shortest-exact float formatting so files diff cleanly and reload bit-
@@ -307,37 +323,36 @@ def save_table(samples: SampleSet, path) -> None:
 
 def load_table(path) -> SampleSet:
     path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != TABLE_HEADER:
-            raise DataError(
-                f"{path}: unexpected table header (want 'ch1,...,ch64,label')"
-            )
-        # numpy warns on a table without rows, so that case stops here;
-        # numpy skips empty lines, so only those are passed over
-        rows_start = fh.tell()
-        line = fh.readline()
-        while line == "\n":
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != TABLE_HEADER:
+                raise DataError(
+                    f"{path}: unexpected table header (want 'ch1,...,ch64,label')"
+                )
+            # numpy warns on a table without rows, so that case stops here;
+            # numpy skips empty lines, so only those are passed over
             rows_start = fh.tell()
             line = fh.readline()
-        if not line:
-            return SampleSet.empty()
-        fh.seek(rows_start)
-        try:
+            while line == "\n":
+                rows_start = fh.tell()
+                line = fh.readline()
+            if not line:
+                return SampleSet.empty()
+            fh.seek(rows_start)
             data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed table row: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed table row: {exc}") from exc
     if data.size == 0:
         return SampleSet.empty()
     if data.shape[1] != N_CHANNELS + 1:
         raise DataError(
             f"{path}: expected {N_CHANNELS + 1} columns, got {data.shape[1]}"
         )
-    labels = data[:, -1]
-    if not np.array_equal(labels, np.rint(labels)):
-        raise DataError(f"{path}: non-integer label column")
     try:
-        return SampleSet(data[:, :-1], labels.astype(np.int64))
+        return SampleSet(data[:, :-1], data[:, -1])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

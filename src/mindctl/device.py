@@ -13,6 +13,7 @@ import re
 import socket
 from dataclasses import dataclass, field, replace
 
+from .dataset import write_csv
 from .errors import DataError, ProtocolError
 
 LED_HOLD_MS = 2000
@@ -72,13 +73,6 @@ _LED_BY_ACTION = {
     "Turn on Red LED": ("red",),
     "Turn on All LEDs": LED_COLORS,
 }
-
-
-def map_intent(label: int, profile: CommandProfile) -> str:
-    """The profile's action text for a recognized intent label."""
-    if label not in profile.actions:
-        raise ValueError(f"label {label} outside 1..5")
-    return profile.actions[label]
 
 
 @dataclass(frozen=True)
@@ -222,10 +216,7 @@ class DeviceSession:
 
 
 def save_transcript(transcript, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_ms,seq,label,action,ack\n")
-        for t_ms, seq, label, action, ack in transcript:
-            fh.write(f"{t_ms},{seq},{label},{action},{ack}\n")
+    write_csv(path, ("t_ms", "seq", "label", "action", "ack"), transcript)
 
 
 def serve(host: str, port: int, profile: CommandProfile, once: bool = True,
@@ -275,20 +266,19 @@ def majority_votes(labels, cadence: int) -> list:
     return votes
 
 
-def replay(model, samples, profile: CommandProfile, session: DeviceSession,
+def replay(model, features, profile: CommandProfile, session: DeviceSession,
            cadence: int = 1, step_ms: int = 250):
     """Drive the device from recorded EEG through a trained model.
 
-    Predicts the time-ordered samples, emits one command per ``cadence``
-    predictions (majority vote inside each window, ties to the smaller
-    label), and sends it over the session at ``step_ms`` simulated
-    intervals. Returns the ordered (t_ms, seq, label, action) log.
+    Predicts the time-ordered ``features`` rows, emits one command per
+    ``cadence`` predictions (majority vote inside each window, ties to
+    the smaller label), and sends it over the session at ``step_ms``
+    simulated intervals. Returns the ordered (t_ms, seq, label, action) log.
     """
     from .model import predict
 
     if cadence < 1:
         raise DataError(f"cadence must be >= 1, got {cadence}")
-    features = samples.features if hasattr(samples, "features") else samples
     if len(features) == 0:
         return []
     labels, _ = predict(model, features)
@@ -312,7 +302,4 @@ def replay(model, samples, profile: CommandProfile, session: DeviceSession,
 
 
 def save_command_log(log, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_ms,seq,label,action\n")
-        for t_ms, seq, label, action in log:
-            fh.write(f"{t_ms},{seq},{label},{action}\n")
+    write_csv(path, ("t_ms", "seq", "label", "action"), log)

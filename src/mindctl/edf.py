@@ -138,24 +138,6 @@ class EdfRecording:
         )
 
 
-def digital_from_physical(values, channel: EdfChannel) -> np.ndarray:
-    """Convert physical values to digital samples for ``channel``.
-
-    Values outside the channel's declared physical range are refused;
-    in-range values are rounded to the nearest digital step.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    lo = min(channel.physical_min, channel.physical_max)
-    hi = max(channel.physical_min, channel.physical_max)
-    if arr.size and (arr.min() < lo or arr.max() > hi):
-        raise EdfRangeError(
-            f"physical values outside declared range [{lo}, {hi}] "
-            f"for channel {channel.label!r}"
-        )
-    digital = np.rint((arr - channel.offset()) / channel.gain())
-    return digital.astype(np.int16)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SampleSet
+from .dataset import SampleSet, write_csv
 from .errors import DataError
 
 
@@ -19,10 +19,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
     class_labels: tuple = (1, 2, 3, 4, 5)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def confusion(predicted, truth, class_labels=(1, 2, 3, 4, 5)) -> ConfusionMatrix:
@@ -175,11 +171,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 def save_roc(curve: RocCurve, path) -> None:
     """CSV operating points with both linear and log10 FPR columns."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("fpr,log10_fpr,tpr\n")
-        for fpr, tpr in curve.points:
-            log_fpr = repr(float(np.log10(fpr))) if fpr > 0 else "-inf"
-            fh.write(f"{repr(float(fpr))},{log_fpr},{repr(float(tpr))}\n")
+    write_csv(path, ("fpr", "log10_fpr", "tpr"), (
+        (fpr, np.log10(fpr) if fpr > 0 else "-inf", tpr)
+        for fpr, tpr in curve.points
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +196,9 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     would overflow float64, raise :class:`DataError`.
     """
     if len(train) == 0:
-        raise ValueError("empty training set")
+        raise DataError("empty training set")
     if not 1 <= k <= len(train):
-        raise ValueError(f"k must be in 1..{len(train)}, got {k}")
+        raise DataError(f"k must be in 1..{len(train)}, got {k}")
     test_features = np.asarray(test_features, dtype=np.float64)
     if test_features.ndim == 1:
         test_features = test_features[None, :]
@@ -259,24 +254,15 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
 
 def save_report(cm: ConfusionMatrix, m: ClassMetrics, path) -> None:
     labels = cm.class_labels
-    with open(path, "w", newline="\n") as fh:
-        truth_cols = ",".join(f"truth_{t}" for t in labels)
-        fh.write(f"predicted,{truth_cols},precision,recall,f1,auc\n")
-        for i, label in enumerate(labels):
-            row = ",".join(str(int(v)) for v in cm.counts[i])
-            auc = ""
-            if m.auc is not None and np.isfinite(m.auc[i]):
-                auc = repr(float(m.auc[i]))
-            fh.write(
-                f"{label},{row},{repr(float(m.precision[i]))},"
-                f"{repr(float(m.recall[i]))},{repr(float(m.f1[i]))},{auc}\n"
-            )
-        totals = ",".join(str(int(v)) for v in cm.counts.sum(axis=0))
-        fh.write(f"total,{totals},,,,\n")
-        macro_auc = repr(float(m.macro_auc)) if m.macro_auc is not None else ""
-        fh.write(
-            f"average,,,,,,{repr(float(m.macro_precision))},"
-            f"{repr(float(m.macro_recall))},{repr(float(m.macro_f1))},"
-            f"{macro_auc}\n"
-        )
-        fh.write(f"accuracy,{repr(float(m.accuracy))}\n")
+    blanks = [None] * len(labels)
+    auc = blanks if m.auc is None else [a if np.isfinite(a) else None for a in m.auc]
+    header = ("predicted", *(f"truth_{t}" for t in labels),
+              "precision", "recall", "f1", "auc")
+    write_csv(path, header, [
+        *((label, *map(int, cm.counts[i]), m.precision[i], m.recall[i], m.f1[i],
+           auc[i]) for i, label in enumerate(labels)),
+        ("total", *map(int, cm.counts.sum(axis=0)), None, None, None, None),
+        ("average", *blanks, m.macro_precision, m.macro_recall, m.macro_f1,
+         m.macro_auc),
+        ("accuracy", m.accuracy),
+    ])

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import N_CHANNELS, N_CLASSES, DatasetSplit, SampleSet
+from .dataset import N_CHANNELS, N_CLASSES, DatasetSplit, SampleSet, write_csv
 from .errors import CheckpointError, DataError, NumericError, ShapeError
 from .nn import (
     DenseParams,
@@ -121,6 +121,16 @@ class ModelParams:
     epochs_run: int = 0
     final_loss: float | None = None
 
+    def __post_init__(self):
+        # exact types, as in HyperParams: a checkpoint may hold any JSON value
+        for name in ("seed", "epochs_run"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise DataError(f"{name} must be an integer >= 0, got {value!r}")
+        loss = self.final_loss
+        if loss is not None and (type(loss) is not float or not math.isfinite(loss)):
+            raise DataError(f"final_loss must be a finite number or None, got {loss!r}")
+
     @property
     def topology(self) -> list:
         return plan_topology(self.hyper)
@@ -155,8 +165,8 @@ def build(hp: HyperParams, seed: int) -> ModelParams:
     +-sqrt(6/(fan_in+fan_out)); biases start at zero except the LSTM
     forget-gate block, which starts at ``FORGET_BIAS``.
     """
+    model = ModelParams(layers=[], hyper=hp, seed=seed)
     rng = np.random.default_rng(seed)
-    layers = []
     for cls, layout in layer_layouts(plan_topology(hp)):
         layer = cls(**{
             name: glorot_uniform(rng, shape) if len(shape) == 2
@@ -165,8 +175,8 @@ def build(hp: HyperParams, seed: int) -> ModelParams:
         })
         if cls is LstmParams:
             layer.b[layer.width : 2 * layer.width] = FORGET_BIAS
-        layers.append(layer)
-    return ModelParams(layers=layers, hyper=hp, seed=seed)
+        model.layers.append(layer)
+    return model
 
 
 def predict(model: ModelParams, features):
@@ -273,10 +283,8 @@ def train(
 
 
 def save_history(history, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("epoch,train_loss,test_accuracy\n")
-        for epoch, loss, acc in history:
-            fh.write(f"{epoch},{repr(float(loss))},{repr(float(acc))}\n")
+    write_csv(path, ("epoch", "train_loss", "test_accuracy"),
+              ((epoch, float(loss), float(acc)) for epoch, loss, acc in history))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def export_activations(model: ModelParams, samples: SampleSet,
     activation vector, ready for class-separation plots.
     """
     if not 1 <= layer_index <= len(model.topology):
-        raise IndexError(
+        raise DataError(
             f"layer index {layer_index} outside 1..{len(model.topology)}"
         )
     _, _, activations = forward_sequence(model.layers, samples.features)
@@ -305,14 +313,9 @@ def export_activations(model: ModelParams, samples: SampleSet,
 
 
 def save_activations(table: np.ndarray, path) -> None:
-    width = table.shape[1] - 2
-    header = "idx,label," + ",".join(f"a{i}" for i in range(1, width + 1))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in table:
-            idx, label, *values = row.tolist()
-            fh.write(",".join([str(int(idx)), str(int(label)), *map(repr, values)])
-                     + "\n")
+    header = ("idx", "label", *(f"a{i}" for i in range(1, table.shape[1] - 1)))
+    write_csv(path, header, ((int(idx), int(label), *values)
+                             for idx, label, *values in map(np.ndarray.tolist, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +430,12 @@ def load(data: bytes) -> ModelParams:
             cursor += size
         layers.append(cls(**arrays))
 
-    model = ModelParams(
-        layers=layers,
-        hyper=hyper,
-        seed=_manifest_field(manifest, "seed", int),
-        epochs_run=_manifest_field(manifest, "epochs_run", int),
-        final_loss=manifest.get("final_loss"),
-    )
+    run = {key: _manifest_field(manifest, key)
+           for key in ("seed", "epochs_run", "final_loss")}
+    try:
+        model = ModelParams(layers=layers, hyper=hyper, **run)
+    except DataError as exc:
+        raise CheckpointError(f"invalid manifest entry: {exc}") from None
     # JSON that spells the same values another way (spacing, 0e0 for 0.0,
     # a misspelt optional key) would not survive save; refuse it here
     if _manifest(model, payload) != data[9 : 9 + manifest_len]:

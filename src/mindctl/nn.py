@@ -94,18 +94,6 @@ class LstmParams(_Layer):
         return self.W_rec.shape[0]
 
 
-@dataclass
-class LstmState:
-    """Cell memory and hidden output carried between time steps."""
-
-    c: np.ndarray
-    h: np.ndarray
-
-    @staticmethod
-    def zeros(width: int) -> "LstmState":
-        return LstmState(np.zeros(width), np.zeros(width))
-
-
 def glorot_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform draw in +-sqrt(6/(fan_in+fan_out)) for a (fan_in, fan_out)
     matrix."""
@@ -132,17 +120,21 @@ def affine(X, params: DenseParams):
     return X @ params.W + params.b
 
 
-def _lstm_layer(A, layer: LstmParams, c0, h0):
-    """Run one LSTM layer over the rows of ``A``, starting from (c0, h0).
+def _lstm_layer(A, layer: LstmParams):
+    """Run one LSTM layer over the rows of ``A``, starting from zero state.
 
-    This is the one implementation of the cell. The gate pre-activations
-    ``A @ W_in + b`` are built as one (n, 4*width) block, with the three
-    sigmoid blocks halved; the recurrent weights are a copy of ``W_rec``
-    halved the same way. Halving is exact, so each step computes
-    ``x/2`` for every sigmoid pre-activation ``x``. A step adds
-    ``h_prev @ W_rec`` to its row, takes one tanh over the whole row
-    and maps the sigmoid blocks through sigmoid(x) = (1 + tanh(x/2)) / 2,
-    all in place: no branch, no mask and no overflow.
+    This is the one implementation of the cell: the gates of step t
+    activate ``A[t] @ W_in + h_prev @ W_rec + b`` (sigmoid for input,
+    forget and output, tanh for modulation), the cell memory becomes
+    ``forget * c_prev + input * modulation`` and the output
+    ``output * tanh(c)``. ``A @ W_in + b`` is built as one (n, 4*width)
+    block, with the three sigmoid blocks halved; the recurrent weights
+    are a copy of ``W_rec`` halved the same way. Halving is exact, so
+    each step computes ``x/2`` for every sigmoid pre-activation ``x``. A
+    step adds ``h_prev @ W_rec`` to its row, takes one tanh over the
+    whole row and maps the sigmoid blocks through sigmoid(x) =
+    (1 + tanh(x/2)) / 2, all in place: no branch, no mask and no
+    overflow.
 
     Returns ``(gates, cells, out)``: the activated gate block in
     ``GATE_ORDER`` and the per-step cell memory and hidden output.
@@ -159,7 +151,7 @@ def _lstm_layer(A, layer: LstmParams, c0, h0):
     out = np.empty((n, width))
     rec = np.empty(4 * width)
     im = np.empty(width)
-    c, h = c0, h0
+    c = h = np.zeros(width)
     rows = zip(gates, gates[:, sig], gates.reshape(n, 4, width), cells, out)
     for g, s, (gi, gf, go, gm), c_t, h_t in rows:
         np.dot(h, W_rec, out=rec)
@@ -174,33 +166,6 @@ def _lstm_layer(A, layer: LstmParams, c0, h0):
         h_t *= go
         c, h = c_t, h_t
     return gates, cells, out
-
-
-def lstm_step(x, state: LstmState, params: LstmParams):
-    """One LSTM time step.
-
-    Gate pre-activations are ``x @ W_in + h_prev @ W_rec + b``; the
-    input, forget and output gates pass through a sigmoid, the
-    modulation gate through tanh. The new cell memory is
-    ``forget * c_prev + input * modulation`` and the output is
-    ``output * tanh(c)``. The step runs through the same fused cell as
-    ``forward_sequence``.
-
-    Returns ``(h, new_state)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    width = params.width
-    if x.shape != (params.W_in.shape[0],):
-        raise ShapeError(
-            f"lstm input {x.shape} incompatible with W_in {params.W_in.shape}"
-        )
-    if state.c.shape != (width,) or state.h.shape != (width,):
-        raise ShapeError(
-            f"lstm state shapes {state.c.shape}/{state.h.shape} "
-            f"do not match width {width}"
-        )
-    _, cells, out = _lstm_layer(x[None, :], params, state.c, state.h)
-    return out[0], LstmState(c=cells[0], h=out[0])
 
 
 def softmax(logits):
@@ -283,8 +248,7 @@ def forward_sequence(layers, X, keep_caches: bool = False):
                     f"lstm input width {A.shape[1]} incompatible with "
                     f"W_in {layer.W_in.shape}"
                 )
-            zeros = np.zeros(layer.width)
-            gates, cells, out = _lstm_layer(A, layer, zeros, zeros)
+            gates, cells, out = _lstm_layer(A, layer)
             if keep_caches:
                 caches.append(
                     {"input": A, "gates": gates, "c": cells, "h": out}

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import write_csv
 from .errors import AnalysisError, DataError
 
 FACTOR_NAMES = ("l2", "lr", "width", "layers", "batches")
-N_RUNS = 16
 N_LEVELS = 4
 N_FACTORS = 5
 INTEGER_FACTORS = ("width", "layers", "batches")
@@ -233,14 +233,11 @@ def range_analysis(plan: OaPlan, accuracies) -> RangeAnalysis:
 
 def save_plan(plan: OaPlan, results, path) -> None:
     """Write run index, concrete factor values, and accuracy (if any)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("run," + ",".join(plan.factor_names) + ",accuracy\n")
-        for run in range(plan.n_runs):
-            values = ",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in plan.run_values(run))
-            acc = results[run]
-            acc_text = "" if acc is None else repr(float(acc))
-            fh.write(f"{run + 1},{values},{acc_text}\n")
+    write_csv(path, ("run", *plan.factor_names, "accuracy"), (
+        (run + 1, *plan.run_values(run),
+         None if results[run] is None else float(results[run]))
+        for run in range(plan.n_runs)
+    ))
 
 
 def load_results(plan: OaPlan, path) -> list:
@@ -252,7 +249,10 @@ def load_results(plan: OaPlan, path) -> list:
     """
     path = Path(path)
     results = [None] * plan.n_runs
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != "run," + ",".join(plan.factor_names) + ",accuracy":
         raise DataError(f"{path}: unexpected results header")
     if len(lines) - 1 != plan.n_runs:
@@ -291,13 +291,10 @@ def load_results(plan: OaPlan, path) -> list:
 
 def save_analysis(analysis: RangeAnalysis, path) -> None:
     """Level-sum table plus best level/value per factor."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "factor,level1_sum,level2_sum,level3_sum,level4_sum,"
-            "best_level,best_value\n"
-        )
-        for f, name in enumerate(analysis.factor_names):
-            sums = ",".join(repr(s) for s in analysis.level_sums[f])
-            value = analysis.best_values[f]
-            value_text = repr(value) if isinstance(value, float) else str(value)
-            fh.write(f"{name},{sums},{analysis.best_levels[f]},{value_text}\n")
+    header = ("factor", *(f"level{k}_sum" for k in range(1, N_LEVELS + 1)),
+              "best_level", "best_value")
+    write_csv(path, header, (
+        (name, *analysis.level_sums[f], analysis.best_levels[f],
+         analysis.best_values[f])
+        for f, name in enumerate(analysis.factor_names)
+    ))

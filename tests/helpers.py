@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from mindctl.dataset import TABLE_HEADER, SampleSet
 from mindctl.nn import DenseParams, LstmParams
@@ -157,3 +158,15 @@ def reference_save_table(samples, path):
         for row, label in zip(samples.features, samples.labels):
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write(f",{int(label)}\n")
+
+
+# ---------------------------------------------------------------------------
+# byte-level fuzzing
+
+@st.composite
+def mutated_bytes(draw, base: bytes):
+    """``base`` with 1 to 4 of its bytes overwritten by arbitrary values."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)

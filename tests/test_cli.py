@@ -506,7 +506,8 @@ _BAD_LEVELS = {
     "levels_bool": {"layers": [True, 5, 6, 7]},
     "levels_fraction": {"width": [2.5, 3, 4, 5]},
 }
-_BAD_FLAGS = {"lambda_nan": ["--lambda", "nan"], "lr_inf": ["--lr", "inf"]}
+_BAD_FLAGS = {"lambda_nan": ["--lambda", "nan"], "lr_inf": ["--lr", "inf"],
+              "seed": ["--seed", "-1"]}
 
 
 @pytest.mark.parametrize("case", [

@@ -1,16 +1,18 @@
 """Labeling, splitting, and table-format tests."""
 
 import hashlib
+import re
 import warnings
 from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindctl.dataset import (
     SAVE_BLOCK_ROWS,
+    TABLE_HEADER,
     LabelMapping,
     MappingRule,
     SampleSet,
@@ -18,14 +20,13 @@ from mindctl.dataset import (
     label_samples,
     load_mapping,
     load_table,
-    save_mapping,
     save_table,
     split,
 )
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording
 from mindctl.errors import DataError, MappingError, ShapeError, SplitError
 
-from helpers import reference_save_table
+from helpers import mutated_bytes, reference_save_table
 
 
 def make_recording(total_samples=20, rate=10, annotations=()):
@@ -162,8 +163,15 @@ def test_default_mapping_covers_documented_runs():
 
 
 def test_mapping_file_round_trip(tmp_path):
+    # the default rules, written in the format README documents
     path = tmp_path / "mapping.json"
-    save_mapping(default_mapping(), path)
+    path.write_text(
+        '{"rules": [{"runs": [2], "annotation": "T0", "label": 1},\n'
+        '  {"runs": [4, 8, 12], "annotation": "T1", "label": 2},\n'
+        '  {"runs": [4, 8, 12], "annotation": "T2", "label": 3},\n'
+        '  {"runs": [6, 10, 14], "annotation": "T1", "label": 4},\n'
+        '  {"runs": [6, 10, 14], "annotation": "T2", "label": 5}]}\n'
+    )
     assert load_mapping(path) == default_mapping()
 
 
@@ -331,6 +339,16 @@ def test_table_rejects_non_integer_labels(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("label", ["0", "6", "inf", "1e300", "9.3e18"])
+def test_table_label_cells_are_checked_before_the_integer_cast(tmp_path, label):
+    path = tmp_path / "t.csv"
+    save_table(_sequential_samples(4), path)
+    path.write_text(path.read_text().replace(",1\n", f",{label}\n"))
+    expected = f"t.csv: labels must be in 1..5, got {float(label)!r} at row 0"
+    with pytest.raises(DataError, match=re.escape(expected)):
+        load_table(path)
+
+
 def test_sampleset_validation():
     with pytest.raises(ShapeError):
         SampleSet(np.zeros((3, 10)), np.ones(3))
@@ -354,3 +372,31 @@ def test_table_rejects_non_finite_features(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="t.csv: features must be finite"):
         load_table(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the table reader with byte mutations of a small valid table
+
+_FUZZ_TABLE = (TABLE_HEADER + "\n" + "".join(
+    ",".join(repr(0.25 * (c - 32 + row)) for c in range(64)) + f",{row + 1}\n"
+    for row in range(3)
+)).encode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_bytes(_FUZZ_TABLE))
+@example(_FUZZ_TABLE.replace(b",1\n", b",inf\n"))
+@example(_FUZZ_TABLE.replace(b",1\n", b",1e300\n"))
+@example(_FUZZ_TABLE.replace(b",1\n", b",9.3e18\n"))
+@example(_FUZZ_TABLE.replace(b",", b"\xff,", 1))  # in the header
+@example(_FUZZ_TABLE.replace(b"\n", b"\n\xff", 1))  # in the first row
+def test_mutated_table_loads_valid_or_fails_as_data_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz_table.csv"
+    path.write_bytes(blob)
+    try:
+        samples = load_table(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+        return
+    assert np.isfinite(samples.features).all()
+    assert np.isin(samples.labels, (1, 2, 3, 4, 5)).all()

@@ -25,42 +25,35 @@ from mindctl.device import (
     encode_command,
     led_on,
     majority_votes,
-    map_intent,
     replay,
     serve,
 )
 from mindctl.errors import ProtocolError
+from helpers import mutated_bytes
 
 
 # ---------------------------------------------------------------------------
 # profiles
 
 def test_robot_mapping_examples():
-    assert map_intent(1, ROBOT_PROFILE) == "Walk Ahead"
-    assert map_intent(2, ROBOT_PROFILE) == "Turn Left"
-    assert map_intent(3, ROBOT_PROFILE) == "Turn Right"
-    assert map_intent(4, ROBOT_PROFILE) == "Grasp"
-    assert map_intent(5, ROBOT_PROFILE) == "Unloose"
+    assert ROBOT_PROFILE.actions[1] == "Walk Ahead"
+    assert ROBOT_PROFILE.actions[2] == "Turn Left"
+    assert ROBOT_PROFILE.actions[3] == "Turn Right"
+    assert ROBOT_PROFILE.actions[4] == "Grasp"
+    assert ROBOT_PROFILE.actions[5] == "Unloose"
 
 
 def test_appliance_mapping_examples():
-    assert map_intent(1, APPLIANCE_PROFILE) == "Turn on Blue LEDs"
-    assert map_intent(2, APPLIANCE_PROFILE) == "Turn on White LED"
-    assert map_intent(5, APPLIANCE_PROFILE) == "Turn on All LEDs"
+    assert APPLIANCE_PROFILE.actions[1] == "Turn on Blue LEDs"
+    assert APPLIANCE_PROFILE.actions[2] == "Turn on White LED"
+    assert APPLIANCE_PROFILE.actions[5] == "Turn on All LEDs"
 
 
 def test_profiles_total_and_injective():
     for profile in PROFILES.values():
-        actions = [map_intent(label, profile) for label in range(1, 6)]
+        actions = [profile.actions[label] for label in range(1, 6)]
         assert len(actions) == 5
         assert len(set(actions)) == 5
-
-
-def test_map_intent_out_of_range():
-    with pytest.raises(ValueError, match="outside"):
-        map_intent(0, ROBOT_PROFILE)
-    with pytest.raises(ValueError, match="outside"):
-        map_intent(6, APPLIANCE_PROFILE)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +188,16 @@ def test_codec_round_trip(seq, label, t_ms):
         cmd = Command(seq=seq, label=label,
                       action_id=profile.wire_ids[label], t_ms=t_ms)
         assert decode_command(encode_command(cmd)) == cmd
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_bytes(b"CMD 12 3 RIGHT 750\n"))
+def test_mutated_command_line_decodes_or_fails_as_protocol_error(line):
+    try:
+        cmd = decode_command(line)
+    except ProtocolError:
+        return
+    assert encode_command(cmd) == line
 
 
 def test_ack_codec():

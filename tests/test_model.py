@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -256,9 +257,9 @@ def test_export_twice_is_byte_identical(tmp_path, toy_model, toy_split):
 
 
 def test_export_layer_index_range_error(toy_model, toy_split):
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         export_activations(toy_model, toy_split.test, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(DataError):
         export_activations(toy_model, toy_split.test, 8)
 
 
@@ -412,12 +413,25 @@ def mutated_checkpoint(draw):
 @given(mutated_checkpoint())
 @example(_replaced(_FUZZ_BASE, ("hyper", "layers"), 5.0))
 @example(_replaced(_FUZZ_BASE, ("topology", 3), ["lstm", 16.0]))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), "3"))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), []))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), {"a": 1}))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), True))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), 3))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), float("nan")))
+@example(_replaced(_FUZZ_BASE, ("final_loss",), float("inf")))
+@example(_replaced(_FUZZ_BASE, ("seed",), -3))
+@example(_replaced(_FUZZ_BASE, ("epochs_run",), -5))
 def test_mutated_checkpoint_loads_exactly_or_fails_as_checkpoint_error(blob):
     try:
         model = load(blob)
     except CheckpointError:
         return
     assert save(model) == blob
+    for value in (model.seed, model.epochs_run):
+        assert type(value) is int and value >= 0
+    loss = model.final_loss
+    assert loss is None or (type(loss) is float and math.isfinite(loss))
 
 
 @settings(max_examples=110, deadline=None)

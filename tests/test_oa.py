@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from mindctl.errors import AnalysisError, DataError
 from mindctl.model import HyperParams
@@ -26,6 +27,7 @@ from mindctl.oa import (
     save_plan,
     savings,
 )
+from helpers import mutated_bytes
 
 LEVELS = (
     (0.002, 0.004, 0.006, 0.008),
@@ -312,6 +314,28 @@ def test_load_results_malformed_row_is_data_error(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="malformed row"):
         load_results(plan, path)
+
+
+_FUZZ_PLAN = build_plan(LEVELS)
+_FUZZ_RESULTS = ("run,l2,lr,width,layers,batches,accuracy\n" + "".join(
+    f"{run + 1},{','.join(map(str, _FUZZ_PLAN.run_values(run)))},{acc}\n"
+    for run, acc in enumerate([*KNOWN_RUN_ACCURACIES[:5], "",
+                               *KNOWN_RUN_ACCURACIES[6:]])
+)).encode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_bytes(_FUZZ_RESULTS))
+@example(_FUZZ_RESULTS.replace(b",0.689\n", b",0.68\xff\n"))
+@example(b"\xff" + _FUZZ_RESULTS)
+def test_mutated_results_load_or_fail_as_data_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz_results.csv"
+    path.write_bytes(blob)
+    try:
+        results = load_results(_FUZZ_PLAN, path)
+    except DataError:
+        return
+    assert all(acc is None or 0.0 <= acc <= 1.0 for acc in results)
 
 
 def test_save_analysis_layout(tmp_path):
