@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 internal error (a traceback is printed),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -159,7 +158,7 @@ def _fit(samples, values, settings, announce: bool = False):
 
 def _resolve_train_settings(args) -> dict:
     """Explicit flag > persisted config > built-in default."""
-    from_config = json.loads(Path(args.config).read_text()) if args.config else {}
+    from_config = dataset.read_json(args.config) if args.config else {}
     if not isinstance(from_config, dict):
         raise DataError(f"{args.config}: expected a JSON object")
     unknown = sorted(from_config.keys() - _TRAIN_DEFAULTS.keys()
@@ -205,7 +204,7 @@ def _cmd_tune(args) -> int:
         raise DataError(f"--workers must be at least 1, got {args.workers}")
     levels = DEFAULT_LEVELS
     if args.levels:
-        raw = json.loads(Path(args.levels).read_text())
+        raw = dataset.read_json(args.levels)
         try:
             levels = tuple(tuple(raw[name]) for name in oa.FACTOR_NAMES)
         except (KeyError, TypeError) as exc:
@@ -270,7 +269,7 @@ def _cmd_eval(args) -> int:
     m = evaluation.metrics(cm)
 
     aucs = []
-    for label in cm.class_labels:
+    for label in dataset.LABELS:
         try:
             curve = evaluation.roc_auc(scores, samples.labels, label)
         except DataError:
@@ -501,7 +500,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC
-    except (PipelineError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (PipelineError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
     except Exception:

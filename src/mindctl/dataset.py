@@ -1,5 +1,5 @@
 """Labeled EEG samples: extraction from recordings, splits, table files,
-and the writers of every other CSV and JSON artifact.
+the writers of every other CSV and JSON artifact, and the JSON reader.
 
 A sample is one 64-channel reading (physical units, microvolts) plus an
 intent label 1..5. Sample order is temporal and must be preserved: the
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .edf import EdfRecording
-from .errors import DataError, MappingError, ShapeError, SplitError
+from .errors import DataError
 
 N_CHANNELS = 64
 N_CLASSES = 5
@@ -36,11 +36,11 @@ class SampleSet:
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels)
         if features.ndim != 2 or features.shape[1] != N_CHANNELS:
-            raise ShapeError(
+            raise DataError(
                 f"features must be (n, {N_CHANNELS}), got {features.shape}"
             )
         if labels.shape != (features.shape[0],):
-            raise ShapeError(
+            raise DataError(
                 f"labels shape {labels.shape} does not match "
                 f"{features.shape[0]} samples"
             )
@@ -104,11 +104,11 @@ class LabelMapping:
         seen = {}
         for rule in self.rules:
             if rule.label not in LABELS:
-                raise MappingError(f"rule label {rule.label} outside 1..{N_CLASSES}")
+                raise DataError(f"rule label {rule.label} outside 1..{N_CLASSES}")
             for run in rule.runs:
                 key = (run, rule.annotation)
                 if key in seen and seen[key] != rule.label:
-                    raise MappingError(
+                    raise DataError(
                         f"ambiguous mapping: run {run} annotation "
                         f"{rule.annotation!r} assigned labels "
                         f"{seen[key]} and {rule.label}"
@@ -142,19 +142,29 @@ def default_mapping() -> LabelMapping:
 
 
 def load_mapping(path) -> LabelMapping:
+    """Rules from ``{"rules": [{"runs": [4, 8], "annotation": "T1",
+    "label": 2}, ...]}``; values are checked, never converted."""
+    payload = read_json(path)
     try:
-        payload = json.loads(Path(path).read_text())
-        rules = [
-            MappingRule(
-                runs=frozenset(int(r) for r in entry["runs"]),
-                annotation=str(entry["annotation"]),
-                label=int(entry["label"]),
+        entries = [(e["runs"], e["annotation"], e["label"])
+                   for e in payload["rules"]]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"invalid mapping file {path}: {exc}") from None
+    rules = []
+    for runs, annotation, label in entries:
+        # exact types: a bool is no integer and "48" is no list of runs
+        if (type(runs) is not list or any(type(r) is not int for r in runs)
+                or type(annotation) is not str or type(label) is not int):
+            raise DataError(
+                f"invalid mapping file {path}: a rule needs runs as a list of "
+                f"integers, annotation as a string and label as an integer, "
+                f"got {runs!r}, {annotation!r}, {label!r}"
             )
-            for entry in payload["rules"]
-        ]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise MappingError(f"invalid mapping file {path}: {exc}") from exc
-    return LabelMapping(rules)
+        rules.append(MappingRule(frozenset(runs), annotation, label))
+    try:
+        return LabelMapping(rules)
+    except DataError as exc:  # a label outside 1..5 or an ambiguous pair
+        raise DataError(f"invalid mapping file {path}: {exc}") from None
 
 
 def label_samples(
@@ -169,13 +179,13 @@ def label_samples(
     points outside matched windows are dropped.
     """
     if len(recording.channels) < N_CHANNELS:
-        raise ShapeError(
+        raise DataError(
             f"recording has {len(recording.channels)} channels, "
             f"need at least {N_CHANNELS}"
         )
     spr = {recording.channels[i].samples_per_record for i in range(N_CHANNELS)}
     if len(spr) != 1:
-        raise ShapeError(
+        raise DataError(
             f"first {N_CHANNELS} channels disagree on samples per record: "
             f"{sorted(spr)}"
         )
@@ -198,14 +208,14 @@ def label_samples(
             continue
         windows.append((start, stop, label))
     if not windows:
-        raise MappingError(
+        raise DataError(
             f"mapping matches no annotation present in run {run}"
         )
 
     windows.sort(key=lambda w: w[0])
     for (_, prev_stop, _), (nxt_start, _, _) in zip(windows, windows[1:]):
         if nxt_start < prev_stop:
-            raise MappingError(
+            raise DataError(
                 f"overlapping matched annotation windows at sample {nxt_start}"
             )
 
@@ -245,11 +255,11 @@ def split(samples: SampleSet, n_batches: int) -> DatasetSplit:
     recurrent model depends on.
     """
     if n_batches < 1:
-        raise SplitError(f"batch count must be >= 1, got {n_batches}")
+        raise DataError(f"batch count must be >= 1, got {n_batches}")
     total = len(samples)
     divisor = n_batches + 1
     if total == 0 or total % divisor != 0:
-        raise SplitError(
+        raise DataError(
             f"total sample count {total} must be a positive multiple of "
             f"batch count + 1 = {divisor}"
         )
@@ -287,6 +297,16 @@ def write_csv(path, header, rows) -> None:
 def write_json(path, obj) -> None:
     """2-space indent, sorted keys and a trailing newline."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The value in a UTF-8 JSON file; bad bytes or syntax name the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import re
 import socket
 from dataclasses import dataclass, field, replace
 
-from .dataset import write_csv
+from .dataset import LABELS, write_csv
 from .errors import DataError, ProtocolError
 
 LED_HOLD_MS = 2000
@@ -30,11 +30,11 @@ class CommandProfile:
 
     def __post_init__(self):
         for mapping in (self.actions, self.wire_ids):
-            if sorted(mapping) != [1, 2, 3, 4, 5]:
+            if tuple(sorted(mapping)) != LABELS:
                 raise ValueError(
                     f"profile {self.name!r} must map exactly labels 1..5"
                 )
-            if len(set(mapping.values())) != 5:
+            if len(set(mapping.values())) != len(LABELS):
                 raise ValueError(
                     f"profile {self.name!r} actions must be distinct"
                 )
@@ -157,7 +157,7 @@ def decode_command(line: bytes) -> Command:
     if not match:
         raise ProtocolError(f"malformed command line {line!r}")
     seq, label, action_id, t_ms = match.groups()
-    if not 1 <= int(label) <= 5:
+    if int(label) not in LABELS:
         raise ProtocolError(f"label out of range in {line!r}")
     return Command(
         seq=int(seq),

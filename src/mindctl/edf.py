@@ -35,7 +35,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import EdfParseError, EdfRangeError, EdfUnsupportedError
+from .errors import DataError
 
 ANNOTATION_LABEL = "EDF Annotations"
 
@@ -146,22 +146,24 @@ def _ascii(data: bytes, start: int, size: int) -> str:
     try:
         return raw.decode("ascii").rstrip()
     except UnicodeDecodeError as exc:
-        raise EdfParseError("non-ASCII bytes in header field", offset=start) from exc
+        raise DataError(
+            f"non-ASCII bytes in header field (byte offset {start})"
+        ) from exc
 
 
 def _number_field(data: bytes, start: int, size: int, name: str, kind):
     """The field's ASCII text as a finite ``kind`` (int or float)."""
     text = _ascii(data, start, size).strip()
     if "_" in text:  # int() and float() take Python's digit separator
-        raise EdfParseError(f"non-numeric {name} field {text!r}", offset=start)
+        raise DataError(f"non-numeric {name} field {text!r} (byte offset {start})")
     try:
         value = kind(text)
     except ValueError as exc:
-        raise EdfParseError(
-            f"non-numeric {name} field {text!r}", offset=start
+        raise DataError(
+            f"non-numeric {name} field {text!r} (byte offset {start})"
         ) from exc
     if kind is float and not math.isfinite(value):
-        raise EdfParseError(f"non-finite {name} field {text!r}", offset=start)
+        raise DataError(f"non-finite {name} field {text!r} (byte offset {start})")
     return value
 
 
@@ -170,8 +172,8 @@ def _parse_start(data: bytes) -> datetime:
     for offset, layout in ((168, "dd.mm.yy"), (176, "hh.mm.ss")):
         text = _ascii(data, offset, 8)
         if not re.fullmatch(r"[0-9]{2}\.[0-9]{2}\.[0-9]{2}", text):
-            raise EdfParseError(
-                f"start field {text!r} is not {layout}", offset=offset
+            raise DataError(
+                f"start field {text!r} is not {layout} (byte offset {offset})"
             )
         parts += [int(p) for p in text.split(".")]
     day, month, yy, hour, minute, second = parts
@@ -179,27 +181,26 @@ def _parse_start(data: bytes) -> datetime:
     try:
         return datetime(year, month, day, hour, minute, second)
     except ValueError as exc:
-        raise EdfParseError(f"invalid start date/time: {exc}", offset=168) from exc
+        raise DataError(f"invalid start date/time: {exc} (byte offset 168)") from exc
 
 
 def parse_edf(data: bytes) -> EdfRecording:
     """Decode raw EDF/EDF+ file content into an :class:`EdfRecording`."""
     if len(data) < _FIXED_HEADER:
-        raise EdfParseError(
+        raise DataError(
             f"fixed header truncated: expected {_FIXED_HEADER} bytes, "
-            f"got {len(data)}",
-            offset=len(data),
+            f"got {len(data)} (byte offset {len(data)})"
         )
 
     version = _ascii(data, 0, 8)
     if version != "0":
-        raise EdfUnsupportedError(f"unsupported EDF version tag {version!r}")
+        raise DataError(f"unsupported EDF version tag {version!r}")
 
     reserved = _ascii(data, 192, 44)
     if reserved.startswith("EDF+D"):
-        raise EdfUnsupportedError("discontinuous EDF+ (EDF+D) is not supported")
+        raise DataError("discontinuous EDF+ (EDF+D) is not supported")
     if reserved and not reserved.startswith("EDF+C"):
-        raise EdfUnsupportedError(f"unrecognized reserved field {reserved!r}")
+        raise DataError(f"unrecognized reserved field {reserved!r}")
 
     patient_id = _ascii(data, 8, 80)
     recording_id = _ascii(data, 88, 80)
@@ -210,26 +211,26 @@ def parse_edf(data: bytes) -> EdfRecording:
     n_signals = _number_field(data, 252, 4, "signal count", int)
 
     if n_signals <= 0:
-        raise EdfParseError(f"signal count must be positive, got {n_signals}", offset=252)
+        raise DataError(
+            f"signal count must be positive, got {n_signals} (byte offset 252)"
+        )
     if n_records < 0:
-        raise EdfParseError(f"negative data record count {n_records}", offset=236)
+        raise DataError(f"negative data record count {n_records} (byte offset 236)")
     if record_duration <= 0:
-        raise EdfUnsupportedError(
+        raise DataError(
             f"non-positive record duration {record_duration} is not supported"
         )
 
     header_size = _FIXED_HEADER + _PER_SIGNAL_HEADER * n_signals
     if header_bytes != header_size:
-        raise EdfParseError(
+        raise DataError(
             f"header byte count {header_bytes} does not match "
-            f"256*(signals+1) = {header_size}",
-            offset=184,
+            f"256*(signals+1) = {header_size} (byte offset 184)"
         )
     if len(data) < header_size:
-        raise EdfParseError(
+        raise DataError(
             f"signal headers truncated: expected {header_size} bytes, "
-            f"got {len(data)}",
-            offset=len(data),
+            f"got {len(data)} (byte offset {len(data)})"
         )
 
     # each field holds every signal's value before the next field starts
@@ -248,18 +249,18 @@ def parse_edf(data: bytes) -> EdfRecording:
 
     for i, h in enumerate(headers):
         if h.samples_per_record <= 0:
-            raise EdfParseError(
+            raise DataError(
                 f"samples per record must be positive for signal {i}, "
                 f"got {h.samples_per_record}"
             )
         if h.label != ANNOTATION_LABEL:
             if h.digital_min >= h.digital_max:
-                raise EdfParseError(
+                raise DataError(
                     f"signal {i}: digital min {h.digital_min} not below "
                     f"digital max {h.digital_max}"
                 )
             if h.physical_min == h.physical_max:
-                raise EdfParseError(
+                raise DataError(
                     f"signal {i}: physical min equals physical max "
                     f"({h.physical_min})"
                 )
@@ -269,9 +270,9 @@ def parse_edf(data: bytes) -> EdfRecording:
     expected = n_records * record_samples * 2
     actual = len(data) - header_size
     if actual != expected:
-        raise EdfParseError(
-            f"data section: expected {expected} bytes, got {actual}",
-            offset=header_size,
+        raise DataError(
+            f"data section: expected {expected} bytes, got {actual} "
+            f"(byte offset {header_size})"
         )
 
     channels: list[EdfChannel] = []
@@ -296,7 +297,7 @@ def parse_edf(data: bytes) -> EdfRecording:
         signals.append(np.ascontiguousarray(raw[:, lo:hi]).reshape(-1))
 
     if not channels:
-        raise EdfParseError("file contains no ordinary signal channels")
+        raise DataError("file contains no ordinary signal channels")
 
     _check_annotation_order(annotations)
 
@@ -317,9 +318,9 @@ def _check_annotation_order(annotations: list[EdfAnnotation]) -> None:
     previous = None
     for ann in annotations:
         if ann.onset < 0:
-            raise EdfParseError(f"negative annotation onset {ann.onset}")
+            raise DataError(f"negative annotation onset {ann.onset}")
         if previous is not None and ann.onset < previous:
-            raise EdfParseError(
+            raise DataError(
                 f"annotation onsets decrease: {ann.onset} after {previous}"
             )
         previous = ann.onset
@@ -336,26 +337,29 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
             continue
         parts = chunk.split(b"\x14")
         if len(parts) < 2 or parts[-1] != b"":
-            raise EdfParseError("TAL missing text terminator", offset=offset)
+            raise DataError(f"TAL missing text terminator (byte offset {offset})")
         head = parts[0]
         if b"\x15" in head:
             onset_raw, duration_raw = head.split(b"\x15", 1)
         else:
             onset_raw, duration_raw = head, None
         if not onset_raw[:1] in (b"+", b"-"):
-            raise EdfParseError(
-                f"TAL onset must be signed, got {onset_raw!r}", offset=offset
+            raise DataError(
+                f"TAL onset must be signed, got {onset_raw!r} "
+                f"(byte offset {offset})"
             )
         try:
             onset = float(onset_raw)
             duration = float(duration_raw) if duration_raw is not None else 0.0
         except ValueError as exc:
-            raise EdfParseError(
-                f"non-numeric TAL onset/duration in {chunk!r}", offset=offset
+            raise DataError(
+                f"non-numeric TAL onset/duration in {chunk!r} "
+                f"(byte offset {offset})"
             ) from exc
         if not (math.isfinite(onset) and math.isfinite(duration)):
-            raise EdfParseError(
-                f"non-finite TAL onset/duration in {chunk!r}", offset=offset
+            raise DataError(
+                f"non-finite TAL onset/duration in {chunk!r} "
+                f"(byte offset {offset})"
             )
         for text in parts[1:-1]:
             if text == b"":
@@ -363,8 +367,8 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
             try:
                 decoded = text.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise EdfParseError(
-                    f"TAL text {text!r} is not valid UTF-8", offset=offset
+                raise DataError(
+                    f"TAL text {text!r} is not valid UTF-8 (byte offset {offset})"
                 ) from exc
             out.append(EdfAnnotation(onset, duration, decoded))
     return out
@@ -470,7 +474,7 @@ def serialize_edf(recording: EdfRecording) -> bytes:
             )
         arr = np.asarray(sig)
         if arr.size and (arr.min() < ch.digital_min or arr.max() > ch.digital_max):
-            raise EdfRangeError(
+            raise DataError(
                 f"channel {ch.label!r}: samples outside declared digital range "
                 f"[{ch.digital_min}, {ch.digital_max}]"
             )

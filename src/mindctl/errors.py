@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
-Grouped so the CLI can map failures to distinct exit codes:
-data errors (parsing, labeling, splitting, checkpoints), numeric
-failures (non-finite values during training), and protocol errors
-(device wire format).
+One class per exit code the CLI tells apart: data errors (parsing,
+labeling, splitting, checkpoints, configuration) exit 3, numeric
+failures (non-finite values during training) exit 4, and protocol
+errors (device wire format) exit 5.
 """
 
 
@@ -13,57 +13,6 @@ class PipelineError(Exception):
 
 class DataError(PipelineError):
     """A problem with input data, configuration, or stored artifacts."""
-
-
-class EdfError(DataError):
-    pass
-
-
-class EdfParseError(EdfError):
-    """Malformed or truncated EDF content.
-
-    ``offset`` is the byte position at which decoding failed, when known.
-    """
-
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
-
-
-class EdfUnsupportedError(EdfError):
-    """A recognized but unsupported EDF variant; never a silent misread."""
-
-
-class EdfRangeError(EdfError):
-    """Sample values outside the declared physical/digital range."""
-
-
-class MappingError(DataError):
-    """Invalid or ambiguous label-mapping configuration."""
-
-
-class SplitError(DataError):
-    """Dataset cannot be split with the requested batch count."""
-
-
-class ShapeError(DataError):
-    """Array dimensions do not match what an operation requires."""
-
-
-class CheckpointError(DataError):
-    """Checkpoint bytes are corrupt, truncated, or inconsistent."""
-
-    def __init__(self, message, field=None):
-        if field is not None:
-            message = f"{message} (field: {field})"
-        super().__init__(message)
-        self.field = field
-
-
-class AnalysisError(DataError):
-    """Tuning analysis requested with missing or invalid run results."""
 
 
 class NumericError(PipelineError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SampleSet, write_csv
+from .dataset import LABELS, SampleSet, write_csv
 from .errors import DataError
 
 
@@ -18,10 +18,9 @@ class ConfusionMatrix:
     truth t (rows are predictions, columns are truth)."""
 
     counts: np.ndarray
-    class_labels: tuple = (1, 2, 3, 4, 5)
 
 
-def confusion(predicted, truth, class_labels=(1, 2, 3, 4, 5)) -> ConfusionMatrix:
+def confusion(predicted, truth) -> ConfusionMatrix:
     predicted = np.asarray(predicted, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if predicted.shape != truth.shape or predicted.ndim != 1:
@@ -29,20 +28,20 @@ def confusion(predicted, truth, class_labels=(1, 2, 3, 4, 5)) -> ConfusionMatrix
             f"predicted and truth must be equal-length 1-D sequences, "
             f"got {predicted.shape} and {truth.shape}"
         )
-    labels = np.asarray(class_labels, dtype=np.int64)
+    labels = np.asarray(LABELS)
     p_hit = predicted[:, None] == labels
     t_hit = truth[:, None] == labels
     outside = ~(p_hit.any(axis=1) & t_hit.any(axis=1))
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(
-            f"label pair ({predicted[i]}, {truth[i]}) outside {list(class_labels)}"
+            f"label pair ({predicted[i]}, {truth[i]}) outside {list(LABELS)}"
         )
     n = len(labels)
     counts = np.bincount(
         p_hit.argmax(axis=1) * n + t_hit.argmax(axis=1), minlength=n * n
     ).reshape(n, n)
-    return ConfusionMatrix(counts=counts, class_labels=tuple(class_labels))
+    return ConfusionMatrix(counts=counts)
 
 
 @dataclass
@@ -84,15 +83,15 @@ def metrics(cm: ConfusionMatrix) -> ClassMetrics:
         if row_sums[c] > 0:
             precision[c] = diag[c] / row_sums[c]
         else:
-            degenerate.append((cm.class_labels[c], "precision"))
+            degenerate.append((LABELS[c], "precision"))
         if col_sums[c] > 0:
             recall[c] = diag[c] / col_sums[c]
         else:
-            degenerate.append((cm.class_labels[c], "recall"))
+            degenerate.append((LABELS[c], "recall"))
         if precision[c] + recall[c] > 0:
             f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
         else:
-            degenerate.append((cm.class_labels[c], "f1"))
+            degenerate.append((LABELS[c], "f1"))
 
     return ClassMetrics(
         precision=precision,
@@ -120,8 +119,7 @@ class RocCurve:
     class_label: int
 
 
-def roc_auc(scores, truth, class_label: int,
-            class_labels=(1, 2, 3, 4, 5)) -> RocCurve:
+def roc_auc(scores, truth, class_label: int) -> RocCurve:
     """One-vs-rest ROC for ``class_label`` from per-sample score vectors."""
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.int64)
@@ -129,7 +127,7 @@ def roc_auc(scores, truth, class_label: int,
         raise ValueError(
             f"scores {scores.shape} and truth {truth.shape} do not align"
         )
-    column = list(class_labels).index(class_label)
+    column = LABELS.index(class_label)
     s = scores[:, column]
     positive = truth == class_label
     n_pos = int(positive.sum())
@@ -253,14 +251,13 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
 # an averages row, and one machine-readable accuracy line
 
 def save_report(cm: ConfusionMatrix, m: ClassMetrics, path) -> None:
-    labels = cm.class_labels
-    blanks = [None] * len(labels)
+    blanks = [None] * len(LABELS)
     auc = blanks if m.auc is None else [a if np.isfinite(a) else None for a in m.auc]
-    header = ("predicted", *(f"truth_{t}" for t in labels),
+    header = ("predicted", *(f"truth_{t}" for t in LABELS),
               "precision", "recall", "f1", "auc")
     write_csv(path, header, [
         *((label, *map(int, cm.counts[i]), m.precision[i], m.recall[i], m.f1[i],
-           auc[i]) for i, label in enumerate(labels)),
+           auc[i]) for i, label in enumerate(LABELS)),
         ("total", *map(int, cm.counts.sum(axis=0)), None, None, None, None),
         ("average", *blanks, m.macro_precision, m.macro_recall, m.macro_f1,
          m.macro_auc),

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import N_CHANNELS, N_CLASSES, DatasetSplit, SampleSet, write_csv
-from .errors import CheckpointError, DataError, NumericError, ShapeError
+from .errors import DataError, NumericError
 from .nn import (
     DenseParams,
     LstmParams,
@@ -190,18 +190,13 @@ def predict(model: ModelParams, features):
     if features.ndim == 1:
         features = features[None, :]
     if features.ndim != 2 or features.shape[1] != N_CHANNELS:
-        raise ShapeError(
+        raise DataError(
             f"features must be (n, {N_CHANNELS}), got {features.shape}"
         )
     logits, _, _ = forward_sequence(model.layers, features)
     scores = softmax(logits)
     labels = scores.argmax(axis=1) + 1
     return labels, scores
-
-
-def accuracy(model: ModelParams, samples: SampleSet) -> float:
-    labels, _ = predict(model, samples.features)
-    return float((labels == samples.labels).mean())
 
 
 def _evaluate_test(layers, split: DatasetSplit, l2: float):
@@ -353,47 +348,41 @@ def save(model: ModelParams) -> bytes:
 
 def _manifest_field(manifest: dict, key: str, kind=None):
     if key not in manifest:
-        raise CheckpointError("manifest missing entry", field=key)
+        raise DataError(f"manifest missing entry (field: {key})")
     if kind is not None and type(manifest[key]) is not kind:  # bool is no int
-        raise CheckpointError(f"manifest entry is not {kind.__name__}", field=key)
+        raise DataError(f"manifest entry is not {kind.__name__} (field: {key})")
     return manifest[key]
 
 
 def load(data: bytes) -> ModelParams:
     if len(data) < 9:
-        raise CheckpointError(
-            f"checkpoint too short ({len(data)} bytes)", field="header"
-        )
+        raise DataError(f"checkpoint too short ({len(data)} bytes) (field: header)")
     if data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(
-            f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}",
-            field="magic",
+        raise DataError(
+            f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r} (field: magic)"
         )
     if data[4] != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported version {data[4]}", field="version"
-        )
+        raise DataError(f"unsupported version {data[4]} (field: version)")
     (manifest_len,) = struct.unpack("<I", data[5:9])
     if len(data) < 9 + manifest_len:
-        raise CheckpointError("manifest truncated", field="manifest")
+        raise DataError("manifest truncated (field: manifest)")
     try:
         manifest = json.loads(data[9 : 9 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"manifest unreadable: {exc}", field="manifest")
+        raise DataError(f"manifest unreadable: {exc} (field: manifest)")
 
     try:
         hyper = HyperParams(**_manifest_field(manifest, "hyper", dict))
     except (DataError, TypeError) as exc:
-        raise CheckpointError(f"invalid hyperparameters: {exc}", field="hyper")
+        raise DataError(f"invalid hyperparameters: {exc} (field: hyper)")
     # The length test comes first, so a huge recorded layer count is never
     # planned; as JSON text, 16.0 or true in place of 16 is a mismatch.
     recorded = _manifest_field(manifest, "topology", list)
     if len(recorded) != hyper.layers or json.dumps(recorded) != json.dumps(
         plan_topology(hyper)
     ):
-        raise CheckpointError(
-            "topology does not match the recorded hyperparameters",
-            field="topology",
+        raise DataError(
+            "topology does not match the recorded hyperparameters (field: topology)"
         )
 
     layouts = layer_layouts(plan_topology(hyper))
@@ -402,22 +391,18 @@ def load(data: bytes) -> ModelParams:
 
     param_bytes = _manifest_field(manifest, "param_bytes", int)
     if param_bytes != expected_bytes:
-        raise CheckpointError(
+        raise DataError(
             f"topology implies {expected_bytes} parameter bytes but the "
-            f"manifest declares {param_bytes}",
-            field="param_bytes",
+            f"manifest declares {param_bytes} (field: param_bytes)"
         )
     payload = data[9 + manifest_len :]
     if len(payload) != param_bytes:
-        raise CheckpointError(
+        raise DataError(
             f"parameter payload: expected {param_bytes} bytes, "
-            f"got {len(payload)}",
-            field="params",
+            f"got {len(payload)} (field: params)"
         )
     if zlib.crc32(payload) != _manifest_field(manifest, "param_crc32", int):
-        raise CheckpointError(
-            "parameter payload checksum mismatch", field="param_crc32"
-        )
+        raise DataError("parameter payload checksum mismatch (field: param_crc32)")
 
     flat = np.frombuffer(payload, dtype="<f8")
     layers = []
@@ -435,10 +420,9 @@ def load(data: bytes) -> ModelParams:
     try:
         model = ModelParams(layers=layers, hyper=hyper, **run)
     except DataError as exc:
-        raise CheckpointError(f"invalid manifest entry: {exc}") from None
+        raise DataError(f"invalid manifest entry: {exc}") from None
     # JSON that spells the same values another way (spacing, 0e0 for 0.0,
     # a misspelt optional key) would not survive save; refuse it here
     if _manifest(model, payload) != data[9 : 9 + manifest_len]:
-        raise CheckpointError("manifest is not in the form save writes",
-                              field="manifest")
+        raise DataError("manifest is not in the form save writes (field: manifest)")
     return model

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError
 
 # Concatenated gate block layout in LSTM weight matrices and biases.
 # Fixed so checkpoints are unambiguous.
@@ -113,7 +113,7 @@ def affine(X, params: DenseParams):
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
-        raise ShapeError(
+        raise DataError(
             f"affine input {X.shape} incompatible with weights "
             f"{params.W.shape}"
         )
@@ -197,11 +197,11 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise ShapeError(
+        raise DataError(
             f"probs {probs.shape} and labels {labels.shape} do not align"
         )
     if labels.min() < 1 or labels.max() > probs.shape[1]:
-        raise ShapeError(
+        raise DataError(
             f"labels outside 1..{probs.shape[1]}"
         )
     picked = np.maximum(probs[np.arange(len(labels)), labels - 1],
@@ -234,7 +234,7 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     """
     A = np.asarray(X, dtype=np.float64)
     if A.ndim != 2:
-        raise ShapeError(f"sequence input must be 2-D, got {A.shape}")
+        raise DataError(f"sequence input must be 2-D, got {A.shape}")
     activations = [A]
     caches = [] if keep_caches else None
     for layer in layers:
@@ -244,7 +244,7 @@ def forward_sequence(layers, X, keep_caches: bool = False):
                 caches.append({"input": A})
         else:
             if A.shape[1] != layer.W_in.shape[0]:
-                raise ShapeError(
+                raise DataError(
                     f"lstm input width {A.shape[1]} incompatible with "
                     f"W_in {layer.W_in.shape}"
                 )
@@ -343,7 +343,7 @@ def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2:
-        raise ShapeError(f"sequence input must be 2-D, got {X.shape}")
+        raise DataError(f"sequence input must be 2-D, got {X.shape}")
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty batch")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import write_csv
-from .errors import AnalysisError, DataError
+from .errors import DataError
 
 FACTOR_NAMES = ("l2", "lr", "width", "layers", "batches")
 N_LEVELS = 4
@@ -155,7 +155,7 @@ def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
     if results is None:
         results = [None] * plan.n_runs
     if len(results) != plan.n_runs:
-        raise AnalysisError(
+        raise DataError(
             f"existing results cover {len(results)} runs, plan has {plan.n_runs}"
         )
 
@@ -201,12 +201,12 @@ def range_analysis(plan: OaPlan, accuracies) -> RangeAnalysis:
     """Sum accuracies per factor level and select the best levels."""
     accuracies = list(accuracies)
     if len(accuracies) != plan.n_runs:
-        raise AnalysisError(
+        raise DataError(
             f"need {plan.n_runs} accuracies, got {len(accuracies)}"
         )
     missing = [i for i, a in enumerate(accuracies) if a is None]
     if missing:
-        raise AnalysisError(
+        raise DataError(
             f"missing accuracies for runs {[i + 1 for i in missing]}; "
             f"re-run them before analysing"
         )

@@ -1,6 +1,6 @@
 import pytest
 
-from mindctl import HyperParams, TrainingSchedule, build, train
+from mindctl.model import HyperParams, TrainingSchedule, build, train
 from mindctl.dataset import split
 
 from helpers import make_toy_samples

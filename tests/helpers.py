@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from mindctl.dataset import TABLE_HEADER, SampleSet
+from mindctl.dataset import LABELS, TABLE_HEADER, SampleSet
 from mindctl.nn import DenseParams, LstmParams
 
 
@@ -125,8 +125,8 @@ def reference_gradients(layers, X, labels, l2, window,
 # straight-loop evaluation references: one count per pair and one walk
 # over each run of tied values
 
-def reference_confusion(predicted, truth, class_labels=(1, 2, 3, 4, 5)):
-    labels = list(class_labels)
+def reference_confusion(predicted, truth):
+    labels = list(LABELS)
     index = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for p, t in zip(predicted, truth):

@@ -2,14 +2,18 @@
 
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mindctl
 from mindctl import model, oa
 from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, build_parser, main
 from mindctl.dataset import SampleSet, load_table, save_table
@@ -135,6 +139,30 @@ def test_train_config_rerun_is_identical(tmp_path):
                "--out-dir", str(out_b)])
     assert rc == 0
     assert (out_a / "model.mctl").read_bytes() == (out_b / "model.mctl").read_bytes()
+
+
+def test_blas_thread_count_leaves_checkpoint_bytes_unchanged(tmp_path):
+    # Importing mindctl pins BLAS to one thread unless the caller set a
+    # count, so a run with OPENBLAS_NUM_THREADS unset writes the bytes of a
+    # run with it set to 1. On a 1-core host BLAS uses one thread either way
+    # and this test cannot fail.
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=2000, seed=3, n_classes=5, spread=0.15), data)
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    src = str(Path(mindctl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    checkpoints = []
+    for pin in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"out{len(checkpoints)}"
+        subprocess.run(
+            [sys.executable, "-m", "mindctl", "train", "--data", str(data),
+             "--width", "64", "--layers", "5", "--n-b", "3", "--epochs", "1",
+             "--patience", "2", "--out-dir", str(out)],
+            env={**env, **pin}, check=True, capture_output=True, timeout=120,
+        )
+        checkpoints.append((out / "model.mctl").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_tune_stub_objective_reproduces_best_levels(tmp_path, monkeypatch):
@@ -549,6 +577,24 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp / "out" / "results.csv").exists()  # no tune run trained
     assert not (tmp / "out" / "model.mctl").exists()
+
+
+@pytest.mark.parametrize("content", [b'{"rules": "\xff"}', b'{"rules": '],
+                         ids=["non_utf8", "truncated"])
+@pytest.mark.parametrize("command", ["train", "tune", "ingest"])
+def test_unreadable_json_input_names_the_file(edf_dir, tmp_path, capsys,
+                                              command, content):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(content)
+    argv = {
+        "train": ["train", "--config", str(bad)],
+        "tune": ["tune", "--levels", str(bad)],
+        "ingest": ["ingest", "--edf-dir", str(edf_dir), "--mapping", str(bad)],
+    }[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {bad}: " in err
+    assert "Traceback" not in err
 
 
 def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,

@@ -1,6 +1,7 @@
 """Labeling, splitting, and table-format tests."""
 
 import hashlib
+import json
 import re
 import warnings
 from datetime import datetime
@@ -24,7 +25,7 @@ from mindctl.dataset import (
     split,
 )
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording
-from mindctl.errors import DataError, MappingError, ShapeError, SplitError
+from mindctl.errors import DataError
 
 from helpers import mutated_bytes, reference_save_table
 
@@ -122,14 +123,14 @@ def test_overlapping_matched_windows_rejected():
             MappingRule(frozenset({4}), "T2", 3),
         ]
     )
-    with pytest.raises(MappingError, match="overlapping"):
+    with pytest.raises(DataError, match="overlapping"):
         label_samples(rec, 4, mapping)
 
 
 def test_unmatched_run_is_loud():
     rec = make_recording(annotations=[EdfAnnotation(0.0, 1.0, "T1")])
     mapping = LabelMapping([MappingRule(frozenset({99}), "T1", 2)])
-    with pytest.raises(MappingError, match="matches no annotation"):
+    with pytest.raises(DataError, match="matches no annotation"):
         label_samples(rec, 4, mapping)
 
 
@@ -138,12 +139,12 @@ def test_too_few_channels_is_shape_error():
     rec.channels = rec.channels[:10]
     rec.signals = rec.signals[:10]
     mapping = LabelMapping([MappingRule(frozenset({4}), "T1", 2)])
-    with pytest.raises(ShapeError, match="channels"):
+    with pytest.raises(DataError, match="channels"):
         label_samples(rec, 4, mapping)
 
 
 def test_ambiguous_mapping_rejected():
-    with pytest.raises(MappingError, match="ambiguous"):
+    with pytest.raises(DataError, match="ambiguous"):
         LabelMapping(
             [
                 MappingRule(frozenset({4}), "T1", 2),
@@ -173,6 +174,22 @@ def test_mapping_file_round_trip(tmp_path):
         '  {"runs": [6, 10, 14], "annotation": "T2", "label": 5}]}\n'
     )
     assert load_mapping(path) == default_mapping()
+
+
+@pytest.mark.parametrize("rule", [
+    {"runs": "48", "annotation": "T1", "label": 2},
+    {"runs": [4.9], "annotation": "T1", "label": 2},
+    {"runs": [4], "annotation": "T1", "label": 2.7},
+    {"runs": [4], "annotation": "T1", "label": True},
+    {"runs": [4], "annotation": 1, "label": 2},
+    {"runs": [4], "annotation": "T1", "label": 6},
+], ids=["runs_text", "runs_float", "label_float", "label_bool", "annotation_int",
+        "label_outside"])
+def test_mapping_file_values_are_checked_not_coerced(tmp_path, rule):
+    path = tmp_path / "mapping.json"
+    path.write_text(json.dumps({"rules": [rule]}))
+    with pytest.raises(DataError, match=re.escape(f"invalid mapping file {path}: ")):
+        load_mapping(path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +231,7 @@ def test_split_preserves_order_and_conserves_samples():
 
 
 def test_split_indivisible_total_names_divisor():
-    with pytest.raises(SplitError, match="multiple of batch count \\+ 1 = 4"):
+    with pytest.raises(DataError, match="multiple of batch count \\+ 1 = 4"):
         split(_sequential_samples(27), 3)
 
 
@@ -350,7 +367,8 @@ def test_table_label_cells_are_checked_before_the_integer_cast(tmp_path, label):
 
 
 def test_sampleset_validation():
-    with pytest.raises(ShapeError):
+    expected = "features must be (n, 64), got (3, 10)"
+    with pytest.raises(DataError, match=re.escape(expected)):
         SampleSet(np.zeros((3, 10)), np.ones(3))
     with pytest.raises(DataError, match="labels must be in 1..5"):
         SampleSet(np.zeros((2, 64)), np.array([1, 9]))

@@ -16,12 +16,7 @@ from mindctl.edf import (
     parse_edf,
     serialize_edf,
 )
-from mindctl.errors import (
-    EdfError,
-    EdfParseError,
-    EdfRangeError,
-    EdfUnsupportedError,
-)
+from mindctl.errors import DataError
 from helpers import mutated_bytes
 
 
@@ -331,7 +326,7 @@ def _patched(offset, text, width=8):
     (600, "-inf"),  # signal 1 physical max: 256 + 3 * 112 + 8
 ])
 def test_non_finite_header_number_is_parse_error(offset, text):
-    with pytest.raises(EdfParseError, match=f"non-finite .*byte offset {offset}\\)"):
+    with pytest.raises(DataError, match=f"non-finite .*byte offset {offset}\\)"):
         parse_edf(_patched(offset, text))
 
 
@@ -343,7 +338,7 @@ def test_non_finite_header_number_is_parse_error(offset, text):
     (184, "1_024"),  # header byte count
 ])
 def test_non_canonical_header_text_is_parse_error(offset, text):
-    with pytest.raises(EdfParseError, match=f"byte offset {offset}\\)"):
+    with pytest.raises(DataError, match=f"byte offset {offset}\\)"):
         parse_edf(_patched(offset, text))
 
 
@@ -360,54 +355,53 @@ def test_signed_and_exponent_header_numbers_still_parse():
 def test_non_finite_tal_number_is_parse_error(old, new):
     golden = golden_two_channel_annotated_bytes()
     assert golden.count(old) == 1
-    with pytest.raises(EdfParseError, match="non-finite TAL") as info:
+    with pytest.raises(DataError, match=r"non-finite TAL.*\(byte offset \d+\)"):
         parse_edf(golden.replace(old, new))
-    assert info.value.offset is not None
 
 
 def test_truncated_header_reports_offset():
-    with pytest.raises(EdfParseError, match="fixed header truncated"):
+    with pytest.raises(DataError, match="fixed header truncated"):
         parse_edf(b"0       " * 10)
 
 
 def test_unsupported_version_tag():
     data = bytearray(golden_single_channel_bytes())
     data[0:8] = b"9       "
-    with pytest.raises(EdfUnsupportedError, match="version"):
+    with pytest.raises(DataError, match="version"):
         parse_edf(bytes(data))
 
 
 def test_discontinuous_variant_rejected():
     data = bytearray(golden_single_channel_bytes())
     data[192:197] = b"EDF+D"
-    with pytest.raises(EdfUnsupportedError, match="EDF\\+D"):
+    with pytest.raises(DataError, match="EDF\\+D"):
         parse_edf(bytes(data))
 
 
 def test_non_numeric_record_count():
     data = bytearray(golden_single_channel_bytes())
     data[236:244] = b"x       "
-    with pytest.raises(EdfParseError, match="byte offset 236"):
+    with pytest.raises(DataError, match="byte offset 236"):
         parse_edf(bytes(data))
 
 
 def test_wrong_header_byte_count_field():
     data = bytearray(golden_single_channel_bytes())
     data[184:192] = b"768     "
-    with pytest.raises(EdfParseError, match="header byte count"):
+    with pytest.raises(DataError, match="header byte count"):
         parse_edf(bytes(data))
 
 
 def test_truncated_data_section_names_lengths():
     data = golden_single_channel_bytes()[:-4]
-    with pytest.raises(EdfParseError, match="expected 8 bytes, got 4"):
+    with pytest.raises(DataError, match="expected 8 bytes, got 4"):
         parse_edf(data)
 
 
 def test_serialize_rejects_out_of_range_digital():
     rec = _make_recording()
     rec.signals[0] = rec.signals[0].astype(np.int32) + 100000
-    with pytest.raises(EdfRangeError, match="digital range"):
+    with pytest.raises(DataError, match="digital range"):
         serialize_edf(rec)
 
 
@@ -424,9 +418,8 @@ def test_invalid_utf8_tal_text_is_parse_error():
     blob = serialize_edf(_make_recording())
     at = blob.index(b"\x14T1\x14")
     corrupt = blob[: at + 1] + b"\xff" + blob[at + 2 :]
-    with pytest.raises(EdfParseError, match="not valid UTF-8") as info:
+    with pytest.raises(DataError, match=r"not valid UTF-8 \(byte offset \d+\)"):
         parse_edf(corrupt)
-    assert info.value.offset is not None
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +467,7 @@ def mutated_golden(draw):
 def test_mutated_golden_parses_finite_or_fails_as_edf_error(blob):
     try:
         rec = parse_edf(blob)
-    except EdfError:
+    except DataError:
         return
     assert math.isfinite(rec.record_duration)
     for ch in rec.channels:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,17 +11,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindctl import HyperParams, TrainingSchedule, build, train
 from mindctl.dataset import split
-from mindctl.errors import CheckpointError, DataError, NumericError, ShapeError
+from mindctl.errors import DataError, NumericError
 from mindctl.model import (
-    accuracy,
+    HyperParams,
+    TrainingSchedule,
+    build,
     export_activations,
     load,
     predict,
     save,
     save_activations,
     save_history,
+    train,
 )
 from mindctl.nn import sequence_gradients
 from helpers import make_toy_samples
@@ -115,7 +118,8 @@ def test_predict_argmax_invariant_under_output_bias_shift(toy_model, toy_split):
 
 
 def test_predict_rejects_wrong_width(toy_model):
-    with pytest.raises(ShapeError):
+    expected = "features must be (n, 64), got (3, 10)"
+    with pytest.raises(DataError, match=re.escape(expected)):
         predict(toy_model, np.zeros((3, 10)))
 
 
@@ -174,7 +178,8 @@ def test_train_returns_best_epoch_layers_sharing_no_array():
 
 
 def test_toy_convergence(toy_model, toy_split):
-    assert accuracy(toy_model, toy_split.train) >= 0.99
+    labels, _ = predict(toy_model, toy_split.train.features)
+    assert (labels == toy_split.train.labels).mean() >= 0.99
 
 
 def test_training_is_bit_reproducible():
@@ -278,40 +283,39 @@ def test_checkpoint_preserves_inference(toy_model, toy_split):
     l2, s2 = predict(restored, toy_split.test.features)
     assert np.array_equal(l1, l2)
     assert np.array_equal(s1, s2)
-    assert accuracy(restored, toy_split.test) == accuracy(toy_model, toy_split.test)
 
 
 def test_corrupting_header_byte_is_loud(toy_model):
     blob = bytearray(save(toy_model))
     blob[2] ^= 0x01
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(DataError, match="magic"):
         load(bytes(blob))
 
 
 def test_corrupting_version_byte(toy_model):
     blob = bytearray(save(toy_model))
     blob[4] = 99
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(DataError, match="version"):
         load(bytes(blob))
 
 
 def test_truncated_payload_names_lengths(toy_model):
     blob = save(toy_model)
-    with pytest.raises(CheckpointError, match="expected .* bytes"):
+    with pytest.raises(DataError, match="expected .* bytes"):
         load(blob[:-16])
 
 
 def test_payload_corruption_detected_by_checksum(toy_model):
     blob = bytearray(save(toy_model))
     blob[-5] ^= 0xFF
-    with pytest.raises(CheckpointError, match="checksum"):
+    with pytest.raises(DataError, match="checksum"):
         load(bytes(blob))
 
 
 def test_manifest_tampering_detected(toy_model):
     # hyper record disagreeing with the topology must not load silently
     blob = save(toy_model)
-    with pytest.raises(CheckpointError, match="hyper"):
+    with pytest.raises(DataError, match="hyper"):
         load(blob[:9] + blob[9:].replace(b'"width": 16', b'"width": 17', 1))
 
 
@@ -322,7 +326,7 @@ def test_manifest_integer_of_wrong_type_is_checkpoint_error(toy_model, key):
     manifest = json.loads(blob[9 : 9 + length])
     manifest[key] = "1"
     text = json.dumps(manifest).encode()
-    with pytest.raises(CheckpointError, match=key):
+    with pytest.raises(DataError, match=key):
         load(blob[:5] + struct.pack("<I", len(text)) + text + blob[9 + length :])
 
 
@@ -351,7 +355,7 @@ def _replaced(blob, path, value):
 ], ids=lambda v: ".".join(map(str, v)) if type(v) is tuple else repr(v))
 def test_manifest_value_of_wrong_type_is_checkpoint_error(toy_model, path, value):
     # 7.0 == 7 and True == 1 in Python, but neither is the saved integer
-    with pytest.raises(CheckpointError, match=path[0]):
+    with pytest.raises(DataError, match=path[0]):
         load(_replaced(save(toy_model), path, value))
 
 
@@ -365,7 +369,7 @@ def test_manifest_in_another_json_spelling_is_checkpoint_error(toy_model):
         changed = blob.replace(old, new, 1)
         changed = (changed[:5] + struct.pack("<I", length + len(new) - len(old))
                    + changed[9:])
-        with pytest.raises(CheckpointError, match="manifest"):
+        with pytest.raises(DataError, match="manifest"):
             load(changed)
 
 
@@ -425,7 +429,7 @@ def mutated_checkpoint(draw):
 def test_mutated_checkpoint_loads_exactly_or_fails_as_checkpoint_error(blob):
     try:
         model = load(blob)
-    except CheckpointError:
+    except DataError:
         return
     assert save(model) == blob
     for value in (model.seed, model.epochs_run):

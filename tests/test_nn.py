@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindctl import build, HyperParams
-from mindctl.errors import NumericError, ShapeError
+from mindctl.errors import DataError, NumericError
+from mindctl.model import build, HyperParams
 from mindctl.nn import (
     DenseParams,
     LstmParams,
@@ -79,7 +79,7 @@ def test_affine_matches_triple_loop_oracle():
 
 def test_affine_shape_error_names_shapes():
     params = DenseParams(W=np.zeros((3, 2)), b=np.zeros(2))
-    with pytest.raises(ShapeError, match=r"\(2, 4\).*\(3, 2\)"):
+    with pytest.raises(DataError, match=r"\(2, 4\).*\(3, 2\)"):
         affine(np.zeros((2, 4)), params)
 
 
@@ -177,7 +177,7 @@ def test_lstm_gate_ranges(seed):
 
 
 def test_lstm_step_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DataError, match="lstm input width 5 incompatible"):
         forward_sequence([_zero_lstm(3, 2)], np.zeros((4, 5)))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from mindctl.errors import AnalysisError, DataError
+from mindctl.errors import DataError
 from mindctl.model import HyperParams
 from mindctl.oa import (
     FACTOR_NAMES,
@@ -120,7 +120,7 @@ def test_failed_run_recorded_and_blocks_analysis():
 
     results = execute(plan, flaky)
     assert results.count(None) == 4  # width=48 appears in 4 runs
-    with pytest.raises(AnalysisError, match="missing accuracies"):
+    with pytest.raises(DataError, match="missing accuracies"):
         range_analysis(plan, results)
 
 
