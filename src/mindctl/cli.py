@@ -174,6 +174,8 @@ def _resolve_train_settings(args) -> dict:
             raise DataError(f"{args.config}: {key} needs type {type(default).__name__}")
         settings[key] = value
     if args.data is None and "data" in from_config:
+        if type(from_config["data"]) is not str:
+            raise DataError(f"{args.config}: data needs type str")
         args.data = from_config["data"]
     if args.data is None:
         raise DataError("no dataset given (flag --data or config entry 'data')")
@@ -205,18 +207,23 @@ def _cmd_tune(args) -> int:
     levels = DEFAULT_LEVELS
     if args.levels:
         raw = dataset.read_json(args.levels)
+        if not isinstance(raw, dict):
+            raise DataError(f"{args.levels}: expected a JSON object")
+        unknown = sorted(raw.keys() - set(oa.FACTOR_NAMES))
+        if unknown:
+            raise DataError(f"{args.levels}: unknown factor {unknown[0]!r}")
         try:
             levels = tuple(tuple(raw[name]) for name in oa.FACTOR_NAMES)
         except (KeyError, TypeError) as exc:
             raise DataError(f"{args.levels}: factor lists expected ({exc})") from None
-    plan = oa.build_plan(levels)
+    levels = oa.build_plan(levels)
 
     results_path = out / "results.csv"
-    results = [None] * plan.n_runs
+    results = [None] * oa.N_RUNS
     if results_path.exists():
-        results = oa.load_results(plan, results_path)
+        results = oa.load_results(levels, results_path)
         done = sum(a is not None for a in results)
-        _log(f"resuming: {done} of {plan.n_runs} runs already recorded")
+        _log(f"resuming: {done} of {oa.N_RUNS} runs already recorded")
     samples = None
     if None in results or args.confirm:
         if args.data is None:
@@ -234,15 +241,15 @@ def _cmd_tune(args) -> int:
         return best
 
     try:
-        oa.execute(plan, runner, workers=args.workers, results=results)
+        oa.execute(levels, runner, workers=args.workers, results=results)
     finally:  # a stopped sweep keeps its finished runs for the resume
-        oa.save_plan(plan, results, results_path)
-    analysis = oa.range_analysis(plan, results)
+        oa.save_plan(levels, results, results_path)
+    analysis = oa.range_analysis(levels, results)
     oa.save_analysis(analysis, out / "analysis.csv")
-    best = dict(zip(plan.factor_names, analysis.best_values))
+    best = dict(zip(oa.FACTOR_NAMES, analysis.best_values))
     _log(f"best levels: {best}")
 
-    summary = {"best": best, "savings": oa.savings(plan)}
+    summary = {"best": best, "savings": oa.SAVINGS}
     if args.confirm:
         trained, _, summary["confirmation_accuracy"] = _fit(
             samples, analysis.best_values, vars(args)
@@ -265,30 +272,29 @@ def _cmd_eval(args) -> int:
     net = model.load(Path(args.model).read_bytes())
     samples = dataset.load_table(args.data)
     predicted, scores = model.predict(net, samples.features)
-    cm = evaluation.confusion(predicted, samples.labels)
-    m = evaluation.metrics(cm)
+    counts = evaluation.confusion(predicted, samples.labels)
+    m = evaluation.metrics(counts)
 
-    aucs = []
+    auc = []  # None where a class has no positives or no negatives
     for label in dataset.LABELS:
         try:
             curve = evaluation.roc_auc(scores, samples.labels, label)
         except DataError:
-            aucs.append(float("nan"))
+            auc.append(None)
             _log(f"class {label}: AUC undefined (missing positives or negatives)")
             continue
-        aucs.append(curve.auc)
+        auc.append(curve.auc)
         evaluation.save_roc(curve, out / f"roc_class{label}.csv")
-    m.auc = np.asarray(aucs)
-    m.macro_auc = float(m.auc.mean()) if np.isfinite(m.auc).all() else None
+    macro_auc = None if None in auc else float(np.mean(auc))
 
-    evaluation.save_report(cm, m, out / "report.csv")
+    evaluation.save_report(counts, m, auc, macro_auc, out / "report.csv")
     summary = {
         "accuracy": m.accuracy,
         "macro_precision": m.macro_precision,
         "macro_recall": m.macro_recall,
         "macro_f1": m.macro_f1,
-        "macro_auc": m.macro_auc,
-        "auc": [a if np.isfinite(a) else None for a in aucs],
+        "macro_auc": macro_auc,
+        "auc": auc,
     }
 
     if args.knn_train:

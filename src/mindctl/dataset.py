@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .edf import EdfRecording
+from .edf import EdfRecording, parse_edf
 from .errors import DataError
 
 N_CHANNELS = 64
@@ -406,8 +406,6 @@ def ingest_subject(
     Runs are processed in ascending order; ``cap`` truncates to the
     first ``cap`` labeled samples so per-subject counts are fixed.
     """
-    from .edf import parse_edf
-
     parts = []
     for run in sorted(runs):
         if run not in run_paths:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .dataset import LABELS, write_csv
 from .errors import DataError, ProtocolError
+from .model import predict
 
 LED_HOLD_MS = 2000
 LED_COLORS = ("blue", "white", "yellow", "red")
@@ -275,8 +276,6 @@ def replay(model, features, profile: CommandProfile, session: DeviceSession,
     the smaller label), and sends it over the session at ``step_ms``
     simulated intervals. Returns the ordered (t_ms, seq, label, action) log.
     """
-    from .model import predict
-
     if cadence < 1:
         raise DataError(f"cadence must be >= 1, got {cadence}")
     if len(features) == 0:

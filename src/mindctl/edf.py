@@ -109,7 +109,6 @@ class EdfRecording:
     channels: list[EdfChannel]
     signals: list[np.ndarray]
     annotations: list[EdfAnnotation] = field(default_factory=list)
-    version: str = "0"
 
     def physical(self, index: int) -> np.ndarray:
         """Channel ``index`` converted to physical units (float64)."""
@@ -123,8 +122,7 @@ class EdfRecording:
         if not isinstance(other, EdfRecording):
             return NotImplemented
         return (
-            self.version == other.version
-            and self.patient_id == other.patient_id
+            self.patient_id == other.patient_id
             and self.recording_id == other.recording_id
             and self.start == other.start
             and self.n_records == other.n_records
@@ -281,7 +279,7 @@ def parse_edf(data: bytes) -> EdfRecording:
     sample_offsets = np.concatenate(([0], np.cumsum(spr)))
 
     raw = np.frombuffer(data, dtype="<i2", offset=header_size)
-    raw = raw.reshape(n_records, record_samples) if n_records else raw.reshape(0, record_samples)
+    raw = raw.reshape(n_records, record_samples)
 
     for i, h in enumerate(headers):
         lo, hi = int(sample_offsets[i]), int(sample_offsets[i + 1])
@@ -310,7 +308,6 @@ def parse_edf(data: bytes) -> EdfRecording:
         channels=channels,
         signals=signals,
         annotations=annotations,
-        version=version,
     )
 
 
@@ -490,7 +487,7 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     header_bytes = _FIXED_HEADER + _PER_SIGNAL_HEADER * n_signals
 
     out = bytearray()
-    out += _pad(recording.version, 8, "version")
+    out += _pad("0", 8, "version")
     out += _pad(recording.patient_id, 80, "patient id")
     out += _pad(recording.recording_id, 80, "recording id")
     yy = recording.start.year % 100

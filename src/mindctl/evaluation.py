@@ -12,15 +12,10 @@ from .dataset import LABELS, SampleSet, write_csv
 from .errors import DataError
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[p][t] = number of samples predicted as class p with ground
-    truth t (rows are predictions, columns are truth)."""
-
-    counts: np.ndarray
-
-
-def confusion(predicted, truth) -> ConfusionMatrix:
+def confusion(predicted, truth) -> np.ndarray:
+    """The 5x5 counts: ``counts[p][t]`` is the number of samples predicted
+    as class p with ground truth t (rows are predictions, columns are
+    truth)."""
     predicted = np.asarray(predicted, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if predicted.shape != truth.shape or predicted.ndim != 1:
@@ -38,16 +33,15 @@ def confusion(predicted, truth) -> ConfusionMatrix:
             f"label pair ({predicted[i]}, {truth[i]}) outside {list(LABELS)}"
         )
     n = len(labels)
-    counts = np.bincount(
+    return np.bincount(
         p_hit.argmax(axis=1) * n + t_hit.argmax(axis=1), minlength=n * n
     ).reshape(n, n)
-    return ConfusionMatrix(counts=counts)
 
 
 @dataclass
 class ClassMetrics:
-    """Per-class precision/recall/F1 (and AUC when scores are supplied),
-    their unweighted means, and overall accuracy.
+    """Per-class precision/recall/F1, their unweighted means, and overall
+    accuracy.
 
     Precision divides the diagonal by the prediction-row total, recall
     by the ground-truth column total; a zero denominator yields 0 and is
@@ -61,13 +55,11 @@ class ClassMetrics:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    auc: np.ndarray | None = None
-    macro_auc: float | None = None
     degenerate: tuple = ()
 
 
-def metrics(cm: ConfusionMatrix) -> ClassMetrics:
-    counts = cm.counts.astype(np.float64)
+def metrics(counts) -> ClassMetrics:
+    counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     if total <= 0:
         raise DataError("confusion matrix is empty")
@@ -116,7 +108,6 @@ class RocCurve:
 
     points: np.ndarray
     auc: float
-    class_label: int
 
 
 def roc_auc(scores, truth, class_label: int) -> RocCurve:
@@ -156,7 +147,7 @@ def roc_auc(scores, truth, class_label: int) -> RocCurve:
     ranks = _midranks(s)
     pos_rank_sum = ranks[positive].sum()
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return RocCurve(points=points, auc=float(auc), class_label=class_label)
+    return RocCurve(points=points, auc=float(auc))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -250,16 +241,16 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
 # report writer: counts grid with per-class metric columns, a totals row,
 # an averages row, and one machine-readable accuracy line
 
-def save_report(cm: ConfusionMatrix, m: ClassMetrics, path) -> None:
+def save_report(counts, m: ClassMetrics, auc, macro_auc, path) -> None:
+    """``auc`` holds one AUC per class, None where it is undefined."""
     blanks = [None] * len(LABELS)
-    auc = blanks if m.auc is None else [a if np.isfinite(a) else None for a in m.auc]
     header = ("predicted", *(f"truth_{t}" for t in LABELS),
               "precision", "recall", "f1", "auc")
     write_csv(path, header, [
-        *((label, *map(int, cm.counts[i]), m.precision[i], m.recall[i], m.f1[i],
+        *((label, *map(int, counts[i]), m.precision[i], m.recall[i], m.f1[i],
            auc[i]) for i, label in enumerate(LABELS)),
-        ("total", *map(int, cm.counts.sum(axis=0)), None, None, None, None),
+        ("total", *map(int, counts.sum(axis=0)), None, None, None, None),
         ("average", *blanks, m.macro_precision, m.macro_recall, m.macro_f1,
-         m.macro_auc),
+         macro_auc),
         ("accuracy", m.accuracy),
     ])

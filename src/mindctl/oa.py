@@ -1,10 +1,12 @@
-"""Orthogonal-array experiment planning and range analysis.
+"""Orthogonal-array tuning: one fixed design, level checks, execution
+and range analysis.
 
-A 16-run plan covers 5 factors at 4 levels each with strength-2
-balance: across the 16 runs, every ordered pair of levels of every pair
-of factors occurs exactly once, and every level of every factor occurs
-exactly four times. Range analysis sums the response over the four runs
-sharing a factor level and picks the level with the largest sum.
+The design ``L16`` covers 5 factors at 4 levels each in 16 runs with
+strength-2 balance: across the 16 runs, every ordered pair of levels of
+every pair of factors occurs exactly once, and every level of every
+factor occurs exactly four times. Range analysis sums the response
+over the four runs sharing a factor level and picks the level with the
+largest sum.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ N_LEVELS = 4
 N_FACTORS = 5
 INTEGER_FACTORS = ("width", "layers", "batches")
 
-# Standard 16-run, 5-factor, 4-level assignment (level indices 1..4).
-_L16_4_5 = (
+# The fixed design: the standard 16-run, 5-factor, 4-level assignment.
+# ``L16[r][f]`` is the 1-based level factor ``f`` takes in run ``r``.
+L16 = (
     (1, 1, 1, 1, 1),
     (1, 2, 2, 2, 2),
     (1, 3, 3, 3, 3),
@@ -44,43 +47,15 @@ _L16_4_5 = (
     (4, 3, 2, 4, 1),
     (4, 4, 1, 3, 2),
 )
+N_RUNS = len(L16)
+# Fraction of the exhaustive 4**5 = 1,024-run sweep the design avoids.
+SAVINGS = 1.0 - N_RUNS / N_LEVELS**N_FACTORS
 
 
-@dataclass(frozen=True)
-class OaPlan:
-    """Level assignment matrix plus the concrete values behind the levels.
-
-    ``assignment[r][f]`` is the 1-based level index factor ``f`` takes in
-    run ``r``; ``level_values[f][l]`` is the concrete value of level
-    ``l + 1``.
-    """
-
-    factor_names: tuple
-    level_values: tuple  # per factor, tuple of 4 values
-    assignment: tuple = _L16_4_5
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.assignment)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.level_values[0])
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factor_names)
-
-    def run_values(self, run: int) -> tuple:
-        """Concrete factor values for one run (0-based index)."""
-        row = self.assignment[run]
-        return tuple(
-            self.level_values[f][row[f] - 1] for f in range(self.n_factors)
-        )
-
-
-def build_plan(level_values) -> OaPlan:
-    """Build the 16-run plan for 5 factors with 4 candidate values each.
+def build_plan(level_values) -> tuple:
+    """Check the 4 candidate values of each of the 5 factors and return
+    them as a tuple of tuples: ``levels[f][l]`` is the concrete value of
+    factor ``f`` at level ``l + 1``.
 
     Every level is a finite ``int`` or ``float`` (``bool`` is not a
     number here); the integer factors take ``int`` levels only.
@@ -102,7 +77,12 @@ def build_plan(level_values) -> OaPlan:
             raise DataError(f"factor {name} levels must be {kind}, got {values}")
         if len(set(values)) != N_LEVELS:
             raise DataError(f"factor {name} level values must be distinct")
-    return OaPlan(factor_names=FACTOR_NAMES, level_values=level_values)
+    return level_values
+
+
+def run_values(levels, run: int) -> tuple:
+    """Concrete factor values for one run (0-based index)."""
+    return tuple(values[level - 1] for values, level in zip(levels, L16[run]))
 
 
 def _is_level(value, integral: bool) -> bool:
@@ -113,15 +93,16 @@ def _is_level(value, integral: bool) -> bool:
     return not integral and type(value) is float and math.isfinite(value)
 
 
-def is_orthogonal(plan: OaPlan) -> bool:
-    """Exhaustive strength-2 check over all factor pairs."""
-    runs = plan.n_runs
-    levels = plan.n_levels
-    expected = runs // (levels * levels)
-    for fa in range(plan.n_factors):
-        for fb in range(fa + 1, plan.n_factors):
+def is_orthogonal(rows) -> bool:
+    """Exhaustive strength-2 check over all factor pairs of a design's
+    rows of 1-based level indices."""
+    levels = len({row[0] for row in rows})
+    expected = len(rows) // (levels * levels)
+    n_factors = len(rows[0])
+    for fa in range(n_factors):
+        for fb in range(fa + 1, n_factors):
             seen: dict = {}
-            for row in plan.assignment:
+            for row in rows:
                 key = (row[fa], row[fb])
                 seen[key] = seen.get(key, 0) + 1
             if len(seen) != levels * levels:
@@ -131,13 +112,7 @@ def is_orthogonal(plan: OaPlan) -> bool:
     return True
 
 
-def savings(plan: OaPlan) -> float:
-    """Fraction of an exhaustive sweep the plan avoids."""
-    exhaustive = plan.n_levels**plan.n_factors
-    return 1.0 - plan.n_runs / exhaustive
-
-
-def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
+def execute(levels, runner, workers: int = 1, results=None) -> list:
     """Evaluate every pending run's factor combination with ``runner``.
 
     ``runner(values)`` receives one run's concrete factor values and
@@ -153,10 +128,10 @@ def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
     that finished stay in ``results``.
     """
     if results is None:
-        results = [None] * plan.n_runs
-    if len(results) != plan.n_runs:
+        results = [None] * N_RUNS
+    if len(results) != N_RUNS:
         raise DataError(
-            f"existing results cover {len(results)} runs, plan has {plan.n_runs}"
+            f"existing results cover {len(results)} runs, plan has {N_RUNS}"
         )
 
     faulted = threading.Event()
@@ -165,7 +140,7 @@ def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
         if faulted.is_set():
             return
         try:
-            results[index] = runner(plan.run_values(index))
+            results[index] = runner(run_values(levels, index))
         except BaseException:
             faulted.set()
             raise
@@ -173,7 +148,7 @@ def execute(plan: OaPlan, runner, workers: int = 1, results=None) -> list:
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(run, index)
-                   for index in range(plan.n_runs) if results[index] is None]
+                   for index in range(N_RUNS) if results[index] is None]
         for future in futures:
             future.result()
     finally:
@@ -191,19 +166,16 @@ class RangeAnalysis:
     ``best_values[f]`` its concrete value.
     """
 
-    factor_names: tuple
     level_sums: tuple
     best_levels: tuple
     best_values: tuple
 
 
-def range_analysis(plan: OaPlan, accuracies) -> RangeAnalysis:
+def range_analysis(levels, accuracies) -> RangeAnalysis:
     """Sum accuracies per factor level and select the best levels."""
     accuracies = list(accuracies)
-    if len(accuracies) != plan.n_runs:
-        raise DataError(
-            f"need {plan.n_runs} accuracies, got {len(accuracies)}"
-        )
+    if len(accuracies) != N_RUNS:
+        raise DataError(f"need {N_RUNS} accuracies, got {len(accuracies)}")
     missing = [i for i, a in enumerate(accuracies) if a is None]
     if missing:
         raise DataError(
@@ -211,18 +183,15 @@ def range_analysis(plan: OaPlan, accuracies) -> RangeAnalysis:
             f"re-run them before analysing"
         )
 
-    sums = np.zeros((plan.n_factors, plan.n_levels))
-    for run, row in enumerate(plan.assignment):
-        for f in range(plan.n_factors):
+    sums = np.zeros((N_FACTORS, N_LEVELS))
+    for run, row in enumerate(L16):
+        for f in range(N_FACTORS):
             sums[f][row[f] - 1] += accuracies[run]
 
-    best_levels = tuple(int(np.argmax(sums[f])) + 1 for f in range(plan.n_factors))
-    best_values = tuple(
-        plan.level_values[f][best_levels[f] - 1] for f in range(plan.n_factors)
-    )
+    best_levels = tuple(int(np.argmax(sums[f])) + 1 for f in range(N_FACTORS))
+    best_values = tuple(levels[f][best_levels[f] - 1] for f in range(N_FACTORS))
     return RangeAnalysis(
-        factor_names=plan.factor_names,
-        level_sums=tuple(tuple(float(x) for x in sums[f]) for f in range(plan.n_factors)),
+        level_sums=tuple(tuple(float(x) for x in sums[f]) for f in range(N_FACTORS)),
         best_levels=best_levels,
         best_values=best_values,
     )
@@ -231,16 +200,16 @@ def range_analysis(plan: OaPlan, accuracies) -> RangeAnalysis:
 # ---------------------------------------------------------------------------
 # CSV persistence so an interrupted sweep can resume
 
-def save_plan(plan: OaPlan, results, path) -> None:
+def save_plan(levels, results, path) -> None:
     """Write run index, concrete factor values, and accuracy (if any)."""
-    write_csv(path, ("run", *plan.factor_names, "accuracy"), (
-        (run + 1, *plan.run_values(run),
+    write_csv(path, ("run", *FACTOR_NAMES, "accuracy"), (
+        (run + 1, *run_values(levels, run),
          None if results[run] is None else float(results[run]))
-        for run in range(plan.n_runs)
+        for run in range(N_RUNS)
     ))
 
 
-def load_results(plan: OaPlan, path) -> list:
+def load_results(levels, path) -> list:
     """Read back accuracies saved by :func:`save_plan`; None where blank.
 
     Each run appears once, with the plan's factor values (so a stale
@@ -248,21 +217,21 @@ def load_results(plan: OaPlan, path) -> list:
     blank or a number in [0, 1].
     """
     path = Path(path)
-    results = [None] * plan.n_runs
+    results = [None] * N_RUNS
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    if not lines or lines[0] != "run," + ",".join(plan.factor_names) + ",accuracy":
+    if not lines or lines[0] != "run," + ",".join(FACTOR_NAMES) + ",accuracy":
         raise DataError(f"{path}: unexpected results header")
-    if len(lines) - 1 != plan.n_runs:
+    if len(lines) - 1 != N_RUNS:
         raise DataError(
-            f"{path}: expected {plan.n_runs} result rows, got {len(lines) - 1}"
+            f"{path}: expected {N_RUNS} result rows, got {len(lines) - 1}"
         )
     seen = set()
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != plan.n_factors + 2:
+        if len(cells) != N_FACTORS + 2:
             raise DataError(f"{path}: malformed row {line!r}")
         try:
             run = int(cells[0]) - 1
@@ -270,12 +239,12 @@ def load_results(plan: OaPlan, path) -> list:
             accuracy = float(cells[-1]) if cells[-1] else None
         except ValueError:
             raise DataError(f"{path}: malformed row {line!r}") from None
-        if not 0 <= run < plan.n_runs or run in seen:
+        if not 0 <= run < N_RUNS or run in seen:
             raise DataError(
-                f"{path}: run {cells[0]} repeated or outside 1..{plan.n_runs}"
+                f"{path}: run {cells[0]} repeated or outside 1..{N_RUNS}"
             )
         seen.add(run)
-        expected = plan.run_values(run)
+        expected = run_values(levels, run)
         if got != tuple(float(v) for v in expected):
             raise DataError(
                 f"{path}: run {run + 1} factor values {got} do not match "
@@ -296,5 +265,5 @@ def save_analysis(analysis: RangeAnalysis, path) -> None:
     write_csv(path, header, (
         (name, *analysis.level_sums[f], analysis.best_levels[f],
          analysis.best_values[f])
-        for f, name in enumerate(analysis.factor_names)
+        for f, name in enumerate(FACTOR_NAMES)
     ))

@@ -1,9 +1,26 @@
+import multiprocessing
+import threading
+
 import pytest
 
 from mindctl.model import HyperParams, TrainingSchedule, build, train
 from mindctl.dataset import split
 
 from helpers import make_toy_samples
+
+
+@pytest.fixture(autouse=True)
+def nothing_outlives_the_test():
+    """Fail a test that leaves a thread or a child process running."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(timeout=2.0)
+    alive = [t.name for t in started if t.is_alive()]
+    assert not alive, f"threads still running after the test: {alive}"
+    children = multiprocessing.active_children()
+    assert not children, f"child processes still running after the test: {children}"
 
 
 @pytest.fixture(scope="session")

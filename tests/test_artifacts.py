@@ -14,7 +14,7 @@ import pytest
 from mindctl import cli, device, evaluation, model, oa
 from mindctl.cli import main
 from mindctl.dataset import SampleSet, save_table
-from mindctl.evaluation import ConfusionMatrix, RocCurve
+from mindctl.evaluation import RocCurve
 from mindctl.model import HyperParams, build, save
 
 _LEVELS = (
@@ -61,16 +61,14 @@ def _history(path):
 
 def _roc(path):
     points = np.array([[0.0, 0.0], [0.0, 0.5], [0.25, 0.75], [1.0, 1.0]])
-    evaluation.save_roc(RocCurve(points, auc=0.8, class_label=2), path)
+    evaluation.save_roc(RocCurve(points, auc=0.8), path)
 
 
 def _report(path):
-    cm = ConfusionMatrix(np.array([[3, 1, 0, 0, 0], [0, 2, 0, 0, 0],
-                                   [1, 0, 4, 0, 0], [0, 0, 0, 0, 0],
-                                   [0, 0, 1, 0, 2]]))
-    m = evaluation.metrics(cm)
-    m.auc = np.array([0.9, 0.75, 2 / 3, float("nan"), 1.0])
-    evaluation.save_report(cm, m, path)
+    counts = np.array([[3, 1, 0, 0, 0], [0, 2, 0, 0, 0], [1, 0, 4, 0, 0],
+                       [0, 0, 0, 0, 0], [0, 0, 1, 0, 2]])
+    evaluation.save_report(counts, evaluation.metrics(counts),
+                           [0.9, 0.75, 2 / 3, None, 1.0], None, path)
 
 
 def _plan(path):

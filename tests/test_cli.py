@@ -525,7 +525,8 @@ def test_corrupt_checkpoint_is_data_error(tmp_path):
     assert rc == 3
 
 
-_BAD_CONFIGS = {"config": {"width": "x"}, "config_key": {"widht": 4}}
+_BAD_CONFIGS = {"config": {"width": "x"}, "config_key": {"widht": 4},
+                "config_data_int": {"data": 5}, "config_data_list": {"data": ["a"]}}
 _BAD_LEVELS = {
     "levels": {"l2": 0.001},
     "levels_list": {"l2": [[0], [1], [2], [3]]},
@@ -595,6 +596,23 @@ def test_unreadable_json_input_names_the_file(edf_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"error: {bad}: " in err
     assert "Traceback" not in err
+
+
+def test_tune_levels_unknown_factor_names_file_and_key(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps({**_TINY_LEVELS, "momentum": [1, 2, 3, 4]}))
+    out = tmp_path / "out"
+    rc = main(["tune", "--data", str(data), "--levels", str(levels),
+               "--epochs", "1", "--no-confirm", "--out-dir", str(out)])
+    assert rc == 3
+    assert f"error: {levels}: unknown factor 'momentum'" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    levels.write_text(json.dumps(list(_TINY_LEVELS.values())))
+    assert main(["tune", "--data", str(data), "--levels", str(levels),
+                 "--out-dir", str(out)]) == 3
+    assert f"error: {levels}: expected a JSON object" in capsys.readouterr().err
 
 
 def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,

@@ -17,7 +17,6 @@ from helpers import reference_confusion, reference_midranks
 from mindctl.dataset import LABELS, SampleSet
 from mindctl.errors import DataError
 from mindctl.evaluation import (
-    ConfusionMatrix,
     _midranks,
     confusion,
     knn_classify,
@@ -42,27 +41,26 @@ KNOWN_COUNTS = np.array(
 # confusion
 
 def test_confusion_identity_diagonal():
-    cm = confusion([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
-    assert np.array_equal(cm.counts, np.eye(5, dtype=int))
+    counts = confusion([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
+    assert np.array_equal(counts, np.eye(5, dtype=int))
 
 
 def test_known_grid_column_totals():
-    cm = ConfusionMatrix(counts=KNOWN_COUNTS)
-    assert list(cm.counts.sum(axis=0)) == [2120, 1178, 1210, 1232, 1260]
-    assert cm.counts.sum() == 7000
+    assert list(KNOWN_COUNTS.sum(axis=0)) == [2120, 1178, 1210, 1232, 1260]
+    assert KNOWN_COUNTS.sum() == 7000
 
 
 def test_confusion_matches_counting_oracle():
     rng = np.random.default_rng(6)
     predicted = rng.integers(1, 6, size=300)
     truth = rng.integers(1, 6, size=300)
-    cm = confusion(predicted, truth)
+    counts = confusion(predicted, truth)
     for p in range(1, 6):
         for t in range(1, 6):
             expected = sum(
                 1 for a, b in zip(predicted, truth) if a == p and b == t
             )
-            assert cm.counts[p - 1, t - 1] == expected
+            assert counts[p - 1, t - 1] == expected
 
 
 def test_confusion_rejects_bad_input():
@@ -82,8 +80,8 @@ def test_confusion_and_midranks_match_loop_references(seed):
     labels = rng.permutation(LABELS)[:3]  # two classes stay empty
     predicted = rng.choice(labels, size=n)
     truth = rng.choice(labels, size=n)
-    cm = confusion(predicted, truth)
-    assert np.array_equal(cm.counts, reference_confusion(predicted, truth))
+    assert np.array_equal(confusion(predicted, truth),
+                          reference_confusion(predicted, truth))
     # integer scores from a narrow range: most values are tied
     scores = rng.integers(-3, 4, size=n).astype(np.float64)
     assert np.array_equal(_midranks(scores), reference_midranks(scores))
@@ -93,7 +91,7 @@ def test_confusion_and_midranks_match_loop_references(seed):
 # metrics
 
 def test_metrics_known_grid():
-    m = metrics(ConfusionMatrix(counts=KNOWN_COUNTS))
+    m = metrics(KNOWN_COUNTS)
     assert np.allclose(
         m.precision, [0.9618, 0.9404, 0.9574, 0.9732, 0.9396], atol=1e-4
     )
@@ -105,7 +103,7 @@ def test_metrics_known_grid():
 
 
 def test_perfect_diagonal_all_ones():
-    m = metrics(ConfusionMatrix(counts=np.diag([3, 1, 4, 1, 5])))
+    m = metrics(np.diag([3, 1, 4, 1, 5]))
     assert np.all(m.precision == 1.0)
     assert np.all(m.recall == 1.0)
     assert np.all(m.f1 == 1.0)
@@ -116,7 +114,7 @@ def test_metrics_match_hand_formula_oracle():
     rng = np.random.default_rng(7)
     counts = rng.integers(0, 30, size=(5, 5))
     counts[np.diag_indices(5)] += 1  # avoid fully-degenerate rows/cols
-    m = metrics(ConfusionMatrix(counts=counts))
+    m = metrics(counts)
     for c in range(5):
         precision = counts[c, c] / counts[c, :].sum()
         recall = counts[c, c] / counts[:, c].sum()
@@ -133,7 +131,7 @@ def test_metrics_match_hand_formula_oracle():
 def test_zero_denominator_flagged():
     counts = np.zeros((5, 5), dtype=int)
     counts[0, 0] = 10
-    m = metrics(ConfusionMatrix(counts=counts))
+    m = metrics(counts)
     assert m.precision[1] == 0.0
     assert (2, "precision") in m.degenerate
 
@@ -141,7 +139,7 @@ def test_zero_denominator_flagged():
 def test_f1_is_harmonic_mean_of_own_precision_recall():
     rng = np.random.default_rng(12)
     counts = rng.integers(1, 40, size=(5, 5))
-    m = metrics(ConfusionMatrix(counts=counts))
+    m = metrics(counts)
     for c in range(5):
         harmonic = 2 / (1 / m.precision[c] + 1 / m.recall[c])
         assert m.f1[c] == pytest.approx(harmonic, abs=1e-12)
@@ -360,12 +358,9 @@ def test_knn_rejects_non_finite_or_overflowing_features(bad):
 # report writer
 
 def test_save_report_layout(tmp_path):
-    cm = ConfusionMatrix(counts=KNOWN_COUNTS)
-    m = metrics(cm)
-    m.auc = np.array([0.99, 0.98, 0.97, 0.96, 0.95])
-    m.macro_auc = float(m.auc.mean())
+    auc = [0.99, 0.98, 0.97, 0.96, 0.95]
     path = tmp_path / "report.csv"
-    save_report(cm, m, path)
+    save_report(KNOWN_COUNTS, metrics(KNOWN_COUNTS), auc, float(np.mean(auc)), path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("predicted,truth_1")
     assert len(lines) == 1 + 5 + 3  # header, classes, total, average, accuracy

@@ -17,15 +17,17 @@ from mindctl.errors import DataError
 from mindctl.model import HyperParams
 from mindctl.oa import (
     FACTOR_NAMES,
-    OaPlan,
+    L16,
+    N_RUNS,
+    SAVINGS,
     build_plan,
     execute,
     is_orthogonal,
     load_results,
     range_analysis,
+    run_values,
     save_analysis,
     save_plan,
-    savings,
 )
 from helpers import mutated_bytes
 
@@ -45,35 +47,40 @@ KNOWN_RUN_ACCURACIES = [
 
 def test_plan_fixed_run_values():
     plan = build_plan(LEVELS)
-    assert plan.run_values(0) == (0.002, 0.005, 16, 5, 1)
-    assert plan.run_values(4) == (0.004, 0.005, 32, 7, 13)
-    assert plan.run_values(15) == (0.008, 0.02, 16, 7, 3)
+    assert run_values(plan, 0) == (0.002, 0.005, 16, 5, 1)
+    assert run_values(plan, 4) == (0.004, 0.005, 32, 7, 13)
+    assert run_values(plan, 15) == (0.008, 0.02, 16, 7, 3)
 
 
 def test_plan_orthogonality_brute_force():
-    plan = build_plan(LEVELS)
     # independent enumeration: every ordered level pair of every factor
     # pair appears exactly once across the 16 runs
     for fa, fb in itertools.combinations(range(5), 2):
-        pairs = [(row[fa], row[fb]) for row in plan.assignment]
+        pairs = [(row[fa], row[fb]) for row in L16]
         assert sorted(pairs) == sorted(itertools.product((1, 2, 3, 4), repeat=2))
-    assert is_orthogonal(plan)
+    assert is_orthogonal(L16)
+
+
+def test_swapping_two_entries_of_a_column_breaks_orthogonality():
+    # rows 1 and 2 of column 2 hold levels 1 and 2: every level still
+    # occurs four times, but the pairs with the other columns repeat
+    rows = [list(row) for row in L16]
+    rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
+    assert rows[0][1] != rows[1][1]
+    assert not is_orthogonal(tuple(map(tuple, rows)))
 
 
 def test_each_level_occurs_four_times():
-    plan = build_plan(LEVELS)
     for f in range(5):
-        column = [row[f] for row in plan.assignment]
+        column = [row[f] for row in L16]
         assert sorted(column) == [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4
 
 
 def test_permuting_level_values_keeps_assignment():
-    plan = build_plan(LEVELS)
     permuted = build_plan(tuple(tuple(reversed(vals)) for vals in LEVELS))
-    assert permuted.assignment == plan.assignment
     # run parameters permute correspondingly: level 1 now yields the old
     # level-4 value
-    assert permuted.run_values(0) == (0.008, 0.02, 64, 8, 13)
+    assert run_values(permuted, 0) == (0.008, 0.02, 64, 8, 13)
 
 
 def test_build_plan_rejects_wrong_counts():
@@ -96,7 +103,7 @@ def test_constant_runner():
 
 def test_lookup_runner_reproduces_fixture():
     plan = build_plan(LEVELS)
-    table = {plan.run_values(i): KNOWN_RUN_ACCURACIES[i] for i in range(16)}
+    table = {run_values(plan, i): KNOWN_RUN_ACCURACIES[i] for i in range(16)}
     results = execute(plan, lambda values: table[values])
     assert results == KNOWN_RUN_ACCURACIES
 
@@ -142,7 +149,7 @@ def test_fault_stops_the_sweep_before_earlier_runs_return():
     # run 0 is slow and run 1 faults at once: no queued run may start
     # while run 0 still runs
     plan = build_plan(LEVELS)
-    runs = [plan.run_values(i) for i in range(plan.n_runs)]
+    runs = [run_values(plan, i) for i in range(N_RUNS)]
     started = []
 
     def runner(values):
@@ -178,7 +185,8 @@ def test_execute_skips_existing_results():
 def test_worker_threads_fill_every_run_under_fast_switching():
     # more workers than cores, each storing its own run's result
     plan = build_plan(LEVELS)
-    expected = [(v[0] * 1000 + v[2]) / 1e6 for v in map(plan.run_values, range(16))]
+    expected = [(v[0] * 1000 + v[2]) / 1e6
+                for v in (run_values(plan, run) for run in range(16))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -228,7 +236,7 @@ def test_range_analysis_matches_summation_oracle():
             expected = sum(
                 accuracies[run]
                 for run in range(16)
-                if plan.assignment[run][f] == level
+                if L16[run][f] == level
             )
             assert analysis.level_sums[f][level - 1] == pytest.approx(
                 expected, abs=1e-12
@@ -258,30 +266,17 @@ def test_analysis_is_permutation_stable():
 # savings
 
 def test_savings_sixteen_of_1024():
-    plan = build_plan(LEVELS)
-    assert savings(plan) == 1.0 - 16.0 / 1024.0
-    assert round(savings(plan), 3) == 0.984
+    assert SAVINGS == 1.0 - 16.0 / 1024.0
+    assert round(SAVINGS, 3) == 0.984
 
 
-def test_savings_exhaustive_plan_is_zero():
-    rows = tuple(
-        tuple(int(d) + 1 for d in np.base_repr(i, 4).zfill(5)) for i in range(1024)
-    )
-    plan = OaPlan(factor_names=("a", "b", "c", "d", "e"),
-                  level_values=((1, 2, 3, 4),) * 5, assignment=rows)
-    assert savings(plan) == 0.0
-
-
-def test_savings_nine_run_three_level_design():
+def test_nine_run_three_level_design_is_orthogonal():
     l9 = (
         (1, 1, 1), (1, 2, 2), (1, 3, 3),
         (2, 1, 2), (2, 2, 3), (2, 3, 1),
         (3, 1, 3), (3, 2, 1), (3, 3, 2),
     )
-    plan = OaPlan(factor_names=("a", "b", "c"),
-                  level_values=((1, 2, 3),) * 3, assignment=l9)
-    assert is_orthogonal(plan)
-    assert savings(plan) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert is_orthogonal(l9)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +313,7 @@ def test_load_results_malformed_row_is_data_error(tmp_path):
 
 _FUZZ_PLAN = build_plan(LEVELS)
 _FUZZ_RESULTS = ("run,l2,lr,width,layers,batches,accuracy\n" + "".join(
-    f"{run + 1},{','.join(map(str, _FUZZ_PLAN.run_values(run)))},{acc}\n"
+    f"{run + 1},{','.join(map(str, run_values(_FUZZ_PLAN, run)))},{acc}\n"
     for run, acc in enumerate([*KNOWN_RUN_ACCURACIES[:5], "",
                                *KNOWN_RUN_ACCURACIES[6:]])
 )).encode("ascii")
