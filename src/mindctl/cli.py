@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 internal error (a traceback is printed),
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +158,11 @@ def _fit(samples, values, settings, announce: bool = False):
     return trained, history, max(h[2] for h in history)
 
 
+def _tune_run(samples, values, settings) -> float:
+    """Best test accuracy of one tuning run; runs in a worker process."""
+    return _fit(samples, values, settings)[2]
+
+
 def _resolve_train_settings(args) -> dict:
     """Explicit flag > persisted config > built-in default."""
     from_config = dataset.read_json(args.config) if args.config else {}
@@ -231,17 +238,28 @@ def _cmd_tune(args) -> int:
                             "or the confirmation model")
         samples = dataset.load_table(args.data)
 
+    settings = {key: getattr(args, key)
+                for key in ("seed", "epochs", "patience", "bptt")}
+
     def runner(values):
         try:
-            _, _, best = _fit(samples, values, vars(args))
+            best = pool.submit(_tune_run, samples, values, settings).result()
         except PipelineError as exc:  # bad input for this run, not a fault
             _log(f"  run {values}: failed: {exc}")
             return None
         _log(f"  run {values}: accuracy {best:.4f}")
         return best
 
+    # worker processes train the runs; the threads of oa.execute only hand
+    # them over and wait, and the with block joins the workers before tune
+    # goes on. fork, because spawn and forkserver leave a resource tracker
+    # or fork server running until the interpreter exits.
+    workers = min(args.workers, max(results.count(None), 1))  # no idle forks
     try:
-        oa.execute(levels, runner, workers=args.workers, results=results)
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            oa.execute(levels, runner, workers, results)
     finally:  # a stopped sweep keeps its finished runs for the resume
         oa.save_plan(levels, results, results_path)
     analysis = oa.range_analysis(levels, results)
@@ -252,7 +270,7 @@ def _cmd_tune(args) -> int:
     summary = {"best": best, "savings": oa.SAVINGS}
     if args.confirm:
         trained, _, summary["confirmation_accuracy"] = _fit(
-            samples, analysis.best_values, vars(args)
+            samples, analysis.best_values, settings
         )
         (out / "tuned_model.mctl").write_bytes(model.save(trained))
         _log(f"confirmation run accuracy {summary['confirmation_accuracy']:.4f}")
@@ -440,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=_SCHEDULE.max_epochs)
     p.add_argument("--patience", type=int, default=_SCHEDULE.patience)
     p.add_argument("--bptt", type=int, default=_SCHEDULE.bptt_window)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="runs trained at once, each in a forked worker process")
     p.add_argument("--confirm", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="retrain once at the selected best levels")

@@ -112,23 +112,22 @@ def is_orthogonal(rows) -> bool:
     return True
 
 
-def execute(levels, runner, workers: int = 1, results=None) -> list:
-    """Evaluate every pending run's factor combination with ``runner``.
+def execute(levels, runner, workers: int, results: list) -> list:
+    """Hand every pending run's factor combination to ``runner``.
 
     ``runner(values)`` receives one run's concrete factor values and
     returns its accuracy in [0, 1], or None for a run that could not
-    produce one, which the analysis rejects later. Runs are independent
-    and execute on ``workers`` threads. ``results`` is the caller's list
-    (a new all-pending one when None), filled in place by run index as
-    each run returns and then returned, so the outcome is
-    schedule-independent; runs already holding an accuracy, from an
-    interrupted sweep, are skipped. An exception from ``runner`` stops
-    the sweep: no run starts after it, the running ones finish, and the
-    exception of the first faulted run in run order propagates; the runs
-    that finished stay in ``results``.
+    produce one, which the analysis rejects later. ``workers`` threads
+    dispatch the runs: each calls ``runner`` and waits for it, so up to
+    ``workers`` runs are in flight at once, and the runner decides where
+    a run is computed. ``results`` is the caller's list, one entry per
+    run, filled in place by run index as each run returns and then
+    returned, so the outcome is schedule-independent; runs already
+    holding an accuracy, from an interrupted sweep, are skipped. An
+    exception from ``runner`` stops the sweep: no run starts after it,
+    the running ones finish, and the exception of the first faulted run
+    in run order propagates; the runs that finished stay in ``results``.
     """
-    if results is None:
-        results = [None] * N_RUNS
     if len(results) != N_RUNS:
         raise DataError(
             f"existing results cover {len(results)} runs, plan has {N_RUNS}"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import mindctl
-from mindctl import model, oa
+from mindctl import cli, model, oa
 from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, build_parser, main
 from mindctl.dataset import SampleSet, load_table, save_table
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, serialize_edf
@@ -283,21 +284,31 @@ _TINY_LEVELS = {
 }
 
 
-def test_tune_run_with_bad_input_is_recorded_as_failed(tmp_path, capsys):
-    # 28 rows do not split into 5 + 1 batches: those 4 runs fail, the
-    # rest complete, and the analysis refuses the gaps
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_tune_run_with_bad_input_is_recorded_as_failed(tmp_path, capsys, workers):
+    # 28 rows do not split into 5 + 1 batches: those 4 runs fail in their
+    # worker process, the rest complete, and the analysis refuses the
+    # gaps; the failures and results.csv do not depend on the worker count
     data = tmp_path / "data.csv"
     save_table(make_toy_samples(n=28, seed=2), data)
     levels = tmp_path / "levels.json"
     levels.write_text(json.dumps({**_TINY_LEVELS, "batches": [1, 3, 6, 5]}))
-    out = tmp_path / "out"
-    rc = main(["tune", "--data", str(data), "--levels", str(levels),
-               "--epochs", "1", "--no-confirm", "--out-dir", str(out)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.count(": failed: ") == 4 and "missing accuracies" in err
-    rows = (out / "results.csv").read_text().splitlines()[1:]
+
+    def tune(workers, out):
+        rc = main(["tune", "--data", str(data), "--levels", str(levels),
+                   "--epochs", "1", "--workers", workers, "--no-confirm",
+                   "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and "missing accuracies" in err
+        failed = sorted(line for line in err.splitlines() if ": failed: " in line)
+        return failed, (out / "results.csv").read_bytes()
+
+    failed, results = tune(workers, tmp_path / "out")
+    assert len(failed) == 4
+    rows = results.decode().splitlines()[1:]
     assert sum(not row.split(",")[-1] for row in rows) == 4
+    if workers != "1":
+        assert tune("1", tmp_path / "one") == (failed, results)
 
 
 def test_fault_inside_a_tune_run_is_internal_error(tmp_path, monkeypatch,
@@ -354,6 +365,59 @@ def test_stopped_sweep_keeps_finished_runs_and_resumes(tmp_path, monkeypatch,
     assert capsys.readouterr().err.count(": accuracy ") == 16 - finished
     assert ({n: (out / n).read_bytes() for n in names}
             == {n: (whole / n).read_bytes() for n in names})
+
+
+def test_worker_process_that_dies_is_a_fault_and_keeps_finished_runs(
+        tmp_path, monkeypatch, capsys):
+    # a forked worker inherits the patch; os._exit ends it without an
+    # exception to send back, which breaks the pool for the runs in flight
+    parent, real = os.getpid(), cli._fit
+
+    def dying(samples, values, settings, announce=False):
+        if os.getpid() != parent and values[2] == 5:
+            os._exit(1)
+        return real(samples, values, settings, announce)
+
+    monkeypatch.setattr(cli, "_fit", dying)
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps(_TINY_LEVELS))
+    out = tmp_path / "out"
+    rc = main(["tune", "--data", str(data), "--levels", str(levels), "--epochs", "1",
+               "--workers", "2", "--no-confirm", "--out-dir", str(out)])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "BrokenProcessPool" in err
+    finished = err.count(": accuracy ")
+    plan = oa.build_plan(tuple(_TINY_LEVELS[n] for n in oa.FACTOR_NAMES))
+    recorded = oa.load_results(plan, out / "results.csv")
+    assert 0 < finished == sum(a is not None for a in recorded) < 16
+    assert all(a is None for run, a in enumerate(recorded)
+               if oa.run_values(plan, run)[2] == 5)
+    assert multiprocessing.active_children() == []
+
+
+def test_tune_forks_no_more_workers_than_pending_runs(tmp_path, monkeypatch):
+    sizes, real = [], cli.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps(_TINY_LEVELS))
+    out = tmp_path / "out"
+    out.mkdir()
+    plan = oa.build_plan(tuple(_TINY_LEVELS[n] for n in oa.FACTOR_NAMES))
+    oa.save_plan(plan, [0.5] * 15 + [None], out / "results.csv")
+    tune = ["tune", "--data", str(data), "--levels", str(levels), "--epochs", "1",
+            "--workers", "4", "--no-confirm", "--out-dir", str(out)]
+    assert main(tune) == 0 and main(tune) == 0  # one run pending, then none
+    assert sizes == [1, 1]
 
 
 def test_tune_confirm_outputs_identical_for_one_and_two_workers(tmp_path):

@@ -97,14 +97,14 @@ def test_build_plan_rejects_wrong_counts():
 
 def test_constant_runner():
     plan = build_plan(LEVELS)
-    results = execute(plan, lambda values: 0.5)
+    results = execute(plan, lambda values: 0.5, 1, [None] * N_RUNS)
     assert results == [0.5] * 16
 
 
 def test_lookup_runner_reproduces_fixture():
     plan = build_plan(LEVELS)
     table = {run_values(plan, i): KNOWN_RUN_ACCURACIES[i] for i in range(16)}
-    results = execute(plan, lambda values: table[values])
+    results = execute(plan, lambda values: table[values], 1, [None] * N_RUNS)
     assert results == KNOWN_RUN_ACCURACIES
 
 
@@ -114,8 +114,8 @@ def test_parallel_equals_sequential():
     def runner(values):
         return (values[0] * 1000 + values[2]) / 1e6
 
-    sequential = execute(plan, runner, workers=1)
-    parallel = execute(plan, runner, workers=8)
+    sequential = execute(plan, runner, 1, [None] * N_RUNS)
+    parallel = execute(plan, runner, 8, [None] * N_RUNS)
     assert sequential == parallel
 
 
@@ -125,7 +125,7 @@ def test_failed_run_recorded_and_blocks_analysis():
     def flaky(values):
         return None if values[2] == 48 else 0.5
 
-    results = execute(plan, flaky)
+    results = execute(plan, flaky, 1, [None] * N_RUNS)
     assert results.count(None) == 4  # width=48 appears in 4 runs
     with pytest.raises(DataError, match="missing accuracies"):
         range_analysis(plan, results)
@@ -142,7 +142,7 @@ def test_raising_runner_propagates(workers):
         return 0.5
 
     with pytest.raises(RuntimeError, match="boom"):
-        execute(plan, faulty, workers=workers)
+        execute(plan, faulty, workers, [None] * N_RUNS)
 
 
 def test_fault_stops_the_sweep_before_earlier_runs_return():
@@ -162,7 +162,7 @@ def test_fault_stops_the_sweep_before_earlier_runs_return():
         return 0.5
 
     with pytest.raises(RuntimeError, match="boom"):
-        execute(plan, runner, workers=2)
+        execute(plan, runner, 2, [None] * N_RUNS)
     assert sorted(started) == [0, 1]
 
 
@@ -176,7 +176,7 @@ def test_execute_skips_existing_results():
         calls.append(values)
         return 0.9
 
-    results = execute(plan, runner, results=existing)
+    results = execute(plan, runner, 1, existing)
     assert len(calls) == 1
     assert results[3] == 0.9
     assert results[0] == 0.1
@@ -191,7 +191,8 @@ def test_worker_threads_fill_every_run_under_fast_switching():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            results = execute(plan, lambda v: (v[0] * 1000 + v[2]) / 1e6, workers=8)
+            results = execute(plan, lambda v: (v[0] * 1000 + v[2]) / 1e6,
+                              8, [None] * N_RUNS)
             assert results == expected
     finally:
         sys.setswitchinterval(interval)
