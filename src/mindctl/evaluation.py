@@ -160,10 +160,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 def save_roc(curve: RocCurve, path) -> None:
     """CSV operating points with both linear and log10 FPR columns."""
-    write_csv(path, ("fpr", "log10_fpr", "tpr"), (
-        (fpr, np.log10(fpr) if fpr > 0 else "-inf", tpr)
-        for fpr, tpr in curve.points
-    ))
+    fpr, tpr = curve.points.T
+    log_fpr = np.log10(fpr, out=np.full_like(fpr, -np.inf), where=fpr > 0)
+    write_csv(path, ("fpr", "log10_fpr", "tpr"),
+              zip(fpr.tolist(), log_fpr.tolist(), tpr.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .nn import (
     glorot_uniform,
     map_layer,
     sequence_gradients,
-    sequence_loss,
     softmax,
 )
 
@@ -199,14 +198,43 @@ def predict(model: ModelParams, features):
     return labels, scores
 
 
-def _evaluate_test(layers, split: DatasetSplit, l2: float):
-    logits, _, _ = forward_sequence(layers, split.test.features)
+def _score(layers, logits, samples: SampleSet, l2: float):
+    """``(accuracy, loss)`` of one sequence's logits against its labels."""
     scores = softmax(logits)
     predicted = scores.argmax(axis=1) + 1
-    acc = float((predicted == split.test.labels).mean())
+    acc = float((predicted == samples.labels).mean())
     weights = [W for layer in layers for W in layer.weight_matrices()]
-    loss = cross_entropy_loss(scores, split.test.labels, weights, l2)
+    loss = cross_entropy_loss(scores, samples.labels, weights, l2)
     return acc, loss
+
+
+def _evaluate_test(layers, split: DatasetSplit, l2: float):
+    logits, _, _ = forward_sequence(layers, split.test.features)
+    return _score(layers, logits, split.test, l2)
+
+
+def _evaluate_initial(layers, split: DatasetSplit, l2: float):
+    """Epoch 0's ``(test accuracy, test loss, mean train loss)``.
+
+    The test block and the training batches are ``batch_size`` rows
+    each and share the initial weights, so they run as one lockstep
+    stack of k sequences. The stack is walked in time chunks of
+    ceil(n/k) rows with LSTM state carried between them, so a chunk
+    holds as many rows as one sequence and the pass needs the memory of
+    one sequence's forward.
+    """
+    blocks = [split.test, *split.train_batches()]
+    n, k = split.batch_size, len(blocks)
+    rows = -(-n // k)
+    logits = np.empty((n, k, N_CLASSES))
+    state = {}
+    for lo in range(0, n, rows):
+        stack = np.stack([b.features[lo : lo + rows] for b in blocks], axis=1)
+        logits[lo : lo + rows] = forward_sequence(layers, stack, state=state)[0]
+    (test_acc, test_loss), *train = [
+        _score(layers, logits[:, j], block, l2) for j, block in enumerate(blocks)
+    ]
+    return test_acc, test_loss, float(np.mean([loss for _, loss in train]))
 
 
 def train(
@@ -220,9 +248,10 @@ def train(
     epoch walks the training batches in order, treating every batch as
     one time sequence, and applies one Adam update per batch. The test
     set is scored after every epoch; history rows are (epoch, train
-    loss, test accuracy) and the returned model is the checkpoint with
-    the best test accuracy seen. Training stops early after
-    ``patience`` epochs without test-loss improvement.
+    loss, test accuracy), where row 0 scores the initial weights, and
+    the returned model is the checkpoint with the best test accuracy
+    seen. Training stops early after ``patience`` epochs without
+    test-loss improvement.
     """
     # The returned model shares no array with ``model``. adam_step returns
     # fresh arrays, so the best layers are kept by reference, uncopied.
@@ -231,11 +260,7 @@ def train(
     hp = model.hyper
     window = schedule.bptt_window
 
-    test_acc, test_loss = _evaluate_test(layers, split, hp.l2)
-    train_loss = float(np.mean([
-        sequence_loss(layers, batch.features, batch.labels, hp.l2)
-        for batch in split.train_batches()
-    ]))
+    test_acc, test_loss, train_loss = _evaluate_initial(layers, split, hp.l2)
     history = [(0, train_loss, test_acc)]
     best_acc, best_layers = test_acc, layers
     best_test_loss = test_loss

@@ -108,27 +108,34 @@ def glorot_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 def affine(X, params: DenseParams):
     """Affine map over rows: X @ W + b.
 
-    The layer connection is purely affine by design; nonlinearity enters
-    through the LSTM layers.
+    ``X`` is (n, fan_in) or a lockstep stack (n, k, fan_in). The layer
+    connection is purely affine by design; nonlinearity enters through
+    the LSTM layers.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.W.shape[0]:
+    if X.ndim not in (2, 3) or X.shape[-1] != params.W.shape[0]:
         raise DataError(
             f"affine input {X.shape} incompatible with weights "
             f"{params.W.shape}"
         )
-    return X @ params.W + params.b
+    return _matmul_rows(X, params.W) + params.b
 
 
-def _lstm_layer(A, layer: LstmParams):
-    """Run one LSTM layer over the rows of ``A``, starting from zero state.
+def _matmul_rows(X, W):
+    """``X @ W`` over the last axis of ``X`` as one 2-D product; numpy
+    would take one product per time step of a lockstep stack."""
+    return (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + W.shape[1:])
+
+
+def _lstm_layer(A, layer: LstmParams, start=None):
+    """Run one LSTM layer over the rows of ``A``, from ``start`` or zero.
 
     This is the one implementation of the cell: the gates of step t
     activate ``A[t] @ W_in + h_prev @ W_rec + b`` (sigmoid for input,
     forget and output, tanh for modulation), the cell memory becomes
     ``forget * c_prev + input * modulation`` and the output
-    ``output * tanh(c)``. ``A @ W_in + b`` is built as one (n, 4*width)
-    block, with the three sigmoid blocks halved; the recurrent weights
+    ``output * tanh(c)``. ``A @ W_in + b`` is built as one block of
+    rows, with the three sigmoid blocks halved; the recurrent weights
     are a copy of ``W_rec`` halved the same way. Halving is exact, so
     each step computes ``x/2`` for every sigmoid pre-activation ``x``. A
     step adds ``h_prev @ W_rec`` to its row, takes one tanh over the
@@ -136,23 +143,32 @@ def _lstm_layer(A, layer: LstmParams):
     (1 + tanh(x/2)) / 2, all in place: no branch, no mask and no
     overflow.
 
+    A row of ``A`` is one sample ``(fan_in,)`` or a lockstep stack
+    ``(k, fan_in)``: the same step of k sequences that share the
+    weights, which then take one (k, width) @ (width, 4*width) product
+    per step. ``start`` is the ``(c, h)`` state before the first row.
+
     Returns ``(gates, cells, out)``: the activated gate block in
-    ``GATE_ORDER`` and the per-step cell memory and hidden output.
+    ``GATE_ORDER`` and the per-step cell memory and hidden output, each
+    shaped like ``A`` with its last axis replaced.
     """
     n = A.shape[0]
     width = layer.width
     sig = slice(0, 3 * width)
-    gates = A @ layer.W_in
+    gates = _matmul_rows(A, layer.W_in)
     gates += layer.b
-    gates[:, sig] *= 0.5
+    gates[..., sig] *= 0.5
     W_rec = layer.W_rec.copy()
     W_rec[:, sig] *= 0.5
-    cells = np.empty((n, width))
-    out = np.empty((n, width))
-    rec = np.empty(4 * width)
-    im = np.empty(width)
-    c = h = np.zeros(width)
-    rows = zip(gates, gates[:, sig], gates.reshape(n, 4, width), cells, out)
+    state_shape = A.shape[1:-1] + (width,)
+    cells = np.empty((n,) + state_shape)
+    out = np.empty((n,) + state_shape)
+    rec = np.empty(gates.shape[1:])
+    im = np.empty(state_shape)
+    c, h = start if start is not None else (np.zeros(state_shape),) * 2
+    # per step, the four gate blocks as leading axis: (4, width) or (4, k, width)
+    blocks = np.moveaxis(gates.reshape(gates.shape[:-1] + (4, width)), -2, 1)
+    rows = zip(gates, gates[..., sig], blocks, cells, out)
     for g, s, (gi, gf, go, gm), c_t, h_t in rows:
         np.dot(h, W_rec, out=rec)
         g += rec
@@ -169,15 +185,12 @@ def _lstm_layer(A, layer: LstmParams):
 
 
 def softmax(logits):
-    """Row-wise softmax with max-subtraction for overflow safety."""
+    """Row-wise softmax of 2-D logits, with max-subtraction for overflow
+    safety."""
     z = np.asarray(logits, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-    return out[0] if squeeze else out
+    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +233,11 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
 # zero at t = 0 and carries forward across truncation windows; gradients
 # do not cross window boundaries.
 
-def forward_sequence(layers, X, keep_caches: bool = False):
+def forward_sequence(layers, X, keep_caches: bool = False, state=None):
     """Run the stack over a sequence. Returns (logits, caches, activations).
 
+    ``X`` is (n, width_in), or (n, k, width_in) for k equal-length
+    sequences run in lockstep; every output keeps the leading axes.
     ``activations[k]`` is the output of stack position k (activations[0]
     is the input itself). Caches hold the per-layer intermediates the
     backward pass needs and are None unless requested: ``{"input"}`` for
@@ -231,24 +246,32 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     in ``GATE_ORDER`` and ``c``/``h`` are the per-step cell memory and
     output. The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which
     agrees with 1 / (1 + exp(-x)) to about one ulp.
+
+    ``state``, for a forward-only walk of a sequence in pieces, maps an
+    LSTM layer's stack position to its ``(c, h)``: a layer starts from
+    its entry (zero if absent), which the call replaces with the state
+    after the last row.
     """
     A = np.asarray(X, dtype=np.float64)
-    if A.ndim != 2:
-        raise DataError(f"sequence input must be 2-D, got {A.shape}")
+    if A.ndim not in (2, 3):
+        raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
     activations = [A]
     caches = [] if keep_caches else None
-    for layer in layers:
+    for index, layer in enumerate(layers):
         if isinstance(layer, DenseParams):
             out = affine(A, layer)
             if keep_caches:
                 caches.append({"input": A})
         else:
-            if A.shape[1] != layer.W_in.shape[0]:
+            if A.shape[-1] != layer.W_in.shape[0]:
                 raise DataError(
-                    f"lstm input width {A.shape[1]} incompatible with "
+                    f"lstm input width {A.shape[-1]} incompatible with "
                     f"W_in {layer.W_in.shape}"
                 )
-            gates, cells, out = _lstm_layer(A, layer)
+            start = None if state is None else state.get(index)
+            gates, cells, out = _lstm_layer(A, layer, start)
+            if state is not None:
+                state[index] = (cells[-1].copy(), out[-1].copy())
             if keep_caches:
                 caches.append(
                     {"input": A, "gates": gates, "c": cells, "h": out}

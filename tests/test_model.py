@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from mindctl.errors import DataError, NumericError
 from mindctl.model import (
     HyperParams,
     TrainingSchedule,
+    _evaluate_initial,
+    _evaluate_test,
     build,
     export_activations,
     load,
@@ -25,7 +28,7 @@ from mindctl.model import (
     save_history,
     train,
 )
-from mindctl.nn import sequence_gradients
+from mindctl.nn import forward_sequence, sequence_gradients, sequence_loss
 from helpers import make_toy_samples
 
 
@@ -216,6 +219,46 @@ def test_history_rows_and_early_stop():
     assert epochs[0] == 0
     assert epochs == sorted(epochs)
     assert trained.epochs_run <= 50
+
+
+def test_epoch_zero_row_matches_separate_passes():
+    # 40 rows and 3 batches: batch size 10 and k = 4 sequences, so the
+    # lockstep pass runs chunks of 3, 3, 3 and 1 rows
+    splits = split(make_toy_samples(n=40, seed=3), 3)
+    hp = HyperParams(l2=0.001, lr=0.01, width=8, layers=5, batches=3)
+    model = build(hp, seed=5)
+    schedule = TrainingSchedule(max_epochs=0, patience=5, bptt_window=10)
+    _, [(epoch, train_loss, test_acc)] = train(model, splits, schedule)
+    acc, loss = _evaluate_test(model.layers, splits, hp.l2)
+    losses = [sequence_loss(model.layers, b.features, b.labels, hp.l2)
+              for b in splits.train_batches()]
+    assert epoch == 0 and test_acc == acc
+    assert abs(train_loss - np.mean(losses)) < 1e-12
+    assert abs(_evaluate_initial(model.layers, splits, hp.l2)[1] - loss) < 1e-12
+
+
+def _peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
+    # n_b 3 and n 700 at the paper topology. Scoring peaks at 1.09 times
+    # one 2-D forward of the test block; running the (700, 4, 64) stack
+    # in one piece peaks at 3.9 times, and keeping its caches higher.
+    splits = split(make_toy_samples(n=2800, seed=4), 3)
+    hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
+    layers = build(hp, seed=1).layers
+    one = _peak_traced_bytes(
+        lambda: forward_sequence(layers, splits.test.features))
+    lockstep = _peak_traced_bytes(
+        lambda: _evaluate_initial(layers, splits, hp.l2))
+    assert lockstep < 1.5 * one
 
 
 def test_batch_sequence_gradients(toy_model, toy_split):

@@ -185,11 +185,11 @@ def test_lstm_step_shape_error():
 # softmax
 
 def test_softmax_uniform():
-    assert np.allclose(softmax(np.zeros(5)), 0.2, atol=1e-15)
+    assert np.allclose(softmax(np.zeros((1, 5))), 0.2, atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = softmax(np.array([1000.0, 0.0]))
+    (out,) = softmax(np.array([[1000.0, 0.0]]))
     assert np.all(np.isfinite(out))
     assert out[0] > 1 - 1e-12 and out[1] < 1e-12
 
@@ -200,7 +200,7 @@ def test_softmax_no_overflow():
     st.floats(-100, 100),
 )
 def test_softmax_shift_invariance(logits, shift):
-    logits = np.asarray(logits)
+    logits = np.asarray([logits])
     a = softmax(logits)
     b = softmax(logits + shift)
     assert np.max(np.abs(a - b)) < 1e-12
@@ -491,3 +491,66 @@ def test_fused_lstm_matches_straight_line_reference(width, n, window, scale, see
             for got, ref in zip(grads, ref_grads):
                 for (name, a), (_, r) in zip(got.arrays(), ref.arrays()):
                     assert _max_scaled_gap(a, r) < 1e-12, name
+
+
+# ---------------------------------------------------------------------------
+# lockstep stacks and carried state
+
+def _random_stack(rng, fan_in=3, width=4):
+    def lstm(fan):
+        return LstmParams(
+            W_in=rng.normal(scale=0.5, size=(fan, 4 * width)),
+            W_rec=rng.normal(scale=0.5, size=(width, 4 * width)),
+            b=rng.normal(scale=0.5, size=4 * width),
+        )
+
+    return [
+        DenseParams(W=rng.normal(size=(fan_in, width)), b=rng.normal(size=width)),
+        lstm(width),
+        lstm(width),
+        DenseParams(W=rng.normal(size=(width, 5)), b=rng.normal(size=5)),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_lockstep_stack_in_chunks_matches_separate_sequences(k, n):
+    # the stack is walked as model.train walks it, in ceil(n/k)-row
+    # chunks with state carried; (7, 2), (7, 5) and (12, 5) leave a
+    # short last chunk, and (2, 3) and (2, 5) have fewer rows than k
+    rng = np.random.default_rng(10 * k + n)
+    layers = _random_stack(rng)
+    seqs = rng.normal(size=(k, n, 3))
+    stack = np.stack(seqs, axis=1)
+    rows = -(-n // k)
+    state = {}
+    chunks = [forward_sequence(layers, stack[lo : lo + rows], state=state)[0]
+              for lo in range(0, n, rows)]
+    stacked = np.concatenate(chunks)
+    assert stacked.shape == (n, k, 5)
+    for j, X in enumerate(seqs):
+        logits, _, _ = forward_sequence(layers, X)
+        assert np.max(np.abs(stacked[:, j] - logits)) < 1e-12
+
+
+@pytest.mark.parametrize("cuts", [(1,), (5, 6), (3, 4, 10)])
+def test_chunks_with_carried_state_match_one_pass(cuts):
+    rng = np.random.default_rng(len(cuts))
+    layers = _random_stack(rng)
+    X = rng.normal(size=(13, 3))
+    whole, _, _ = forward_sequence(layers, X)
+    state = {}
+    pieces = [forward_sequence(layers, part, state=state)[0]
+              for part in np.split(X, cuts)]
+    assert np.max(np.abs(np.concatenate(pieces) - whole)) < 1e-12
+    # the state holds each LSTM layer's last step: positions 1 and 2
+    _, _, acts = forward_sequence(layers, X)
+    assert sorted(state) == [1, 2]
+    for index, (_, h) in state.items():
+        assert np.max(np.abs(h - acts[index + 1][-1])) < 1e-12
+
+
+def test_lstm_layer_keeps_two_dimensional_shapes():
+    layer = _random_stack(np.random.default_rng(4))[1]
+    gates, cells, out = _lstm_layer(np.ones((6, 4)), layer)
+    assert (gates.shape, cells.shape, out.shape) == ((6, 16), (6, 4), (6, 4))
