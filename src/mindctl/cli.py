@@ -65,6 +65,10 @@ def _write_config(out: Path, command: str, payload: dict) -> None:
 
 def _cmd_ingest(args) -> int:
     out = _out_dir(args)
+    for flag, count in (("--subjects", args.subjects),
+                        ("--per-subject", args.per_subject)):
+        if count is not None:  # both slice, so 0 or -1 would drop rows silently
+            model.check_int(flag, count, 1)
     mapping = (
         dataset.load_mapping(args.mapping)
         if args.mapping
@@ -91,7 +95,7 @@ def _cmd_ingest(args) -> int:
         _log(f"subject {subject}: {len(samples)} samples")
         parts.append(samples)
     combined = dataset.SampleSet.concat(parts)
-    table_path = out / args.name
+    table_path = out / "dataset.csv"
     dataset.save_table(combined, table_path)
     _log(f"wrote {len(combined)} samples to {table_path}")
 
@@ -139,16 +143,12 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _fit(samples, values, settings, announce: bool = False):
-    """Train at factor ``values`` (oa.FACTOR_NAMES order) with the seed and
-    schedule in ``settings``; returns (model, history, best test accuracy)."""
-    hp = model.HyperParams(**dict(zip(oa.FACTOR_NAMES, values)))
-    schedule = model.TrainingSchedule(
-        max_epochs=settings["epochs"], patience=settings["patience"],
-        bptt_window=settings["bptt"],
-    )
+def _fit(samples, values, seed, schedule, announce: bool = False):
+    """Train at factor ``values`` (oa.FACTOR_NAMES order) from ``seed`` on
+    ``schedule``; returns (model, history, best test accuracy)."""
+    hp = model.HyperParams(*values)
     splits = dataset.split(samples, hp.batches)
-    net = model.build(hp, settings["seed"])
+    net = model.build(hp, seed)
     if announce:
         _log(
             f"training {hp.layers}-layer model (width {hp.width}) on "
@@ -158,9 +158,9 @@ def _fit(samples, values, settings, announce: bool = False):
     return trained, history, max(h[2] for h in history)
 
 
-def _tune_run(samples, values, settings) -> float:
+def _tune_run(samples, values, seed, schedule) -> float:
     """Best test accuracy of one tuning run; runs in a worker process."""
-    return _fit(samples, values, settings)[2]
+    return _fit(samples, values, seed, schedule)[2]
 
 
 def _resolve_train_settings(args) -> dict:
@@ -192,9 +192,12 @@ def _resolve_train_settings(args) -> dict:
 def _cmd_train(args) -> int:
     out = _out_dir(args)
     settings = _resolve_train_settings(args)
+    schedule = model.TrainingSchedule(settings["epochs"], settings["patience"],
+                                      settings["bptt"])
     samples = dataset.load_table(args.data)
     values = [settings[key] for key in ("l2", "lr", "width", "layers", "n_b")]
-    trained, history, best_acc = _fit(samples, values, settings, announce=True)
+    trained, history, best_acc = _fit(samples, values, settings["seed"],
+                                      schedule, announce=True)
     checkpoint = out / "model.mctl"
     checkpoint.write_bytes(model.save(trained))
     model.save_history(history, out / "history.csv")
@@ -209,8 +212,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_tune(args) -> int:
     out = _out_dir(args)
-    if args.workers < 1:
-        raise DataError(f"--workers must be at least 1, got {args.workers}")
+    model.check_int("--workers", args.workers, 1)
+    # the settings every run shares are checked once, before any run
+    schedule = model.TrainingSchedule(args.epochs, args.patience, args.bptt)
+    model.check_int("seed", args.seed)  # the rule ModelParams applies
     levels = DEFAULT_LEVELS
     if args.levels:
         raw = dataset.read_json(args.levels)
@@ -238,12 +243,10 @@ def _cmd_tune(args) -> int:
                             "or the confirmation model")
         samples = dataset.load_table(args.data)
 
-    settings = {key: getattr(args, key)
-                for key in ("seed", "epochs", "patience", "bptt")}
-
     def runner(values):
         try:
-            best = pool.submit(_tune_run, samples, values, settings).result()
+            best = pool.submit(_tune_run, samples, values, args.seed,
+                               schedule).result()
         except PipelineError as exc:  # bad input for this run, not a fault
             _log(f"  run {values}: failed: {exc}")
             return None
@@ -270,7 +273,7 @@ def _cmd_tune(args) -> int:
     summary = {"best": best, "savings": oa.SAVINGS}
     if args.confirm:
         trained, _, summary["confirmation_accuracy"] = _fit(
-            samples, analysis.best_values, settings
+            samples, analysis.best_values, args.seed, schedule
         )
         (out / "tuned_model.mctl").write_bytes(model.save(trained))
         _log(f"confirmation run accuracy {summary['confirmation_accuracy']:.4f}")
@@ -424,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subjects", type=int, help="use the first N subjects")
     p.add_argument("--per-subject", type=int,
                    help="keep exactly N samples per subject")
-    p.add_argument("--name", default="dataset.csv")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_ingest)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,75 +83,54 @@ class SampleSet:
         )
 
 
-@dataclass(frozen=True)
-class MappingRule:
-    runs: frozenset
-    annotation: str
-    label: int
+def label_map(rules) -> dict:
+    """The ``(run, annotation) -> label`` lookup of ``(runs, annotation,
+    label)`` rules; time points no key matches are skipped.
 
-
-@dataclass
-class LabelMapping:
-    """Rules assigning (run number, annotation code) pairs to intent labels.
-
-    Unmatched time points are skipped. Two rules may not send the same
-    (run, annotation) pair to different labels.
+    Every label is in 1..5, and no two rules send the same (run,
+    annotation) pair to different labels.
     """
-
-    rules: list = field(default_factory=list)
-
-    def __post_init__(self):
-        seen = {}
-        for rule in self.rules:
-            if rule.label not in LABELS:
-                raise DataError(f"rule label {rule.label} outside 1..{N_CLASSES}")
-            for run in rule.runs:
-                key = (run, rule.annotation)
-                if key in seen and seen[key] != rule.label:
-                    raise DataError(
-                        f"ambiguous mapping: run {run} annotation "
-                        f"{rule.annotation!r} assigned labels "
-                        f"{seen[key]} and {rule.label}"
-                    )
-                seen[key] = rule.label
-
-    def label_for(self, run: int, annotation: str):
-        for rule in self.rules:
-            if run in rule.runs and rule.annotation == annotation:
-                return rule.label
-        return None
+    mapping = {}
+    for runs, annotation, label in rules:
+        if label not in LABELS:
+            raise DataError(f"rule label {label} outside 1..{N_CLASSES}")
+        for run in runs:
+            seen = mapping.setdefault((run, annotation), label)
+            if seen != label:
+                raise DataError(
+                    f"ambiguous mapping: run {run} annotation {annotation!r} "
+                    f"assigned labels {seen} and {label}"
+                )
+    return mapping
 
 
-def default_mapping() -> LabelMapping:
-    """Built-in rules for the public 64-channel motor-imagery recordings.
+def default_mapping() -> dict:
+    """Built-in lookup for the public 64-channel motor-imagery recordings.
 
     Run 2 is the eyes-closed baseline (whole run annotated T0); runs
     4/8/12 are left/right-fist imagery and runs 6/10/14 are both-fists/
     both-feet imagery. Override with a mapping file if your recordings
     differ.
     """
-    return LabelMapping(
-        rules=[
-            MappingRule(frozenset({2}), "T0", 1),
-            MappingRule(frozenset({4, 8, 12}), "T1", 2),
-            MappingRule(frozenset({4, 8, 12}), "T2", 3),
-            MappingRule(frozenset({6, 10, 14}), "T1", 4),
-            MappingRule(frozenset({6, 10, 14}), "T2", 5),
-        ]
-    )
+    return label_map([
+        ((2,), "T0", 1),
+        ((4, 8, 12), "T1", 2),
+        ((4, 8, 12), "T2", 3),
+        ((6, 10, 14), "T1", 4),
+        ((6, 10, 14), "T2", 5),
+    ])
 
 
-def load_mapping(path) -> LabelMapping:
-    """Rules from ``{"rules": [{"runs": [4, 8], "annotation": "T1",
-    "label": 2}, ...]}``; values are checked, never converted."""
+def load_mapping(path) -> dict:
+    """The lookup of a file ``{"rules": [{"runs": [4, 8], "annotation":
+    "T1", "label": 2}, ...]}``; values are checked, never converted."""
     payload = read_json(path)
     try:
-        entries = [(e["runs"], e["annotation"], e["label"])
-                   for e in payload["rules"]]
+        rules = [(e["runs"], e["annotation"], e["label"])
+                 for e in payload["rules"]]
     except (KeyError, TypeError) as exc:
         raise DataError(f"invalid mapping file {path}: {exc}") from None
-    rules = []
-    for runs, annotation, label in entries:
+    for runs, annotation, label in rules:
         # exact types: a bool is no integer and "48" is no list of runs
         if (type(runs) is not list or any(type(r) is not int for r in runs)
                 or type(annotation) is not str or type(label) is not int):
@@ -160,9 +139,8 @@ def load_mapping(path) -> LabelMapping:
                 f"integers, annotation as a string and label as an integer, "
                 f"got {runs!r}, {annotation!r}, {label!r}"
             )
-        rules.append(MappingRule(frozenset(runs), annotation, label))
     try:
-        return LabelMapping(rules)
+        return label_map(rules)
     except DataError as exc:  # a label outside 1..5 or an ambiguous pair
         raise DataError(f"invalid mapping file {path}: {exc}") from None
 
@@ -170,7 +148,7 @@ def load_mapping(path) -> LabelMapping:
 def label_samples(
     recording: EdfRecording,
     run: int,
-    mapping: LabelMapping,
+    mapping: dict,
 ) -> SampleSet:
     """Turn annotated stretches of a recording into labeled samples.
 
@@ -198,7 +176,7 @@ def label_samples(
 
     windows = []
     for ann in recording.annotations:
-        label = mapping.label_for(run, ann.text)
+        label = mapping.get((run, ann.text))
         if label is None:
             continue
         start = int(np.floor(ann.onset * rate + 0.5))
@@ -398,7 +376,7 @@ def find_recordings(edf_dir) -> dict:
 def ingest_subject(
     run_paths: dict,
     runs,
-    mapping: LabelMapping,
+    mapping: dict,
     cap=None,
 ) -> SampleSet:
     """Extract one subject's labeled samples from the requested runs.

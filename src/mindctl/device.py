@@ -278,6 +278,8 @@ def replay(model, features, profile: CommandProfile, session: DeviceSession,
     """
     if cadence < 1:
         raise DataError(f"cadence must be >= 1, got {cadence}")
+    if step_ms < 0:
+        raise DataError(f"step_ms must be >= 0, got {step_ms}")
     if len(features) == 0:
         return []
     labels, _ = predict(model, features)

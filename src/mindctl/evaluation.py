@@ -44,8 +44,7 @@ class ClassMetrics:
     accuracy.
 
     Precision divides the diagonal by the prediction-row total, recall
-    by the ground-truth column total; a zero denominator yields 0 and is
-    flagged in ``degenerate``.
+    by the ground-truth column total; a zero denominator yields 0.
     """
 
     precision: np.ndarray
@@ -55,7 +54,6 @@ class ClassMetrics:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    degenerate: tuple = ()
 
 
 def metrics(counts) -> ClassMetrics:
@@ -67,23 +65,16 @@ def metrics(counts) -> ClassMetrics:
     row_sums = counts.sum(axis=1)
     col_sums = counts.sum(axis=0)
 
-    degenerate = []
     precision = np.zeros(len(diag))
     recall = np.zeros(len(diag))
     f1 = np.zeros(len(diag))
     for c in range(len(diag)):
         if row_sums[c] > 0:
             precision[c] = diag[c] / row_sums[c]
-        else:
-            degenerate.append((LABELS[c], "precision"))
         if col_sums[c] > 0:
             recall[c] = diag[c] / col_sums[c]
-        else:
-            degenerate.append((LABELS[c], "recall"))
         if precision[c] + recall[c] > 0:
             f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-        else:
-            degenerate.append((LABELS[c], "f1"))
 
     return ClassMetrics(
         precision=precision,
@@ -93,7 +84,6 @@ def metrics(counts) -> ClassMetrics:
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
-        degenerate=tuple(degenerate),
     )
 
 

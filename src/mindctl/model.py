@@ -43,6 +43,17 @@ CHECKPOINT_MAGIC = b"MCTL"
 CHECKPOINT_VERSION = 1
 
 
+def check_int(name: str, value, least: int = 0) -> None:
+    """Reject ``value`` unless it is an ``int`` of at least ``least``.
+
+    The type is exact, so a bool, 4.0 or NaN from a flag, config or
+    checkpoint fails here rather than inside the array shapes or the
+    first training step.
+    """
+    if type(value) is not int or value < least:
+        raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """The five tuned training knobs.
@@ -61,13 +72,8 @@ class HyperParams:
     batches: int
 
     def __post_init__(self):
-        # exact types, so a bool, 4.0 or NaN from a flag, config or
-        # checkpoint fails here rather than inside the array shapes or
-        # the first training step
         for name in ("width", "layers", "batches"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(name, getattr(self, name), 1)
         for name in ("l2", "lr"):
             value = getattr(self, name)
             if type(value) not in (int, float) or not math.isfinite(value):
@@ -75,7 +81,7 @@ class HyperParams:
         if self.l2 < 0:
             raise DataError(f"l2 coefficient must be >= 0, got {self.l2}")
         if self.lr <= 0:
-            raise DataError(f"learning rate must be > 0, got {self.lr}")
+            raise DataError(f"lr (learning rate) must be > 0, got {self.lr}")
         if self.layers < 4:
             raise DataError(
                 f"need at least 4 layers (input, 2 recurrent, output), "
@@ -92,10 +98,9 @@ class TrainingSchedule:
     bptt_window: int = 100
 
     def __post_init__(self):
-        if self.max_epochs < 0:
-            raise DataError("max_epochs must be >= 0")
-        if self.patience < 1 or self.bptt_window < 1:
-            raise DataError("patience and bptt_window must be positive")
+        check_int("max_epochs", self.max_epochs)
+        check_int("patience", self.patience, 1)
+        check_int("bptt_window", self.bptt_window, 1)
 
 
 class LayerSpec(NamedTuple):
@@ -122,10 +127,8 @@ class ModelParams:
 
     def __post_init__(self):
         # exact types, as in HyperParams: a checkpoint may hold any JSON value
-        for name in ("seed", "epochs_run"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise DataError(f"{name} must be an integer >= 0, got {value!r}")
+        check_int("seed", self.seed)
+        check_int("epochs_run", self.epochs_run)
         loss = self.final_loss
         if loss is not None and (type(loss) is not float or not math.isfinite(loss)):
             raise DataError(f"final_loss must be a finite number or None, got {loss!r}")

@@ -11,21 +11,20 @@ largest sum.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import write_csv
 from .errors import DataError
+from .model import HyperParams
 
-FACTOR_NAMES = ("l2", "lr", "width", "layers", "batches")
+FACTOR_NAMES = tuple(f.name for f in fields(HyperParams))
 N_LEVELS = 4
 N_FACTORS = 5
-INTEGER_FACTORS = ("width", "layers", "batches")
 
 # The fixed design: the standard 16-run, 5-factor, 4-level assignment.
 # ``L16[r][f]`` is the 1-based level factor ``f`` takes in run ``r``.
@@ -57,8 +56,10 @@ def build_plan(level_values) -> tuple:
     them as a tuple of tuples: ``levels[f][l]`` is the concrete value of
     factor ``f`` at level ``l + 1``.
 
-    Every level is a finite ``int`` or ``float`` (``bool`` is not a
-    number here); the integer factors take ``int`` levels only.
+    Every run's values must make a ``model.HyperParams``, which owns the
+    rules of each knob; the 16 runs hold every level, so each level is
+    checked. Its types are exact, so ``results.csv`` writes each value
+    as plain Python formats it. A factor's 4 levels are distinct.
     """
     level_values = tuple(tuple(values) for values in level_values)
     if len(level_values) != N_FACTORS:
@@ -71,10 +72,9 @@ def build_plan(level_values) -> tuple:
                 f"factor {name} needs exactly {N_LEVELS} level "
                 f"values, got {len(values)}"
             )
-        integral = name in INTEGER_FACTORS
-        if not all(_is_level(v, integral) for v in values):
-            kind = "integers" if integral else "finite numbers"
-            raise DataError(f"factor {name} levels must be {kind}, got {values}")
+    for run in range(N_RUNS):  # before set(), which a list level would break
+        HyperParams(*run_values(level_values, run))
+    for name, values in zip(FACTOR_NAMES, level_values):
         if len(set(values)) != N_LEVELS:
             raise DataError(f"factor {name} level values must be distinct")
     return level_values
@@ -83,14 +83,6 @@ def build_plan(level_values) -> tuple:
 def run_values(levels, run: int) -> tuple:
     """Concrete factor values for one run (0-based index)."""
     return tuple(values[level - 1] for values, level in zip(levels, L16[run]))
-
-
-def _is_level(value, integral: bool) -> bool:
-    # exact types: bool and numpy scalars are out, so results.csv
-    # writes every value as plain Python formats it
-    if type(value) is int:
-        return True
-    return not integral and type(value) is float and math.isfinite(value)
 
 
 def is_orthogonal(rows) -> bool:

@@ -598,17 +598,32 @@ _BAD_LEVELS = {
     "levels_nan": {"lr": [float("nan"), 0.02, 0.03, 0.04]},
     "levels_bool": {"layers": [True, 5, 6, 7]},
     "levels_fraction": {"width": [2.5, 3, 4, 5]},
+    "levels_layers": {"layers": [3, 4, 5, 6]},
+    "levels_lr": {"lr": [0, 0.01, 0.02, 0.03]},
 }
 _BAD_FLAGS = {"lambda_nan": ["--lambda", "nan"], "lr_inf": ["--lr", "inf"],
               "seed": ["--seed", "-1"]}
+_BAD_TUNE_FLAGS = {"tune_epochs": ["--epochs", "-1"], "tune_seed": ["--seed", "-1"],
+                   "tune_bptt": ["--bptt", "0"]}
+_BAD_INGEST_FLAGS = {"subjects": ["--subjects", "-1"],
+                     "per_subject": ["--per-subject", "0"]}
+# the setting each case's message names, where the case checks it
+_NAMED = {"levels_layers": "layers", "levels_lr": "lr", "tune_epochs": "epochs",
+          "tune_seed": "seed", "tune_bptt": "bptt", "subjects": "--subjects",
+          "per_subject": "--per-subject", "step_ms": "step_ms"}
 
 
 @pytest.mark.parametrize("case", [
-    "runs", "layer", "knn_k", "cadence", "empty_table", "non_utf8_table",
-    *_BAD_LEVELS, "tune_no_data", "workers", *_BAD_CONFIGS, *_BAD_FLAGS,
+    "runs", "layer", "knn_k", "cadence", "step_ms", "empty_table",
+    "non_utf8_table", *_BAD_LEVELS, "tune_no_data", "workers", *_BAD_TUNE_FLAGS,
+    *_BAD_INGEST_FLAGS, *_BAD_CONFIGS, *_BAD_FLAGS,
 ])
 def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
-                                                  capsys):
+                                                  capsys, monkeypatch):
+    def no_pool(*args, **kwargs):  # bad tune input fails before any run
+        raise AssertionError("tune created its process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
     tmp = trained_run["tmp"]
     net, test = str(trained_run["model"]), str(trained_run["test"])
     header_only = tmp / "header_only.csv"
@@ -629,19 +644,28 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
                   "--knn-train", str(trained_run["train"]), "--knn-k", "0"],
         "cadence": ["replay", "--model", net, "--data", test,
                     "--profile", "appliance", "--cadence", "0"],
+        "step_ms": ["replay", "--model", net, "--data", test,
+                    "--profile", "appliance", "--step-ms", "-1"],
         "empty_table": ["eval", "--model", net, "--data", str(header_only)],
         "non_utf8_table": ["eval", "--model", net, "--data", str(non_utf8)],
         **{name: tune for name in _BAD_LEVELS},
         "tune_no_data": ["tune", "--levels", str(levels)],
         "workers": [*tune, "--workers", "0"],
+        **{name: [*tune, *flags] for name, flags in _BAD_TUNE_FLAGS.items()},
+        **{name: ["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6", *flags]
+           for name, flags in _BAD_INGEST_FLAGS.items()},
         **{name: ["train", "--config", str(config)] for name in _BAD_CONFIGS},
         **{name: ["train", "--data", str(trained_run["train"]), "--epochs", "1",
                   *flags] for name, flags in _BAD_FLAGS.items()},
     }[case]
     assert main([*argv, "--out-dir", str(tmp / "out")]) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert _NAMED.get(case, "") in err
     assert not (tmp / "out" / "results.csv").exists()  # no tune run trained
     assert not (tmp / "out" / "model.mctl").exists()
+    assert not (tmp / "out" / "dataset.csv").exists()
+    assert not (tmp / "out" / "command_log.csv").exists()
 
 
 @pytest.mark.parametrize("content", [b'{"rules": "\xff"}', b'{"rules": '],

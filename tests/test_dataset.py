@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from mindctl.dataset import (
     SAVE_BLOCK_ROWS,
     TABLE_HEADER,
-    LabelMapping,
-    MappingRule,
     SampleSet,
     default_mapping,
+    label_map,
     label_samples,
     load_mapping,
     load_table,
@@ -63,7 +62,7 @@ def make_recording(total_samples=20, rate=10, annotations=()):
 
 def test_single_window_labels_every_covered_sample():
     rec = make_recording(annotations=[EdfAnnotation(0.0, 1.0, "T1")])
-    mapping = LabelMapping([MappingRule(frozenset({4}), "T1", 2)])
+    mapping = label_map([((4,), "T1", 2)])
     samples = label_samples(rec, 4, mapping)
     assert len(samples) == 10  # samples 0..9 at 10 Hz
     assert np.all(samples.labels == 2)
@@ -78,12 +77,7 @@ def test_disjoint_windows_partition_against_brute_force():
             EdfAnnotation(1.2, 0.8, "T2"),
         ]
     )
-    mapping = LabelMapping(
-        [
-            MappingRule(frozenset({4}), "T1", 2),
-            MappingRule(frozenset({4}), "T2", 3),
-        ]
-    )
+    mapping = label_map([((4,), "T1", 2), ((4,), "T2", 3)])
     samples = label_samples(rec, 4, mapping)
 
     # brute-force oracle: classify every time point by window membership
@@ -104,7 +98,7 @@ def test_disjoint_windows_partition_against_brute_force():
 
 def test_labeling_is_pure():
     rec = make_recording(annotations=[EdfAnnotation(0.0, 1.0, "T1")])
-    mapping = LabelMapping([MappingRule(frozenset({4}), "T1", 2)])
+    mapping = label_map([((4,), "T1", 2)])
     a = label_samples(rec, 4, mapping)
     b = label_samples(rec, 4, mapping)
     assert a == b
@@ -117,19 +111,14 @@ def test_overlapping_matched_windows_rejected():
             EdfAnnotation(0.5, 1.0, "T2"),
         ]
     )
-    mapping = LabelMapping(
-        [
-            MappingRule(frozenset({4}), "T1", 2),
-            MappingRule(frozenset({4}), "T2", 3),
-        ]
-    )
+    mapping = label_map([((4,), "T1", 2), ((4,), "T2", 3)])
     with pytest.raises(DataError, match="overlapping"):
         label_samples(rec, 4, mapping)
 
 
 def test_unmatched_run_is_loud():
     rec = make_recording(annotations=[EdfAnnotation(0.0, 1.0, "T1")])
-    mapping = LabelMapping([MappingRule(frozenset({99}), "T1", 2)])
+    mapping = label_map([((99,), "T1", 2)])
     with pytest.raises(DataError, match="matches no annotation"):
         label_samples(rec, 4, mapping)
 
@@ -138,29 +127,24 @@ def test_too_few_channels_is_shape_error():
     rec = make_recording(annotations=[EdfAnnotation(0.0, 1.0, "T1")])
     rec.channels = rec.channels[:10]
     rec.signals = rec.signals[:10]
-    mapping = LabelMapping([MappingRule(frozenset({4}), "T1", 2)])
+    mapping = label_map([((4,), "T1", 2)])
     with pytest.raises(DataError, match="channels"):
         label_samples(rec, 4, mapping)
 
 
 def test_ambiguous_mapping_rejected():
     with pytest.raises(DataError, match="ambiguous"):
-        LabelMapping(
-            [
-                MappingRule(frozenset({4}), "T1", 2),
-                MappingRule(frozenset({4, 8}), "T1", 3),
-            ]
-        )
+        label_map([((4,), "T1", 2), ((4, 8), "T1", 3)])
 
 
 def test_default_mapping_covers_documented_runs():
     mapping = default_mapping()
-    assert mapping.label_for(2, "T0") == 1
-    assert mapping.label_for(4, "T1") == 2
-    assert mapping.label_for(12, "T2") == 3
-    assert mapping.label_for(6, "T1") == 4
-    assert mapping.label_for(10, "T2") == 5
-    assert mapping.label_for(3, "T1") is None
+    assert mapping.get((2, "T0")) == 1
+    assert mapping.get((4, "T1")) == 2
+    assert mapping.get((12, "T2")) == 3
+    assert mapping.get((6, "T1")) == 4
+    assert mapping.get((10, "T2")) == 5
+    assert mapping.get((3, "T1")) is None
 
 
 def test_mapping_file_round_trip(tmp_path):
