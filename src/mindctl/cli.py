@@ -2,10 +2,10 @@
 export-activations, replay, serve-device.
 
 Progress goes to standard error; machine-readable results go to files
-under the output directory (flag ``--out-dir``, or the ``MINDCTL_OUT``
-environment variable, or the working directory). Every artifact-
-producing run writes its resolved configuration beside its outputs so
-it can be reproduced exactly.
+under the output directory (flag ``--out-dir``, or the working
+directory). Every artifact-producing run writes its configuration beside
+its outputs so it can be reproduced exactly: every flag as parsed, plus
+the values the command resolved.
 
 Exit codes: 0 success, 1 internal error (a traceback is printed),
 2 usage, 3 data error, 4 numeric failure, 5 protocol error.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
-import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -50,14 +49,18 @@ def _log(message: str) -> None:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out_dir or os.environ.get("MINDCTL_OUT") or ".")
+    out = Path(args.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_config(out: Path, command: str, payload: dict) -> None:
-    path = out / f"{command.replace('-', '_')}_config.json"
-    dataset.write_json(path, {"command": command, **payload})
+def _write_config(out: Path, args, **resolved) -> None:
+    """``<command>_config.json``: every parsed flag, then ``resolved``, the
+    values the command worked out, over any flag of the same name."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("func", "out_dir", "config")}
+    path = out / f"{args.command.replace('-', '_')}_config.json"
+    dataset.write_json(path, {**flags, **resolved})
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +102,9 @@ def _cmd_ingest(args) -> int:
     dataset.save_table(combined, table_path)
     _log(f"wrote {len(combined)} samples to {table_path}")
 
-    _write_config(out, "ingest", {
-        "edf_dir": str(args.edf_dir),
-        "subjects": subjects,
-        "runs": runs,
-        "mapping": str(args.mapping) if args.mapping else "builtin-default",
-        "per_subject": args.per_subject,
-        "output": str(table_path),
-    })
+    _write_config(out, args, subjects=subjects, runs=runs,
+                  mapping=args.mapping or "builtin-default",
+                  output=str(table_path))
     return EXIT_OK
 
 
@@ -120,12 +118,8 @@ def _cmd_split(args) -> int:
         f"split {len(samples)} samples into {len(result.train)} train / "
         f"{len(result.test)} test (batch size {result.batch_size})"
     )
-    _write_config(out, "split", {
-        "data": str(args.data),
-        "n_b": args.n_b,
-        "train": str(out / "train.csv"),
-        "test": str(out / "test.csv"),
-    })
+    _write_config(out, args, train=str(out / "train.csv"),
+                  test=str(out / "test.csv"))
     return EXIT_OK
 
 
@@ -203,10 +197,7 @@ def _cmd_train(args) -> int:
     model.save_history(history, out / "history.csv")
     _log(f"best test accuracy {best_acc:.4f} after {trained.epochs_run} epochs")
 
-    _write_config(out, "train", {
-        "data": str(args.data), **settings,
-        "checkpoint": str(checkpoint),
-    })
+    _write_config(out, args, **settings, checkpoint=str(checkpoint))
     return EXIT_OK
 
 
@@ -279,36 +270,27 @@ def _cmd_tune(args) -> int:
         _log(f"confirmation run accuracy {summary['confirmation_accuracy']:.4f}")
     dataset.write_json(out / "best.json", summary)
 
-    _write_config(out, "tune", {
-        "data": str(args.data) if args.data else None,
-        "levels": {name: list(vals) for name, vals in zip(oa.FACTOR_NAMES, levels)},
-        "seed": args.seed, "epochs": args.epochs, "patience": args.patience,
-        "bptt": args.bptt, "workers": args.workers, "confirm": args.confirm,
-    })
+    _write_config(out, args, levels={
+        name: list(vals) for name, vals in zip(oa.FACTOR_NAMES, levels)})
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    out = _out_dir(args)
     net = model.load(Path(args.model).read_bytes())
     samples = dataset.load_table(args.data)
     predicted, scores = model.predict(net, samples.features)
     counts = evaluation.confusion(predicted, samples.labels)
     m = evaluation.metrics(counts)
 
-    auc = []  # None where a class has no positives or no negatives
+    curves = {}  # none for a class with no positives or no negatives
     for label in dataset.LABELS:
         try:
-            curve = evaluation.roc_auc(scores, samples.labels, label)
+            curves[label] = evaluation.roc_auc(scores, samples.labels, label)
         except DataError:
-            auc.append(None)
             _log(f"class {label}: AUC undefined (missing positives or negatives)")
-            continue
-        auc.append(curve.auc)
-        evaluation.save_roc(curve, out / f"roc_class{label}.csv")
+    auc = [curves[label].auc if label in curves else None
+           for label in dataset.LABELS]
     macro_auc = None if None in auc else float(np.mean(auc))
-
-    evaluation.save_report(counts, m, auc, macro_auc, out / "report.csv")
     summary = {
         "accuracy": m.accuracy,
         "macro_precision": m.macro_precision,
@@ -325,14 +307,14 @@ def _cmd_eval(args) -> int:
         summary["knn_accuracy"] = float((knn_labels == samples.labels).mean())
         _log(f"knn (k={args.knn_k}) accuracy {summary['knn_accuracy']:.4f}")
 
+    # every result exists before the first file, so a failed run writes none
+    out = _out_dir(args)
+    for label, curve in curves.items():
+        evaluation.save_roc(curve, out / f"roc_class{label}.csv")
+    evaluation.save_report(counts, m, auc, macro_auc, out / "report.csv")
     dataset.write_json(out / "summary.json", summary)
     _log(f"accuracy {m.accuracy:.4f}")
-
-    _write_config(out, "eval", {
-        "model": str(args.model), "data": str(args.data),
-        "knn_train": str(args.knn_train) if args.knn_train else None,
-        "knn_k": args.knn_k,
-    })
+    _write_config(out, args)
     return EXIT_OK
 
 
@@ -346,9 +328,7 @@ def _cmd_predict(args) -> int:
     dataset.write_csv(path, header, ((label, *row) for label, row
                                      in zip(labels.tolist(), scores.tolist())))
     _log(f"wrote {len(labels)} predictions to {path}")
-    _write_config(out, "predict", {
-        "model": str(args.model), "data": str(args.data), "output": str(path),
-    })
+    _write_config(out, args, output=str(path))
     return EXIT_OK
 
 
@@ -360,10 +340,7 @@ def _cmd_export_activations(args) -> int:
     path = out / f"activations_layer{args.layer}.csv"
     model.save_activations(table, path)
     _log(f"wrote layer {args.layer} activations for {len(samples)} samples")
-    _write_config(out, "export-activations", {
-        "model": str(args.model), "data": str(args.data),
-        "layer": args.layer, "output": str(path),
-    })
+    _write_config(out, args, output=str(path))
     return EXIT_OK
 
 
@@ -385,11 +362,7 @@ def _cmd_replay(args) -> int:
     _log(f"replayed {len(log)} commands, match rate {rate:.4f}")
     dataset.write_json(out / "replay_summary.json",
                        {"commands": len(log), "match_rate": rate})
-    _write_config(out, "replay", {
-        "model": str(args.model), "data": str(args.data),
-        "profile": args.profile, "cadence": args.cadence,
-        "step_ms": args.step_ms,
-    })
+    _write_config(out, args)
     return EXIT_OK
 
 
@@ -397,10 +370,7 @@ def _cmd_serve_device(args) -> int:
     profile = device.PROFILES[args.profile]
     _log(f"serving {args.profile} device on {args.host}:{args.port}")
     if args.transcript:
-        _write_config(Path(args.transcript).resolve().parent, "serve-device", {
-            "host": args.host, "port": args.port, "profile": args.profile,
-            "transcript": str(args.transcript), "once": args.once,
-        })
+        _write_config(Path(args.transcript).resolve().parent, args)
     device.serve(
         args.host, args.port, profile,
         once=args.once,

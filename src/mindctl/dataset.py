@@ -362,14 +362,20 @@ _EDF_NAME = re.compile(r"S(\d{3})R(\d{2})\.edf$", re.IGNORECASE)
 
 
 def find_recordings(edf_dir) -> dict:
-    """Map subject id -> {run number -> path} for files under ``edf_dir``."""
+    """Map subject id -> {run number -> path} for files under ``edf_dir``
+    named like S001R04.edf in any letter case. Two files for one subject
+    and run are a :class:`DataError` naming both."""
     found: dict = {}
-    for path in sorted(Path(edf_dir).rglob("*.edf")):
+    for path in sorted(Path(edf_dir).rglob("*")):
         match = _EDF_NAME.search(path.name)
         if not match:
             continue
         subject, run = match.group(1), int(match.group(2))
-        found.setdefault(subject, {})[run] = path
+        runs = found.setdefault(subject, {})
+        if run in runs:
+            raise DataError(f"subject {subject} run {run} is recorded twice: "
+                            f"{runs[run]} and {path}")
+        runs[run] = path
     return found
 
 

@@ -179,8 +179,6 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     if not 1 <= k <= len(train):
         raise DataError(f"k must be in 1..{len(train)}, got {k}")
     test_features = np.asarray(test_features, dtype=np.float64)
-    if test_features.ndim == 1:
-        test_features = test_features[None, :]
 
     X = train.features
     y = train.labels

@@ -189,8 +189,6 @@ def predict(model: ModelParams, features):
     across the whole sequence, so outputs depend on sample order.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[None, :]
     if features.ndim != 2 or features.shape[1] != N_CHANNELS:
         raise DataError(
             f"features must be (n, {N_CHANNELS}), got {features.shape}"

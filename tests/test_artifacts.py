@@ -6,6 +6,7 @@ depend on the host's BLAS kernel: the command-level checks use a model
 whose output layer has zero weights, so every score is exactly 0 or 1.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -97,9 +98,11 @@ def _activations(path):
 
 
 def _config(path):
-    cli._write_config(path.parent, "export-activations", {
-        "layer": 2, "knn_k": 3, "data": "t.csv", "output": None, "l2": 0.004,
-    })
+    # func, out_dir and config are not recorded; a resolved value wins
+    args = argparse.Namespace(command="export-activations", layer=2, knn_k=3,
+                              data="t.csv", output="o.csv", func=print,
+                              out_dir="out", config="c.json")
+    cli._write_config(path.parent, args, output=None, l2=0.004)
     (path.parent / "export_activations_config.json").rename(path)
 
 
@@ -228,6 +231,21 @@ def test_command_artifacts_are_pinned(fixed_run):
     assert not (out / "roc_class5.csv").exists()  # no class-5 positives
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode("ascii"), name
+
+    # each config is every flag as parsed plus what the command resolved
+    inputs = {"model": str(tmp / "m.mctl"), "data": str(tmp / "test.csv")}
+    configs = {
+        "eval": {**inputs, "knn_train": str(tmp / "train.csv"), "knn_k": 3},
+        "predict": {**inputs, "output": str(out / "predictions.csv")},
+        "replay": {**inputs, "profile": "robot", "cadence": 3, "step_ms": 250},
+        "tune": {"data": None, "levels": dict(zip(oa.FACTOR_NAMES,
+                                                  map(list, _LEVELS))),
+                 "seed": 0, "epochs": 300, "patience": 20, "bptt": 100,
+                 "workers": 1, "confirm": False},
+    }
+    for command, flags in configs.items():
+        config = json.loads((out / f"{command}_config.json").read_text())
+        assert config == {"command": command, **flags}, command
 
 
 def test_predict_writes_scores_in_shortest_round_trip_form(tmp_path):

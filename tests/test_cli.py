@@ -82,6 +82,28 @@ def test_ingest_builds_combined_table(edf_dir, tmp_path):
     assert (out / "ingest_config.json").exists()
 
 
+def test_ingest_finds_recordings_in_any_letter_case(edf_dir, tmp_path):
+    run = edf_dir / "S002" / "S002R04.edf"
+    run.rename(run.with_suffix(".EDF"))
+    out = tmp_path / "out"
+    assert main(["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6",
+                 "--out-dir", str(out)]) == 0
+    assert len(load_table(out / "dataset.csv")) == 240
+
+
+def test_ingest_rejects_a_run_recorded_twice(edf_dir, tmp_path, capsys):
+    first = edf_dir / "S001" / "S001R04.edf"
+    second = edf_dir / "copy" / "s001r04.edf"
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    out = tmp_path / "out"
+    assert main(["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6",
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_ingest_per_subject_cap(edf_dir, tmp_path):
     out = tmp_path / "out"
     rc = main([
@@ -666,6 +688,8 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
     assert not (tmp / "out" / "model.mctl").exists()
     assert not (tmp / "out" / "dataset.csv").exists()
     assert not (tmp / "out" / "command_log.csv").exists()
+    assert not (tmp / "out" / "report.csv").exists()  # eval writes all or none
+    assert not list((tmp / "out").glob("roc_class*.csv"))
 
 
 @pytest.mark.parametrize("content", [b'{"rules": "\xff"}', b'{"rules": '],

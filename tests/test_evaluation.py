@@ -350,7 +350,7 @@ def test_knn_rejects_non_finite_or_overflowing_features(bad):
     # row's distance into NaN and silently voted for the other row
     if np.isfinite(bad):
         with pytest.raises(DataError, match="overflow"):
-            knn_classify(SampleSet(queries, [1, 2]), queries[1], k=1)
+            knn_classify(SampleSet(queries, [1, 2]), queries[1:2], k=1)
 
 
 # ---------------------------------------------------------------------------

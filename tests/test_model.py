@@ -95,7 +95,7 @@ def test_hyperparams_validation():
 def test_predict_single_sample_is_valid_distribution():
     hp = HyperParams(l2=0.0, lr=0.01, width=8, layers=5, batches=1)
     model = build(hp, seed=0)
-    labels, scores = predict(model, np.zeros(64))
+    labels, scores = predict(model, np.zeros((1, 64)))
     assert labels.shape == (1,)
     assert 1 <= labels[0] <= 5
     assert scores.shape == (1, 5)
