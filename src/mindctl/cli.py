@@ -253,6 +253,9 @@ def _cmd_tune(args) -> int:
         with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
+            # a fork pool starts every worker at its first submit: make that
+            # here, before oa.execute's threads exist, so no fork copies them
+            pool.submit(int).result()
             oa.execute(levels, runner, workers, results)
     finally:  # a stopped sweep keeps its finished runs for the resume
         oa.save_plan(levels, results, results_path)

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from datetime import datetime
 from pathlib import Path
 
@@ -440,6 +441,26 @@ def test_tune_forks_no_more_workers_than_pending_runs(tmp_path, monkeypatch):
             "--workers", "4", "--no-confirm", "--out-dir", str(out)]
     assert main(tune) == 0 and main(tune) == 0  # one run pending, then none
     assert sizes == [1, 1]
+
+
+def test_tune_forks_its_workers_before_any_dispatch_thread(tmp_path, monkeypatch):
+    # a process that forks while other threads run hands the child copies
+    # of whatever locks they hold; Python 3.12 and later warn about it
+    counts, real = [], os.fork
+
+    def recording():
+        counts.append(threading.active_count())
+        return real()
+
+    monkeypatch.setattr(os, "fork", recording)
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=2), data)
+    levels = tmp_path / "levels.json"
+    levels.write_text(json.dumps(_TINY_LEVELS))
+    before = threading.active_count()
+    assert main(["tune", "--data", str(data), "--levels", str(levels), "--epochs", "1",
+                 "--workers", "2", "--no-confirm", "--out-dir", str(tmp_path / "out")]) == 0
+    assert counts == [before, before]
 
 
 def test_tune_confirm_outputs_identical_for_one_and_two_workers(tmp_path):

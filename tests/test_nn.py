@@ -12,6 +12,7 @@ from mindctl.model import build, HyperParams
 from mindctl.nn import (
     DenseParams,
     LstmParams,
+    _lstm_backward,
     _lstm_layer,
     adam_init,
     adam_step,
@@ -23,7 +24,12 @@ from mindctl.nn import (
     sequence_loss,
     softmax,
 )
-from helpers import reference_gradients, reference_sigmoid, tanh_sigmoid
+from helpers import (
+    _reference_lstm_backward,
+    reference_gradients,
+    reference_sigmoid,
+    tanh_sigmoid,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +456,7 @@ def test_fused_gates_match_exp_sigmoid():
 @given(
     width=st.integers(1, 8),
     n=st.integers(1, 40),
-    window=st.sampled_from([1, 3, None]),
+    window=st.sampled_from([1, 3, 7, None]),
     scale=st.one_of(st.floats(0.05, 2.0), st.floats(2.0, 50.0)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -491,6 +497,43 @@ def test_fused_lstm_matches_straight_line_reference(width, n, window, scale, see
             for got, ref in zip(grads, ref_grads):
                 for (name, a), (_, r) in zip(got.arrays(), ref.arrays()):
                     assert _max_scaled_gap(a, r) < 1e-12, name
+
+
+@pytest.mark.parametrize("n, window", [
+    (1013, 100),  # many windows and a short last one
+    (100, 100),
+    (99, 100),    # one window, shorter than the truncation
+    (250, 7),
+    (7, 1),
+])
+def test_window_major_backward_matches_step_major_reference(n, window):
+    # the same forward values through both backward walks; the window-major
+    # loop writes through strided views, so its inputs must come back intact
+    rng = np.random.default_rng(n + window)
+    fan_in, width = 5, 6
+    layer = LstmParams(
+        W_in=rng.normal(scale=0.5, size=(fan_in, 4 * width)),
+        W_rec=rng.normal(scale=0.5, size=(width, 4 * width)),
+        b=rng.normal(scale=0.5, size=4 * width),
+    )
+    A = rng.normal(size=(n, fan_in))
+    gates, cells, out = _lstm_layer(A, layer)
+    cache = {"input": A, "gates": gates, "c": cells, "h": out}
+    d_out = rng.normal(size=(n, width)) / n
+    kept = {name: a.copy() for name, a in cache.items()}
+    kept_d_out = d_out.copy()
+
+    grad, d_in = _lstm_backward(layer, cache, d_out, window)
+    gi, gf, go, gm = np.split(gates, 4, axis=1)
+    ref_cache = {"input": A, "i": gi, "f": gf, "o": go, "m": gm,
+                 "c": cells, "h": out}
+    ref_grad, ref_d_in = _reference_lstm_backward(layer, ref_cache, d_out, window)
+    for (name, a), (_, r) in zip(grad.arrays(), ref_grad.arrays()):
+        assert _max_scaled_gap(a, r) < 1e-12, name
+    assert _max_scaled_gap(d_in, ref_d_in) < 1e-12
+    assert np.array_equal(d_out, kept_d_out)
+    for name, a in cache.items():
+        assert np.array_equal(a, kept[name]), name
 
 
 # ---------------------------------------------------------------------------
