@@ -80,6 +80,10 @@ def _cmd_ingest(args) -> int:
     if not all(r.strip().isdecimal() for r in args.runs.split(",")):
         raise DataError(f"--runs: expected run numbers like 4,8,12, got {args.runs!r}")
     runs = [int(r) for r in args.runs.split(",")]
+    repeated = [r for r in runs if runs.count(r) > 1]
+    if repeated:  # ingest would read the run twice and double its rows
+        raise DataError(
+            f"--runs: run {repeated[0]} given more than once in {args.runs!r}")
     found = dataset.find_recordings(args.edf_dir)
     if not found:
         raise DataError(f"no recordings named like S001R04.edf under {args.edf_dir}")
@@ -351,9 +355,8 @@ def _cmd_replay(args) -> int:
     out = _out_dir(args)
     net = model.load(Path(args.model).read_bytes())
     samples = dataset.load_table(args.data)
-    profile = device.PROFILES[args.profile]
-    session = device.DeviceSession(profile)
-    log = device.replay(net, samples.features, profile, session,
+    session = device.DeviceSession(device.PROFILES[args.profile])
+    log = device.replay(net, samples.features, session,
                         cadence=args.cadence, step_ms=args.step_ms)
     device.save_command_log(log, out / "command_log.csv")
     device.save_transcript(session.transcript, out / "transcript.csv")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import socket
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .dataset import LABELS, write_csv
 from .errors import DataError, ProtocolError
@@ -23,11 +23,16 @@ LED_COLORS = ("blue", "white", "yellow", "red")
 
 @dataclass(frozen=True)
 class CommandProfile:
-    """A total, injective mapping from intent labels 1..5 to actions."""
+    """A total, injective mapping from intent labels 1..5 to actions.
+
+    ``leds`` maps a label to the LED colors its command lights; labels
+    it omits light none.
+    """
 
     name: str
     actions: dict
     wire_ids: dict
+    leds: dict
 
     def __post_init__(self):
         for mapping in (self.actions, self.wire_ids):
@@ -51,6 +56,7 @@ ROBOT_PROFILE = CommandProfile(
         5: "Unloose",
     },
     wire_ids={1: "AHEAD", 2: "LEFT", 3: "RIGHT", 4: "GRASP", 5: "UNLOOSE"},
+    leds={},
 )
 
 APPLIANCE_PROFILE = CommandProfile(
@@ -63,71 +69,11 @@ APPLIANCE_PROFILE = CommandProfile(
         5: "Turn on All LEDs",
     },
     wire_ids={1: "BLUE", 2: "WHITE", 3: "YELLOW", 4: "RED", 5: "ALL"},
+    leds={1: ("blue",), 2: ("white",), 3: ("yellow",), 4: ("red",),
+          5: LED_COLORS},
 )
 
 PROFILES = {p.name: p for p in (ROBOT_PROFILE, APPLIANCE_PROFILE)}
-
-_LED_BY_ACTION = {
-    "Turn on Blue LEDs": ("blue",),
-    "Turn on White LED": ("white",),
-    "Turn on Yellow LED": ("yellow",),
-    "Turn on Red LED": ("red",),
-    "Turn on All LEDs": LED_COLORS,
-}
-
-
-@dataclass(frozen=True)
-class DeviceState:
-    """Simulated device snapshot.
-
-    ``led_off_ms`` maps each lit LED color to the (exclusive) simulated
-    time it switches off; for the robot profile ``actions`` logs the
-    executed action names in order.
-    """
-
-    profile_name: str
-    led_off_ms: dict = field(default_factory=dict)
-    actions: tuple = ()
-    clock_ms: int = 0
-
-    @staticmethod
-    def initial(profile_name: str) -> "DeviceState":
-        return DeviceState(profile_name=profile_name)
-
-
-def device_apply(state: DeviceState, action: str, now_ms: int) -> DeviceState:
-    """Apply one action at simulated time ``now_ms``.
-
-    Appliance actions light LEDs until ``now + 2000`` ms; a repeat
-    command for a lit LED extends its deadline (hold intervals union).
-    Robot actions append to the log. Commands must not move the clock
-    backwards.
-    """
-    if now_ms < state.clock_ms:
-        raise ProtocolError(
-            f"command time {now_ms} ms is before device clock "
-            f"{state.clock_ms} ms"
-        )
-    if state.profile_name == "appliance":
-        colors = _LED_BY_ACTION.get(action)
-        if colors is None:
-            raise ProtocolError(f"unknown appliance action {action!r}")
-        deadlines = dict(state.led_off_ms)
-        for color in colors:
-            deadlines[color] = max(
-                deadlines.get(color, 0), now_ms + LED_HOLD_MS
-            )
-        return replace(state, led_off_ms=deadlines, clock_ms=now_ms)
-    if action not in ROBOT_PROFILE.actions.values():
-        raise ProtocolError(f"unknown robot action {action!r}")
-    return replace(state, actions=state.actions + (action,), clock_ms=now_ms)
-
-
-def led_on(state: DeviceState, color: str, at_ms: int) -> bool:
-    """Whether ``color`` is lit at simulated time ``at_ms``."""
-    if color not in LED_COLORS:
-        raise ValueError(f"unknown LED color {color!r}")
-    return at_ms < state.led_off_ms.get(color, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +129,30 @@ def decode_ack(line: bytes) -> int:
 # device endpoint
 
 class DeviceSession:
-    """One protocol session against a simulated device.
+    """A simulated device, which is one protocol session.
 
     Processes command lines in delivery order, enforces strictly
-    increasing sequence numbers, applies each action, and acknowledges
-    every command exactly once. The same object backs both the
-    in-process loopback used by replay/tests and the socket server.
+    increasing sequence numbers and a clock that never moves backwards,
+    applies each action, and acknowledges every command exactly once.
+    The transcript is the device's log, and its last entry holds the
+    last sequence number and the clock; ``led_off_ms`` maps each lit LED
+    color to the (exclusive) simulated time it switches off. A rejected
+    line changes neither. The same object backs both the in-process
+    loopback used by replay/tests and the socket server.
     """
 
     def __init__(self, profile: CommandProfile):
         self.profile = profile
-        self.state = DeviceState.initial(profile.name)
         self.transcript = []  # (t_ms, seq, label, action, ack)
-        self._last_seq = 0
+        self.led_off_ms = {}
 
     def handle_line(self, line: bytes) -> bytes:
         cmd = decode_command(line)
-        if cmd.seq <= self._last_seq:
+        clock_ms, last_seq = (self.transcript[-1][:2] if self.transcript
+                              else (0, 0))
+        if cmd.seq <= last_seq:
             raise ProtocolError(
-                f"sequence number {cmd.seq} not above {self._last_seq}"
+                f"sequence number {cmd.seq} not above {last_seq}"
             )
         expected = self.profile.wire_ids[cmd.label]
         if cmd.action_id != expected:
@@ -209,11 +160,24 @@ class DeviceSession:
                 f"action id {cmd.action_id!r} does not match label "
                 f"{cmd.label} ({expected!r}) in {line!r}"
             )
+        if cmd.t_ms < clock_ms:
+            raise ProtocolError(
+                f"command time {cmd.t_ms} ms is before device clock "
+                f"{clock_ms} ms"
+            )
+        # the clock never moves back, so a repeat command for a lit LED
+        # extends its deadline (hold intervals union)
+        for color in self.profile.leds.get(cmd.label, ()):
+            self.led_off_ms[color] = cmd.t_ms + LED_HOLD_MS
         action = self.profile.actions[cmd.label]
-        self.state = device_apply(self.state, action, cmd.t_ms)
-        self._last_seq = cmd.seq
         self.transcript.append((cmd.t_ms, cmd.seq, cmd.label, action, cmd.seq))
         return encode_ack(cmd.seq)
+
+    def led_on(self, color: str, at_ms: int) -> bool:
+        """Whether ``color`` is lit at simulated time ``at_ms``."""
+        if color not in LED_COLORS:
+            raise ValueError(f"unknown LED color {color!r}")
+        return at_ms < self.led_off_ms.get(color, 0)
 
 
 def save_transcript(transcript, path) -> None:
@@ -267,14 +231,15 @@ def majority_votes(labels, cadence: int) -> list:
     return votes
 
 
-def replay(model, features, profile: CommandProfile, session: DeviceSession,
-           cadence: int = 1, step_ms: int = 250):
+def replay(model, features, session: DeviceSession, cadence: int = 1,
+           step_ms: int = 250):
     """Drive the device from recorded EEG through a trained model.
 
     Predicts the time-ordered ``features`` rows, emits one command per
     ``cadence`` predictions (majority vote inside each window, ties to
     the smaller label), and sends it over the session at ``step_ms``
-    simulated intervals. Returns the ordered (t_ms, seq, label, action) log.
+    simulated intervals, with the ids and actions of ``session.profile``.
+    Returns the ordered (t_ms, seq, label, action) log.
     """
     if cadence < 1:
         raise DataError(f"cadence must be >= 1, got {cadence}")
@@ -284,6 +249,7 @@ def replay(model, features, profile: CommandProfile, session: DeviceSession,
         return []
     labels, _ = predict(model, features)
 
+    profile = session.profile
     log = []
     for seq, decided in enumerate(majority_votes(labels, cadence), start=1):
         t_ms = (seq - 1) * step_ms

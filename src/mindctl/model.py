@@ -193,7 +193,7 @@ def predict(model: ModelParams, features):
         raise DataError(
             f"features must be (n, {N_CHANNELS}), got {features.shape}"
         )
-    logits, _, _ = forward_sequence(model.layers, features)
+    logits, _ = forward_sequence(model.layers, features)
     scores = softmax(logits)
     labels = scores.argmax(axis=1) + 1
     return labels, scores
@@ -210,7 +210,7 @@ def _score(layers, logits, samples: SampleSet, l2: float):
 
 
 def _evaluate_test(layers, split: DatasetSplit, l2: float):
-    logits, _, _ = forward_sequence(layers, split.test.features)
+    logits, _ = forward_sequence(layers, split.test.features)
     return _score(layers, logits, split.test, l2)
 
 
@@ -271,7 +271,7 @@ def train(
     for epoch in range(1, schedule.max_epochs + 1):
         epoch_losses = []
         for index, batch in enumerate(split.train_batches()):
-            loss, grads, _ = sequence_gradients(
+            loss, grads = sequence_gradients(
                 layers, batch.features, batch.labels, hp.l2, window
             )
             if not np.isfinite(loss):
@@ -323,8 +323,8 @@ def export_activations(model: ModelParams, samples: SampleSet,
         raise DataError(
             f"layer index {layer_index} outside 1..{len(model.topology)}"
         )
-    _, _, activations = forward_sequence(model.layers, samples.features)
-    act = activations[layer_index - 1]
+    # position k is the output of the first k - 1 layers
+    act, _ = forward_sequence(model.layers[: layer_index - 1], samples.features)
     n = act.shape[0]
     out = np.empty((n, act.shape[1] + 2))
     out[:, 0] = np.arange(n)

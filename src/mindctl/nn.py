@@ -234,17 +234,16 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
 # do not cross window boundaries.
 
 def forward_sequence(layers, X, keep_caches: bool = False, state=None):
-    """Run the stack over a sequence. Returns (logits, caches, activations).
+    """Run the stack over a sequence. Returns (output, caches).
 
     ``X`` is (n, width_in), or (n, k, width_in) for k equal-length
-    sequences run in lockstep; every output keeps the leading axes.
-    ``activations[k]`` is the output of stack position k (activations[0]
-    is the input itself). Caches hold the per-layer intermediates the
-    backward pass needs and are None unless requested: ``{"input"}`` for
-    an affine layer and ``{"input", "gates", "c", "h"}`` for an LSTM
-    layer, where ``gates`` is the (n, 4*width) block of activated gates
-    in ``GATE_ORDER`` and ``c``/``h`` are the per-step cell memory and
-    output. The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which
+    sequences run in lockstep; every output keeps the leading axes. The
+    output is the last layer's (the input itself for an empty stack).
+    Caches hold the per-layer intermediates the backward pass needs and
+    are None unless requested: ``{"input"}`` for an affine layer and
+    ``{"input", "gates", "c", "h"}`` for an LSTM layer, where ``gates``
+    is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
+    ``c``/``h`` are the per-step cell memory and output. The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which
     agrees with 1 / (1 + exp(-x)) to about one ulp.
 
     ``state``, for a forward-only walk of a sequence in pieces, maps an
@@ -255,7 +254,6 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
     A = np.asarray(X, dtype=np.float64)
     if A.ndim not in (2, 3):
         raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
-    activations = [A]
     caches = [] if keep_caches else None
     for index, layer in enumerate(layers):
         if isinstance(layer, DenseParams):
@@ -277,8 +275,7 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
                     {"input": A, "gates": gates, "c": cells, "h": out}
                 )
         A = out
-        activations.append(A)
-    return A, caches, activations
+    return A, caches
 
 
 def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
@@ -369,7 +366,7 @@ def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
     matrices only) is added. ``window`` truncates recurrent gradient
     flow; None unrolls the full sequence.
 
-    Returns ``(loss, grads, probs)`` with ``grads`` mirroring ``layers``.
+    Returns ``(loss, grads)`` with ``grads`` mirroring ``layers``.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -383,12 +380,12 @@ def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
-    logits, caches, _ = forward_sequence(layers, X, keep_caches=True)
+    logits, caches = forward_sequence(layers, X, keep_caches=True)
     probs = softmax(logits)
     weight_matrices = [W for layer in layers for W in layer.weight_matrices()]
     loss = cross_entropy_loss(probs, labels, weight_matrices, l2)
 
-    d_out = probs.copy()
+    d_out = probs  # the loss is taken, so the gradient reuses the buffer
     d_out[np.arange(n), labels - 1] -= 1.0
     d_out /= n
 
@@ -409,12 +406,12 @@ def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
             for W, dW in zip(layer.weight_matrices(), grad.weight_matrices()):
                 dW += 2.0 * l2 * W
 
-    return loss, grads, probs
+    return loss, grads
 
 
 def sequence_loss(layers, X, labels, l2: float = 0.0):
     """Forward-only loss; the reference point for finite differences."""
-    logits, _, _ = forward_sequence(layers, X)
+    logits, _ = forward_sequence(layers, X)
     probs = softmax(logits)
     weight_matrices = [W for layer in layers for W in layer.weight_matrices()]
     return cross_entropy_loss(probs, labels, weight_matrices, l2)
@@ -505,7 +502,7 @@ def gradient_check(layers, X, labels, l2: float = 0.0, step: float = 1e-5):
     difference quotient itself is only accurate to ~1e-10, so a pure
     ratio would be noise for near-zero entries).
     """
-    _, analytic, _ = sequence_gradients(layers, X, labels, l2)
+    _, analytic = sequence_gradients(layers, X, labels, l2)
     numeric = finite_difference_gradients(layers, X, labels, l2, step)
     worst = 0.0
     for a_layer, n_layer in zip(analytic, numeric):

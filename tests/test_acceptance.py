@@ -17,8 +17,9 @@ from mindctl.dataset import split
 from mindctl.device import (
     APPLIANCE_PROFILE,
     LED_HOLD_MS,
+    Command,
     DeviceSession,
-    led_on,
+    encode_command,
     replay,
 )
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, parse_edf, serialize_edf
@@ -188,8 +189,8 @@ def test_criterion_replay_protocol(five_class_model):
     samples = make_toy_samples(n=80, seed=99, n_classes=5)
     session = DeviceSession(APPLIANCE_PROFILE)
     step_ms = 700  # close enough for consecutive holds to overlap
-    log = replay(five_class_model, samples.features, APPLIANCE_PROFILE,
-                 session, cadence=1, step_ms=step_ms)
+    log = replay(five_class_model, samples.features, session, cadence=1,
+                 step_ms=step_ms)
 
     ok = len(log) == 80
     ok = ok and len(session.transcript) == 80
@@ -201,17 +202,18 @@ def test_criterion_replay_protocol(five_class_model):
     )
     ok = ok and {label for _, _, label, _ in log} == {1, 2, 3, 4, 5}
 
-    # event-list oracle: replay the same command schedule one command at a
-    # time and probe LED state between commands; an LED is on at time p
-    # exactly when some earlier command's [t, t+2000) interval covers p
+    # event-list oracle: feed the replayed lines to a fresh session one
+    # command at a time and probe LED state between commands; an LED is on
+    # at time p exactly when some earlier command's [t, t+2000) interval
+    # covers p
     color_of = {1: ("blue",), 2: ("white",), 3: ("yellow",), 4: ("red",),
                 5: ("blue", "white", "yellow", "red")}
-    from mindctl.device import DeviceState, device_apply
 
-    state = DeviceState.initial("appliance")
+    device = DeviceSession(APPLIANCE_PROFILE)
     events = []  # (t, colors)
-    for i, (t_ms, _, label, action) in enumerate(log):
-        state = device_apply(state, action, t_ms)
+    for i, (t_ms, seq, label, _) in enumerate(log):
+        device.handle_line(encode_command(
+            Command(seq, label, APPLIANCE_PROFILE.wire_ids[label], t_ms)))
         events.append((t_ms, color_of[label]))
         next_t = log[i + 1][0] if i + 1 < len(log) else t_ms + 2 * LED_HOLD_MS
         probes = set(range(t_ms, next_t, 211))
@@ -227,7 +229,7 @@ def test_criterion_replay_protocol(five_class_model):
                     for t0, cs in events
                     if color in cs
                 )
-                if led_on(state, color, probe) != oracle:
+                if device.led_on(color, probe) != oracle:
                     ok = False
     elapsed = time.monotonic() - started
     _report(

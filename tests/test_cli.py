@@ -105,6 +105,15 @@ def test_ingest_rejects_a_run_recorded_twice(edf_dir, tmp_path, capsys):
     assert not (out / "dataset.csv").exists()
 
 
+@pytest.mark.parametrize("runs", ["4,4", "4,04"])
+def test_ingest_rejects_a_repeated_run_number(edf_dir, tmp_path, capsys, runs):
+    out = tmp_path / "out"
+    assert main(["ingest", "--edf-dir", str(edf_dir), "--runs", runs,
+                 "--out-dir", str(out)]) == 3
+    assert "run 4 given more than once" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_ingest_per_subject_cap(edf_dir, tmp_path):
     out = tmp_path / "out"
     rc = main([

@@ -17,13 +17,10 @@ from mindctl.device import (
     ROBOT_PROFILE,
     Command,
     DeviceSession,
-    DeviceState,
     decode_ack,
     decode_command,
-    device_apply,
     encode_ack,
     encode_command,
-    led_on,
     majority_votes,
     replay,
     serve,
@@ -60,46 +57,49 @@ def test_profiles_total_and_injective():
 # device timing
 
 def test_led_holds_for_exactly_two_seconds():
-    state = DeviceState.initial("appliance")
-    state = device_apply(state, "Turn on Red LED", 0)
-    assert led_on(state, "red", 0)
-    assert led_on(state, "red", 1999)
-    assert not led_on(state, "red", 2000)
+    session = DeviceSession(APPLIANCE_PROFILE)
+    session.handle_line(b"CMD 1 4 RED 0\n")
+    assert session.led_on("red", 0)
+    assert session.led_on("red", 1999)
+    assert not session.led_on("red", 2000)
+    assert not session.led_on("blue", 0)
 
 
 def test_all_leds_action_lights_everything():
-    state = DeviceState.initial("appliance")
-    state = device_apply(state, "Turn on All LEDs", 100)
+    session = DeviceSession(APPLIANCE_PROFILE)
+    session.handle_line(b"CMD 1 5 ALL 100\n")
     for color in LED_COLORS:
-        assert led_on(state, color, 100)
-        assert led_on(state, color, 2099)
-        assert not led_on(state, color, 2100)
+        assert session.led_on(color, 100)
+        assert session.led_on(color, 2099)
+        assert not session.led_on(color, 2100)
 
 
 def test_repeat_command_extends_deadline():
-    state = DeviceState.initial("appliance")
-    state = device_apply(state, "Turn on Red LED", 0)
-    state = device_apply(state, "Turn on Red LED", 500)
-    assert led_on(state, "red", 2000)  # past the first command's deadline
-    assert led_on(state, "red", 2499)
-    assert not led_on(state, "red", 2500)
+    session = DeviceSession(APPLIANCE_PROFILE)
+    session.handle_line(b"CMD 1 4 RED 0\n")
+    session.handle_line(b"CMD 2 4 RED 500\n")
+    assert session.led_on("red", 2000)  # past the first command's deadline
+    assert session.led_on("red", 2499)
+    assert not session.led_on("red", 2500)
+
+
+def test_unknown_led_color_is_value_error():
+    with pytest.raises(ValueError, match="unknown LED color"):
+        DeviceSession(APPLIANCE_PROFILE).led_on("green", 0)
 
 
 def test_led_intervals_match_event_list_oracle():
     rng = np.random.default_rng(4)
     times = np.sort(rng.integers(0, 12000, size=25))
     colors = rng.choice(["red", "white", "yellow", "blue"], size=25)
-    action_for = {
-        "red": "Turn on Red LED",
-        "white": "Turn on White LED",
-        "yellow": "Turn on Yellow LED",
-        "blue": "Turn on Blue LEDs",
-    }
+    label_for = {"blue": 1, "white": 2, "yellow": 3, "red": 4}
 
-    state = DeviceState.initial("appliance")
+    session = DeviceSession(APPLIANCE_PROFILE)
     applied = []  # (t, color) so far
-    for t, color in zip(times, colors):
-        state = device_apply(state, action_for[color], int(t))
+    for seq, (t, color) in enumerate(zip(times, colors), start=1):
+        label = label_for[color]
+        session.handle_line(encode_command(Command(
+            seq, label, APPLIANCE_PROFILE.wire_ids[label], int(t))))
         applied.append((int(t), color))
         # probe from this command up to (exclusive) the next one: future
         # commands cannot light the past
@@ -112,9 +112,9 @@ def test_led_intervals_match_event_list_oracle():
                     if cc == c
                 )
                 if probe <= int(t):
-                    assert led_on(state, c, probe) == oracle
+                    assert session.led_on(c, probe) == oracle
         # exact boundary probes for the command just applied
-        assert led_on(state, color, int(t) + LED_HOLD_MS - 1)
+        assert session.led_on(color, int(t) + LED_HOLD_MS - 1)
 
     # after the last command the state is final: probe the whole horizon
     final_t = int(times[-1])
@@ -123,27 +123,25 @@ def test_led_intervals_match_event_list_oracle():
             oracle = any(
                 ts <= probe < ts + LED_HOLD_MS for ts, cc in applied if cc == c
             )
-            assert led_on(state, c, probe) == oracle
+            assert session.led_on(c, probe) == oracle
 
 
 def test_robot_actions_append_to_log():
-    state = DeviceState.initial("robot")
-    state = device_apply(state, "Walk Ahead", 0)
-    state = device_apply(state, "Grasp", 100)
-    assert state.actions == ("Walk Ahead", "Grasp")
-
-
-def test_unknown_action_is_protocol_error():
-    state = DeviceState.initial("appliance")
-    with pytest.raises(ProtocolError, match="unknown appliance action"):
-        device_apply(state, "Self Destruct", 0)
+    session = DeviceSession(ROBOT_PROFILE)
+    session.handle_line(b"CMD 1 1 AHEAD 0\n")
+    session.handle_line(b"CMD 2 4 GRASP 100\n")
+    assert [entry[3] for entry in session.transcript] == ["Walk Ahead", "Grasp"]
+    assert session.led_off_ms == {}
 
 
 def test_clock_cannot_move_backwards():
-    state = DeviceState.initial("robot")
-    state = device_apply(state, "Walk Ahead", 100)
+    session = DeviceSession(APPLIANCE_PROFILE)
+    session.handle_line(b"CMD 1 4 RED 100\n")
+    transcript, led_off_ms = list(session.transcript), dict(session.led_off_ms)
     with pytest.raises(ProtocolError, match="before device clock"):
-        device_apply(state, "Grasp", 50)
+        session.handle_line(b"CMD 2 5 ALL 50\n")
+    # a rejected line changes nothing
+    assert (session.transcript, session.led_off_ms) == (transcript, led_off_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +219,9 @@ def test_session_acknowledges_each_command_once():
 def test_session_rejects_non_increasing_sequence():
     session = DeviceSession(APPLIANCE_PROFILE)
     session.handle_line(b"CMD 5 4 RED 0\n")
-    with pytest.raises(ProtocolError, match="sequence number"):
-        session.handle_line(b"CMD 5 4 RED 100\n")
+    session.handle_line(b"CMD 7 4 RED 50\n")
+    with pytest.raises(ProtocolError, match="sequence number 7 not above 7"):
+        session.handle_line(b"CMD 7 4 RED 100\n")
 
 
 def test_session_rejects_mismatched_action_id():
@@ -264,7 +263,7 @@ def test_socket_server_session():
     assert not thread.is_alive()
     session = results["session"]
     assert [entry[1] for entry in session.transcript] == [1, 2]
-    assert led_on(session.state, "red", 2249)
+    assert session.led_on("red", 2249)
 
 
 def test_socket_server_ends_session_on_clean_disconnect(tmp_path):
@@ -312,14 +311,13 @@ def test_majority_votes_match_counting_oracle(labels, cadence):
 
 def test_replay_empty_sequence():
     session = DeviceSession(APPLIANCE_PROFILE)
-    assert replay(None, np.empty((0, 64)), APPLIANCE_PROFILE, session) == []
+    assert replay(None, np.empty((0, 64)), session) == []
 
 
 def test_replay_produces_one_command_per_sample(toy_model, toy_split):
     samples = toy_split.test.features[:20]
     session = DeviceSession(APPLIANCE_PROFILE)
-    log = replay(toy_model, samples, APPLIANCE_PROFILE, session,
-                 cadence=1, step_ms=100)
+    log = replay(toy_model, samples, session, cadence=1, step_ms=100)
     assert len(log) == 20
     assert [entry[1] for entry in log] == list(range(1, 21))
     assert [entry[0] for entry in log] == [i * 100 for i in range(20)]
@@ -330,17 +328,15 @@ def test_replay_produces_one_command_per_sample(toy_model, toy_split):
 
 def test_replay_is_deterministic(toy_model, toy_split):
     samples = toy_split.test.features[:15]
-    log_a = replay(toy_model, samples, ROBOT_PROFILE,
-                   DeviceSession(ROBOT_PROFILE))
-    log_b = replay(toy_model, samples, ROBOT_PROFILE,
-                   DeviceSession(ROBOT_PROFILE))
+    log_a = replay(toy_model, samples, DeviceSession(ROBOT_PROFILE))
+    log_b = replay(toy_model, samples, DeviceSession(ROBOT_PROFILE))
     assert log_a == log_b
 
 
 def test_replay_majority_vote_cadence(toy_model, toy_split):
     samples = toy_split.test.features[:12]
     session = DeviceSession(ROBOT_PROFILE)
-    log = replay(toy_model, samples, ROBOT_PROFILE, session, cadence=4)
+    log = replay(toy_model, samples, session, cadence=4)
     assert len(log) == 3
 
     from mindctl.model import predict
