@@ -215,27 +215,80 @@ def _evaluate_test(layers, split: DatasetSplit, l2: float):
 
 
 def _evaluate_initial(layers, split: DatasetSplit, l2: float):
-    """Epoch 0's ``(test accuracy, test loss, mean train loss)``.
+    """Epoch 0's ``(test accuracy, test loss, mean train loss)``, with no
+    forward kept."""
+    return _initial_pass(layers, split, l2, keep=False)[0]
 
-    The test block and the training batches are ``batch_size`` rows
-    each and share the initial weights, so they run as one lockstep
-    stack of k sequences. The stack is walked in time chunks of
-    ceil(n/k) rows with LSTM state carried between them, so a chunk
-    holds as many rows as one sequence and the pass needs the memory of
-    one sequence's forward.
+
+def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
+    """Epoch 0's scores and, with ``keep``, the first batch's forward.
+
+    The test block and the training batches are ``batch_size`` rows each
+    and share the initial weights, so they run as one lockstep stack of
+    k sequences: the first batch at column 0, the test block at column
+    1, then the other batches. The stack is walked in time chunks of
+    ceil(n/4k) rows with LSTM state carried between them.
+
+    With ``keep``, each chunk's caches (column 0's, see
+    ``forward_sequence``) are written into full-length arrays, which
+    hold what the first batch's own forward would keep. A chunk then
+    holds a quarter of one sequence's rows, so the pass peaks below one
+    training step on the batch; ceil(n/k)-row chunks would not.
+
+    Returns ``((test accuracy, test loss, mean train loss), kept)``.
+    ``kept`` is a list holding the first batch's ``(logits, caches)``
+    when ``keep`` is set and is empty otherwise; the caller pops it, so
+    nothing else holds the caches once the gradient has used them.
     """
-    blocks = [split.test, *split.train_batches()]
+    first, *rest = split.train_batches()
+    blocks = [first, split.test, *rest]
     n, k = split.batch_size, len(blocks)
-    rows = -(-n // k)
+    rows = -(-n // (4 * k))
     logits = np.empty((n, k, N_CLASSES))
     state = {}
+    caches, slots = None, []
+    if keep:
+        # The full-length arrays are made before any chunk's temporaries,
+        # from the layout of a zero-row run. Made after the first chunk,
+        # they left the benchmark's score-actuate peak RSS up to 14 MB
+        # higher in about half of its runs: the allocator keeps the heap
+        # the chunks fragment.
+        empty = np.empty((0, k, N_CHANNELS))
+        _, layout = forward_sequence(layers, empty, keep_caches=True)
+        caches, slots = _full_length_caches(layout, n, first.features)
     for lo in range(0, n, rows):
         stack = np.stack([b.features[lo : lo + rows] for b in blocks], axis=1)
-        logits[lo : lo + rows] = forward_sequence(layers, stack, state=state)[0]
-    (test_acc, test_loss), *train = [
-        _score(layers, logits[:, j], block, l2) for j, block in enumerate(blocks)
-    ]
-    return test_acc, test_loss, float(np.mean([loss for _, loss in train]))
+        logits[lo : lo + rows], part = forward_sequence(
+            layers, stack, keep_caches=keep, state=state
+        )
+        for index, name, full in slots:
+            full[lo : lo + rows] = part[index][name]
+    scores = [_score(layers, logits[:, j], block, l2) for j, block in enumerate(blocks)]
+    test_acc, test_loss = scores.pop(1)
+    train_loss = float(np.mean([loss for _, loss in scores]))
+    kept = [(logits[:, 0].copy(), caches)] if keep else []
+    return (test_acc, test_loss, train_loss), kept
+
+
+def _full_length_caches(layout, n, features):
+    """Empty ``(n, ...)`` caches shaped like the caches ``layout``, and the
+    ``(layer index, name, array)`` slots each chunk writes.
+
+    An array shared between layers (an LSTM layer's ``h`` is the next
+    layer's ``input``) gets one full-length array and one slot. The
+    first layer's input is the batch's own ``features``, which no chunk
+    writes.
+    """
+    arrays = {id(layout[0]["input"]): features}
+    slots = []
+    for index, cache in enumerate(layout):
+        for name, arr in cache.items():
+            if id(arr) not in arrays:
+                arrays[id(arr)] = np.empty((n,) + arr.shape[1:])
+                slots.append((index, name, arrays[id(arr)]))
+    caches = [{name: arrays[id(arr)] for name, arr in cache.items()}
+              for cache in layout]
+    return caches, slots
 
 
 def train(
@@ -252,7 +305,9 @@ def train(
     loss, test accuracy), where row 0 scores the initial weights, and
     the returned model is the checkpoint with the best test accuracy
     seen. Training stops early after ``patience`` epochs without
-    test-loss improvement.
+    test-loss improvement. Epoch 0's pass keeps the first batch's
+    forward when an epoch follows, and epoch 1's first step takes it in
+    place of running its own.
     """
     # The returned model shares no array with ``model``. adam_step returns
     # fresh arrays, so the best layers are kept by reference, uncopied.
@@ -261,7 +316,9 @@ def train(
     hp = model.hyper
     window = schedule.bptt_window
 
-    test_acc, test_loss, train_loss = _evaluate_initial(layers, split, hp.l2)
+    (test_acc, test_loss, train_loss), kept = _initial_pass(
+        layers, split, hp.l2, keep=schedule.max_epochs >= 1
+    )
     history = [(0, train_loss, test_acc)]
     best_acc, best_layers = test_acc, layers
     best_test_loss = test_loss
@@ -271,8 +328,13 @@ def train(
     for epoch in range(1, schedule.max_epochs + 1):
         epoch_losses = []
         for index, batch in enumerate(split.train_batches()):
+            # epoch 1's first batch takes its forward from epoch 0's pass
             loss, grads = sequence_gradients(
-                layers, batch.features, batch.labels, hp.l2, window
+                layers,
+                kept.pop() if kept else forward_sequence(
+                    layers, batch.features, keep_caches=True
+                ),
+                batch.labels, hp.l2, window,
             )
             if not np.isfinite(loss):
                 raise NumericError(

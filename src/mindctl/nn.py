@@ -2,10 +2,14 @@
 an l2 penalty, exact sequence gradients, and Adam updates.
 
 Everything here is float64 and purely functional; a batch of samples is
-treated as one time-ordered sequence for the recurrent layers. The
-backward pass is hand-derived for exactly this layer vocabulary (affine
-chains feeding a stack of LSTM layers) rather than a generic autodiff
-graph, and is validated against central finite differences.
+treated as one time-ordered sequence for the recurrent layers. A
+gradient comes in two halves: ``forward_sequence`` with caches, then
+``sequence_gradients`` on that forward, so a forward run for another
+purpose (a lockstep stack, whose caches are its first sequence's) can
+feed the backward. The backward pass is hand-derived for exactly this
+layer vocabulary (affine chains feeding a stack of LSTM layers) rather
+than a generic autodiff graph, and is validated against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -239,12 +243,19 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
     ``X`` is (n, width_in), or (n, k, width_in) for k equal-length
     sequences run in lockstep; every output keeps the leading axes. The
     output is the last layer's (the input itself for an empty stack).
+
     Caches hold the per-layer intermediates the backward pass needs and
     are None unless requested: ``{"input"}`` for an affine layer and
     ``{"input", "gates", "c", "h"}`` for an LSTM layer, where ``gates``
     is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
-    ``c``/``h`` are the per-step cell memory and output. The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which
-    agrees with 1 / (1 + exp(-x)) to about one ulp.
+    ``c``/``h`` are the per-step cell memory and output. An LSTM layer's
+    ``h`` is the next layer's ``input``, one array. A stack's caches are
+    its first sequence's, copied as contiguous 2-D arrays, so they feed
+    ``sequence_gradients`` as a 2-D run's would; the stack's own
+    intermediates are freed as the walk goes.
+
+    The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
+    with 1 / (1 + exp(-x)) to about one ulp.
 
     ``state``, for a forward-only walk of a sequence in pieces, maps an
     LSTM layer's stack position to its ``(c, h)``: a layer starts from
@@ -255,11 +266,11 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
     if A.ndim not in (2, 3):
         raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
     caches = [] if keep_caches else None
+    kept = _first_sequence(A) if keep_caches else None  # the cached input
     for index, layer in enumerate(layers):
+        cache = {"input": kept}
         if isinstance(layer, DenseParams):
             out = affine(A, layer)
-            if keep_caches:
-                caches.append({"input": A})
         else:
             if A.shape[-1] != layer.W_in.shape[0]:
                 raise DataError(
@@ -271,11 +282,20 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
             if state is not None:
                 state[index] = (cells[-1].copy(), out[-1].copy())
             if keep_caches:
-                caches.append(
-                    {"input": A, "gates": gates, "c": cells, "h": out}
-                )
+                cache.update(gates=_first_sequence(gates),
+                             c=_first_sequence(cells), h=_first_sequence(out))
+            del gates, cells  # free them before the next layer runs
         A = out
+        if keep_caches:
+            caches.append(cache)
+            kept = cache["h"] if "h" in cache else _first_sequence(out)
     return A, caches
+
+
+def _first_sequence(a):
+    """A lockstep stack's first sequence as a contiguous 2-D array; a 2-D
+    array is returned as it is."""
+    return a[:, 0].copy() if a.ndim == 3 else a
 
 
 def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
@@ -358,21 +378,32 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
     return grad, d_in
 
 
-def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
-    """Loss and exact analytic gradients for one sequence.
+def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
+    """Loss and exact analytic gradients for one sequence: the backward
+    half of a gradient.
 
-    The batch is one time-ordered sequence; per-step softmax
+    ``forward`` is the ``(output, caches)`` that ``forward_sequence(layers,
+    X, keep_caches=True)`` returns for one 2-D sequence ``X``; the caches
+    of a lockstep stack's first sequence serve with that sequence's 2-D
+    output. The batch is one time-ordered sequence; per-step softmax
     cross-entropy is averaged over steps and the l2 penalty (weight
     matrices only) is added. ``window`` truncates recurrent gradient
     flow; None unrolls the full sequence.
 
     Returns ``(loss, grads)`` with ``grads`` mirroring ``layers``.
     """
-    X = np.asarray(X, dtype=np.float64)
+    logits, caches = forward
     labels = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2:
-        raise DataError(f"sequence input must be 2-D, got {X.shape}")
-    n = X.shape[0]
+    if caches is None or len(caches) != len(layers):
+        raise DataError(
+            "sequence_gradients needs the forward's caches for every layer: "
+            "run forward_sequence with keep_caches=True"
+        )
+    if np.ndim(logits) != 2:
+        raise DataError(
+            f"forward output must be 2-D (one sequence), got {np.shape(logits)}"
+        )
+    n = logits.shape[0]
     if n == 0:
         raise ValueError("empty batch")
     if window is None:
@@ -380,7 +411,6 @@ def sequence_gradients(layers, X, labels, l2: float = 0.0, window=None):
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
-    logits, caches = forward_sequence(layers, X, keep_caches=True)
     probs = softmax(logits)
     weight_matrices = [W for layer in layers for W in layer.weight_matrices()]
     loss = cross_entropy_loss(probs, labels, weight_matrices, l2)
@@ -502,7 +532,8 @@ def gradient_check(layers, X, labels, l2: float = 0.0, step: float = 1e-5):
     difference quotient itself is only accurate to ~1e-10, so a pure
     ratio would be noise for near-zero entries).
     """
-    _, analytic = sequence_gradients(layers, X, labels, l2)
+    forward = forward_sequence(layers, X, keep_caches=True)
+    _, analytic = sequence_gradients(layers, forward, labels, l2)
     numeric = finite_difference_gradients(layers, X, labels, l2, step)
     worst = 0.0
     for a_layer, n_layer in zip(analytic, numeric):

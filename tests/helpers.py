@@ -2,7 +2,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from mindctl.dataset import LABELS, TABLE_HEADER, SampleSet
-from mindctl.nn import DenseParams, LstmParams
+from mindctl.nn import (
+    DenseParams,
+    LstmParams,
+    forward_sequence,
+    sequence_gradients,
+)
 
 
 def make_toy_samples(n=200, seed=7, spread=2.0, n_classes=2):
@@ -21,6 +26,13 @@ def make_toy_samples(n=200, seed=7, spread=2.0, n_classes=2):
             block = slice((c - 1) * 12, c * 12)
             features[labels == c, block] += 1.5 * spread
     return SampleSet(features, labels)
+
+
+def gradients(layers, X, labels, l2=0.0, window=None):
+    """``(loss, grads)`` of one 2-D sequence: its forward with caches, then
+    the backward on that forward."""
+    forward = forward_sequence(layers, X, keep_caches=True)
+    return sequence_gradients(layers, forward, labels, l2, window)
 
 
 # ---------------------------------------------------------------------------

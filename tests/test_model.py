@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 
 from mindctl.dataset import split
 from mindctl.errors import DataError, NumericError
+import mindctl.model
+import mindctl.nn
 from mindctl.model import (
     HyperParams,
     TrainingSchedule,
     _evaluate_initial,
     _evaluate_test,
+    _initial_pass,
     build,
     export_activations,
     load,
@@ -29,7 +32,7 @@ from mindctl.model import (
     train,
 )
 from mindctl.nn import forward_sequence, sequence_gradients, sequence_loss
-from helpers import make_toy_samples
+from helpers import gradients, make_toy_samples
 
 
 def test_build_seven_layer_plan():
@@ -261,10 +264,103 @@ def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
     assert lockstep < 1.5 * one
 
 
+def test_no_cache_forward_frees_each_layer_before_the_next():
+    # 700 rows at the paper topology: a forward without caches holds one
+    # LSTM layer's intermediates at a time (0.48 of the cached forward's
+    # peak; 0.80 while it kept the previous layer's gates and cells)
+    hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
+    layers = build(hp, seed=1).layers
+    X = np.random.default_rng(2).normal(size=(700, 64))
+    bare = _peak_traced_bytes(lambda: forward_sequence(layers, X))
+    cached = _peak_traced_bytes(
+        lambda: forward_sequence(layers, X, keep_caches=True))
+    assert bare < 0.6 * cached
+
+
+@pytest.mark.parametrize("max_epochs, rows, kept", [(0, 1, 0), (1, 4, 3)])
+def test_first_step_takes_epoch_zero_forward(monkeypatch, max_epochs, rows,
+                                             kept):
+    # n_b 3 batches of n = 10 rows. One epoch sends (n_b + 1) * n rows
+    # through forward_sequence: epoch 0's pass, batches 2 and 3 and the
+    # test score; batch 1's step takes epoch 0's forward. With no epoch
+    # to follow, epoch 0 keeps nothing.
+    real = mindctl.nn.forward_sequence
+    seen = []
+
+    def counted(layers, X, *args, **kwargs):
+        output, caches = real(layers, X, *args, **kwargs)
+        seen.append((len(X), caches is not None))
+        return output, caches
+
+    steps = []
+    real_gradients = mindctl.model.sequence_gradients
+
+    def gradients_counted(*args, **kwargs):
+        steps.append(args[1])
+        return real_gradients(*args, **kwargs)
+
+    monkeypatch.setattr("mindctl.nn.forward_sequence", counted)
+    monkeypatch.setattr("mindctl.model.forward_sequence", counted)
+    monkeypatch.setattr("mindctl.model.sequence_gradients", gradients_counted)
+    splits = split(make_toy_samples(n=40, seed=3), 3)
+    hp = HyperParams(l2=0.001, lr=0.01, width=8, layers=5, batches=3)
+    schedule = TrainingSchedule(max_epochs=max_epochs, patience=5,
+                                bptt_window=4)
+    train(build(hp, seed=5), splits, schedule)
+    assert sum(n for n, _ in seen) == rows * 10
+    assert len(steps) == 3 * max_epochs
+    assert len({id(forward) for forward in steps}) == len(steps)
+    assert sum(n for n, cached in seen if cached) == kept * 10
+
+
+@pytest.mark.parametrize("total, n_batches, layers, window", [
+    (400, 3, 5, 10),  # n 100 in 7-row chunks, the last one 2 rows
+    (24, 5, 4, 3),    # n 4 < k 6: one-row chunks; the first layer an LSTM
+    (74, 1, 6, 4),    # n 37 in 5-row chunks, the last one 2 rows
+])
+def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
+                                                      layers, window):
+    splits = split(make_toy_samples(n=total, seed=total, n_classes=5),
+                   n_batches)
+    hp = HyperParams(l2=0.003, lr=0.01, width=6, layers=layers,
+                     batches=n_batches)
+    params = build(hp, seed=total).layers
+    batch = next(splits.train_batches())
+    scores, [forward] = _initial_pass(params, splits, hp.l2, keep=True)
+    assert scores == _evaluate_initial(params, splits, hp.l2)
+    _, caches = forward
+    assert np.shares_memory(caches[0]["input"], splits.train.features)
+    loss, grads = sequence_gradients(params, forward, batch.labels, hp.l2,
+                                     window)
+    ref_loss, ref_grads = gradients(params, batch.features, batch.labels,
+                                    hp.l2, window)
+    assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+    for got, ref in zip(grads, ref_grads):
+        for (name, a), (_, r) in zip(got.arrays(), ref.arrays()):
+            gap = np.max(np.abs(a - r)) / max(1.0, np.max(np.abs(r)))
+            assert gap < 1e-12, name
+
+
+def test_kept_pass_needs_no_more_memory_than_a_training_step():
+    # n_b 3 and n 700 at the paper topology: the pass that keeps batch
+    # 1's forward peaks at 0.82 of one training step on that batch, and
+    # at 1.33 with chunks of ceil(n/k) rows
+    splits = split(make_toy_samples(n=2800, seed=4), 3)
+    hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
+    layers = build(hp, seed=1).layers
+    batch = next(splits.train_batches())
+    step = _peak_traced_bytes(lambda: sequence_gradients(
+        layers, forward_sequence(layers, batch.features, keep_caches=True),
+        batch.labels, hp.l2, 100))
+    kept = _peak_traced_bytes(
+        lambda: _initial_pass(layers, splits, hp.l2, keep=True))
+    assert kept <= step
+
+
 def test_batch_sequence_gradients(toy_model, toy_split):
     batch = next(toy_split.train_batches())
-    loss, grads = sequence_gradients(toy_model.layers, batch.features,
-                                     batch.labels, l2=0.01)
+    loss, grads = gradients(toy_model.layers, batch.features,
+                            batch.labels, l2=0.01)
     assert np.isfinite(loss)
     assert len(grads) == len(toy_model.layers)
 

@@ -26,6 +26,7 @@ from mindctl.nn import (
 )
 from helpers import (
     _reference_lstm_backward,
+    gradients,
     reference_gradients,
     reference_sigmoid,
     tanh_sigmoid,
@@ -329,7 +330,7 @@ def test_gradients_zero_l2_degenerate_regularizer():
     model = _small_model()
     X = np.zeros((3, 64))
     y = np.array([1, 2, 3])
-    loss0, grads0 = sequence_gradients(model.layers, X, y, 0.0)
+    loss0, grads0 = gradients(model.layers, X, y, 0.0)
     # with l2 = 0 the regularizer contributes nothing to the loss
     logits, _ = forward_sequence(model.layers, X)
     assert loss0 == pytest.approx(
@@ -342,9 +343,9 @@ def test_doubling_l2_doubles_regularizer_gradient():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(5, 64))
     y = rng.integers(1, 6, size=5)
-    _, g0 = sequence_gradients(model.layers, X, y, 0.0)
-    _, g1 = sequence_gradients(model.layers, X, y, 0.01)
-    _, g2 = sequence_gradients(model.layers, X, y, 0.02)
+    _, g0 = gradients(model.layers, X, y, 0.0)
+    _, g1 = gradients(model.layers, X, y, 0.01)
+    _, g2 = gradients(model.layers, X, y, 0.02)
     for a, b, c in zip(g0, g1, g2):
         for (_, ga), (_, gb), (_, gc) in zip(a.arrays(), b.arrays(), c.arrays()):
             reg1 = gb - ga
@@ -365,8 +366,8 @@ def test_full_window_equals_unbounded_window():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(7, 64))
     y = rng.integers(1, 6, size=7)
-    loss_a, grads_a = sequence_gradients(model.layers, X, y, 0.02, window=None)
-    loss_b, grads_b = sequence_gradients(model.layers, X, y, 0.02, window=7)
+    loss_a, grads_a = gradients(model.layers, X, y, 0.02, window=None)
+    loss_b, grads_b = gradients(model.layers, X, y, 0.02, window=7)
     assert loss_a == loss_b
     for a, b in zip(grads_a, grads_b):
         for (_, ga), (_, gb) in zip(a.arrays(), b.arrays()):
@@ -378,8 +379,8 @@ def test_truncated_window_keeps_loss_and_changes_only_flow():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(8, 64))
     y = rng.integers(1, 6, size=8)
-    loss_full, _ = sequence_gradients(model.layers, X, y, 0.0)
-    loss_trunc, _ = sequence_gradients(model.layers, X, y, 0.0, window=3)
+    loss_full, _ = gradients(model.layers, X, y, 0.0)
+    loss_trunc, _ = gradients(model.layers, X, y, 0.0, window=3)
     # truncation is a backward-pass concept: forward results are identical
     assert loss_full == loss_trunc
     logits, _ = forward_sequence(model.layers, X)
@@ -389,7 +390,27 @@ def test_truncated_window_keeps_loss_and_changes_only_flow():
 def test_empty_batch_rejected():
     model = _small_model()
     with pytest.raises(ValueError, match="empty batch"):
-        sequence_gradients(model.layers, np.zeros((0, 64)), np.zeros(0), 0.0)
+        gradients(model.layers, np.zeros((0, 64)), np.zeros(0), 0.0)
+
+
+def test_gradients_take_a_two_dimensional_forward_with_caches():
+    model = _small_model()
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(5, 64))
+    y = rng.integers(1, 6, size=5)
+    with pytest.raises(DataError, match="keep_caches=True"):
+        sequence_gradients(model.layers, forward_sequence(model.layers, X), y)
+    short = forward_sequence(model.layers[1:], X @ model.layers[0].W,
+                             keep_caches=True)
+    with pytest.raises(DataError, match="keep_caches=True"):
+        sequence_gradients(model.layers, short, y)
+    stack = forward_sequence(model.layers, np.stack([X, X], axis=1),
+                             keep_caches=True)
+    with pytest.raises(DataError, match=r"must be 2-D .*\(5, 2, 5\)"):
+        sequence_gradients(model.layers, stack, y)
+    forward = forward_sequence(model.layers, X, keep_caches=True)
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        sequence_gradients(model.layers, forward, y, window=0)
 
 
 def test_training_steps_are_bit_reproducible():
@@ -401,7 +422,7 @@ def test_training_steps_are_bit_reproducible():
         X = rng.normal(size=(10, 64))
         y = rng.integers(1, 6, size=10)
         for _ in range(5):
-            _, grads = sequence_gradients(layers, X, y, 0.01)
+            _, grads = gradients(layers, X, y, 0.01)
             layers, state = adam_step(layers, grads, state, lr=0.01)
         return layers
 
@@ -421,7 +442,7 @@ def test_two_hundred_adam_steps_reduce_loss():
     state = adam_init(layers)
     initial = sequence_loss(layers, X, y, 0.001)
     for _ in range(200):
-        _, grads = sequence_gradients(layers, X, y, 0.001, window=50)
+        _, grads = gradients(layers, X, y, 0.001, window=50)
         layers, state = adam_step(layers, grads, state, lr=0.005)
     assert sequence_loss(layers, X, y, 0.001) < initial
 
@@ -488,7 +509,7 @@ def test_fused_lstm_matches_straight_line_reference(width, n, window, scale, see
     sigmoids = [tanh_sigmoid] + ([reference_sigmoid] if scale <= 2.0 else [])
     with np.errstate(over="raise", invalid="raise"):
         logits, _ = forward_sequence(layers, X)
-        _, grads = sequence_gradients(layers, X, y, 0.01, window)
+        _, grads = gradients(layers, X, y, 0.01, window)
         for sigmoid in sigmoids:
             ref_logits, ref_grads = reference_gradients(layers, X, y, 0.01,
                                                         window, sigmoid)
@@ -590,6 +611,24 @@ def test_chunks_with_carried_state_match_one_pass(cuts):
     for index, (_, h) in state.items():
         out, _ = forward_sequence(layers[: index + 1], X)
         assert np.max(np.abs(h - out[-1])) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stack_caches_are_its_first_sequence(k):
+    # contiguous 2-D copies of column 0, equal to that sequence's own
+    # caches, with each LSTM output shared as the next layer's input
+    rng = np.random.default_rng(k)
+    layers = _random_stack(rng)
+    stack = rng.normal(size=(9, k, 3))
+    _, caches = forward_sequence(layers, stack, keep_caches=True)
+    _, own = forward_sequence(layers, stack[:, 0].copy(), keep_caches=True)
+    for index, (cache, ref) in enumerate(zip(caches, own)):
+        assert list(cache) == list(ref)
+        for name, arr in cache.items():
+            assert arr.shape == ref[name].shape and arr.flags.c_contiguous
+            assert _max_scaled_gap(arr, ref[name]) < 1e-12, (index, name)
+    assert caches[2]["input"] is caches[1]["h"]
+    assert caches[3]["input"] is caches[2]["h"]
 
 
 def test_lstm_layer_keeps_two_dimensional_shapes():
