@@ -214,12 +214,6 @@ def _evaluate_test(layers, split: DatasetSplit, l2: float):
     return _score(layers, logits, split.test, l2)
 
 
-def _evaluate_initial(layers, split: DatasetSplit, l2: float):
-    """Epoch 0's ``(test accuracy, test loss, mean train loss)``, with no
-    forward kept."""
-    return _initial_pass(layers, split, l2, keep=False)[0]
-
-
 def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     """Epoch 0's scores and, with ``keep``, the first batch's forward.
 
@@ -246,23 +240,22 @@ def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     rows = -(-n // (4 * k))
     logits = np.empty((n, k, N_CLASSES))
     state = {}
-    caches, slots = None, []
-    if keep:
-        # The full-length arrays are made before any chunk's temporaries,
-        # from the layout of a zero-row run. Made after the first chunk,
-        # they left the benchmark's score-actuate peak RSS up to 14 MB
-        # higher in about half of its runs: the allocator keeps the heap
-        # the chunks fragment.
-        empty = np.empty((0, k, N_CHANNELS))
-        _, layout = forward_sequence(layers, empty, keep_caches=True)
-        caches, slots = _full_length_caches(layout, n, first.features)
+    # The full-length arrays are made before any chunk's temporaries:
+    # made after the first chunk, they left the benchmark's score-actuate
+    # peak RSS up to 14 MB higher in about half of its runs, as the
+    # allocator keeps the heap the chunks fragment.
+    caches = _full_length_caches(layers, first.features) if keep else []
     for lo in range(0, n, rows):
         stack = np.stack([b.features[lo : lo + rows] for b in blocks], axis=1)
         logits[lo : lo + rows], part = forward_sequence(
             layers, stack, keep_caches=keep, state=state
         )
-        for index, name, full in slots:
-            full[lo : lo + rows] = part[index][name]
+        for index, cache in enumerate(caches):
+            for name, full in cache.items():
+                # the first input is the batch's own; an LSTM's h is
+                # the next layer's input and is written once, as h
+                if name != "input" or index and "h" not in caches[index - 1]:
+                    full[lo : lo + rows] = part[index][name]
     scores = [_score(layers, logits[:, j], block, l2) for j, block in enumerate(blocks)]
     test_acc, test_loss = scores.pop(1)
     train_loss = float(np.mean([loss for _, loss in scores]))
@@ -270,25 +263,25 @@ def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     return (test_acc, test_loss, train_loss), kept
 
 
-def _full_length_caches(layout, n, features):
-    """Empty ``(n, ...)`` caches shaped like the caches ``layout``, and the
-    ``(layer index, name, array)`` slots each chunk writes.
-
-    An array shared between layers (an LSTM layer's ``h`` is the next
-    layer's ``input``) gets one full-length array and one slot. The
-    first layer's input is the batch's own ``features``, which no chunk
-    writes.
-    """
-    arrays = {id(layout[0]["input"]): features}
-    slots = []
-    for index, cache in enumerate(layout):
-        for name, arr in cache.items():
-            if id(arr) not in arrays:
-                arrays[id(arr)] = np.empty((n,) + arr.shape[1:])
-                slots.append((index, name, arrays[id(arr)]))
-    caches = [{name: arrays[id(arr)] for name, arr in cache.items()}
-              for cache in layout]
-    return caches, slots
+def _full_length_caches(layers, features):
+    """Empty caches for the forward of ``features`` through ``layers``,
+    laid out as ``forward_sequence`` keeps them: the first layer's input
+    is ``features`` itself and an LSTM layer's ``h`` is the next layer's
+    ``input``, one array."""
+    n, caches = len(features), []
+    for layer in layers:
+        if not caches:
+            cache = {"input": features}
+        elif "h" in caches[-1]:
+            cache = {"input": caches[-1]["h"]}
+        else:
+            cache = {"input": np.empty((n, layer.weight_matrices()[0].shape[0]))}
+        if isinstance(layer, LstmParams):
+            width = layer.width
+            cache.update(gates=np.empty((n, 4 * width)),
+                         c=np.empty((n, width)), h=np.empty((n, width)))
+        caches.append(cache)
+    return caches
 
 
 def train(

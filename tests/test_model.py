@@ -19,7 +19,6 @@ import mindctl.nn
 from mindctl.model import (
     HyperParams,
     TrainingSchedule,
-    _evaluate_initial,
     _evaluate_test,
     _initial_pass,
     build,
@@ -226,7 +225,7 @@ def test_history_rows_and_early_stop():
 
 def test_epoch_zero_row_matches_separate_passes():
     # 40 rows and 3 batches: batch size 10 and k = 4 sequences, so the
-    # lockstep pass runs chunks of 3, 3, 3 and 1 rows
+    # lockstep pass runs ten chunks of one row (ceil(10/16) rows each)
     splits = split(make_toy_samples(n=40, seed=3), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=8, layers=5, batches=3)
     model = build(hp, seed=5)
@@ -237,7 +236,8 @@ def test_epoch_zero_row_matches_separate_passes():
               for b in splits.train_batches()]
     assert epoch == 0 and test_acc == acc
     assert abs(train_loss - np.mean(losses)) < 1e-12
-    assert abs(_evaluate_initial(model.layers, splits, hp.l2)[1] - loss) < 1e-12
+    scores, _ = _initial_pass(model.layers, splits, hp.l2, keep=False)
+    assert abs(scores[1] - loss) < 1e-12
 
 
 def _peak_traced_bytes(fn):
@@ -251,16 +251,17 @@ def _peak_traced_bytes(fn):
 
 
 def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
-    # n_b 3 and n 700 at the paper topology. Scoring peaks at 1.11 times
+    # n_b 3 and n 700 at the paper topology. Scoring peaks at 0.38 times
     # one 2-D forward of the test block; running the (700, 4, 64) stack
     # in one piece peaks at 3.9 times, and keeping its caches higher.
+    # The 1.5 bound dates from ceil(n/k)-row chunks (1.11 then).
     splits = split(make_toy_samples(n=2800, seed=4), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
     one = _peak_traced_bytes(
         lambda: forward_sequence(layers, splits.test.features))
     lockstep = _peak_traced_bytes(
-        lambda: _evaluate_initial(layers, splits, hp.l2))
+        lambda: _initial_pass(layers, splits, hp.l2, keep=False))
     assert lockstep < 1.5 * one
 
 
@@ -327,7 +328,7 @@ def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
     params = build(hp, seed=total).layers
     batch = next(splits.train_batches())
     scores, [forward] = _initial_pass(params, splits, hp.l2, keep=True)
-    assert scores == _evaluate_initial(params, splits, hp.l2)
+    assert scores == _initial_pass(params, splits, hp.l2, keep=False)[0]
     _, caches = forward
     assert np.shares_memory(caches[0]["input"], splits.train.features)
     loss, grads = sequence_gradients(params, forward, batch.labels, hp.l2,
