@@ -13,6 +13,8 @@ import re
 import socket
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import LABELS, write_csv
 from .errors import DataError, ProtocolError
 from .model import predict
@@ -221,14 +223,17 @@ def majority_votes(labels, cadence: int) -> list:
     """The majority label of each consecutive ``cadence``-long window.
 
     Ties go to the smaller label; a shorter last window votes on its own.
+    One count over ``window * 6 + label`` tallies every window at once,
+    and a window's first maximum is its smallest tied label.
     """
-    votes = []
-    for start in range(0, len(labels), cadence):
-        counts = {}
-        for lbl in labels[start : start + cadence]:
-            counts[int(lbl)] = counts.get(int(lbl), 0) + 1
-        votes.append(max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0])
-    return votes
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < LABELS[0] or labels.max() > LABELS[-1]):
+        raise DataError(f"labels outside {LABELS[0]}..{LABELS[-1]}")
+    slots = LABELS[-1] + 1
+    windows = -(-len(labels) // cadence)
+    counts = np.bincount(np.arange(len(labels)) // cadence * slots + labels,
+                         minlength=windows * slots)
+    return counts.reshape(windows, slots).argmax(axis=1).tolist()
 
 
 def replay(model, features, session: DeviceSession, cadence: int = 1,

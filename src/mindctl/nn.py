@@ -2,14 +2,16 @@
 an l2 penalty, exact sequence gradients, and Adam updates.
 
 Everything here is float64 and purely functional; a batch of samples is
-treated as one time-ordered sequence for the recurrent layers. A
-gradient comes in two halves: ``forward_sequence`` with caches, then
-``sequence_gradients`` on that forward, so a forward run for another
-purpose (a lockstep stack, whose caches are its first sequence's) can
-feed the backward. The backward pass is hand-derived for exactly this
-layer vocabulary (affine chains feeding a stack of LSTM layers) rather
-than a generic autodiff graph, and is validated against central finite
-differences.
+treated as one time-ordered sequence for the recurrent layers. Stacked
+LSTM layers of one width step together in one loop, each a lag of rows
+behind the one below, with outputs bit-identical to a layer-at-a-time
+walk at even widths (``_lstm_run``). A gradient comes in two halves:
+``forward_sequence`` with caches, then ``sequence_gradients`` on that
+forward, so a forward run for another purpose (a lockstep stack, whose
+caches are its first sequence's) can feed the backward. The backward
+pass is hand-derived for exactly this layer vocabulary (affine chains
+feeding a stack of LSTM layers) rather than a generic autodiff graph,
+and is validated against central finite differences.
 """
 
 from __future__ import annotations
@@ -131,61 +133,166 @@ def _matmul_rows(X, W):
     return (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + W.shape[1:])
 
 
-def _lstm_layer(A, layer: LstmParams, start=None):
-    """Run one LSTM layer over the rows of ``A``, from ``start`` or zero.
+def _runs(layers):
+    """The stack as runs of layers that step together: each dense layer
+    alone, and each stretch of consecutive LSTM layers of one width, each
+    taking the previous one's output as its input."""
+    runs = []
+    for layer in layers:
+        last = runs[-1][-1] if runs else None
+        if (isinstance(layer, LstmParams) and isinstance(last, LstmParams)
+                and layer.W_in.shape[0] == last.width == layer.width):
+            runs[-1].append(layer)
+        else:
+            runs.append([layer])
+    return runs
+
+
+def _lag(n):
+    """Rows by which each layer of a run trails the one before it in an
+    n-row sequence: about a sixteenth of it, from 2 to 256 rows, and
+    never leaving a last block of one row unless the sequence is one
+    row. A BLAS takes a 1-row product as gemv, which rounds differently
+    from a row of a larger product."""
+    lag = max(2, min(256, n // 16))
+    while n > 1 and n % lag == 1:
+        lag += 1
+    return lag
+
+
+def _lstm_run(A, run, starts, keep: bool):
+    """Run a run of LSTM layers (see ``_runs``) over the rows of ``A``.
 
     This is the one implementation of the cell: the gates of step t
-    activate ``A[t] @ W_in + h_prev @ W_rec + b`` (sigmoid for input,
+    activate ``x[t] @ W_in + h_prev @ W_rec + b`` (sigmoid for input,
     forget and output, tanh for modulation), the cell memory becomes
     ``forget * c_prev + input * modulation`` and the output
-    ``output * tanh(c)``. ``A @ W_in + b`` is built as one block of
-    rows, with the three sigmoid blocks halved; the recurrent weights
-    are a copy of ``W_rec`` halved the same way. Halving is exact, so
-    each step computes ``x/2`` for every sigmoid pre-activation ``x``. A
-    step adds ``h_prev @ W_rec`` to its row, takes one tanh over the
-    whole row and maps the sigmoid blocks through sigmoid(x) =
-    (1 + tanh(x/2)) / 2, all in place: no branch, no mask and no
-    overflow.
+    ``output * tanh(c)``. The run works on copies of ``W_in``, ``W_rec``
+    and ``b`` with the three sigmoid blocks halved. Halving is exact
+    (away from the subnormal range), so each step computes ``x/2`` for
+    every sigmoid pre-activation ``x``. A step adds ``h_prev @ W_rec``
+    to its row, takes one tanh over the whole row and maps the sigmoid
+    blocks through sigmoid(x) = (1 + tanh(x/2)) / 2, all in place: no
+    branch, no mask and no overflow.
+
+    All layers of the run step in one loop, layer j+1 running ``lag``
+    rows (see ``_lag``) behind layer j. The rows go in blocks of
+    ``lag``; before a block, each layer's ``x @ W_in + b`` is one
+    product over its block, whose rows the layer before it has just
+    finished. A step row is laid out gate-major, ``(6, layers, k,
+    width)``: the four gates, then ``c`` and ``h``, of every layer. So
+    one add, tanh, sigmoid or cell call covers every layer while each
+    takes its own ``h_prev @ W_rec`` product. Every layer steps every
+    row of the loop, also before its first block and after its last, on
+    finite values that nothing reads. The step rows live in a ring of
+    two blocks, and each finished block is copied out before its rows
+    are reused. Every per-element operation is that of a layer-at-a-time
+    walk, so the outputs are bit-identical to it wherever the BLAS
+    rounds a product row the same at any row count of 2 or more.
+    OpenBLAS 0.3.31 does so when 4 * width is a multiple of 8; at an odd
+    width, the walk's whole-sequence input product switches kernels
+    above about a million multiply-adds, and outputs differ from it in
+    the last bit.
 
     A row of ``A`` is one sample ``(fan_in,)`` or a lockstep stack
     ``(k, fan_in)``: the same step of k sequences that share the
     weights, which then take one (k, width) @ (width, 4*width) product
-    per step. ``start`` is the ``(c, h)`` state before the first row.
+    per step. ``starts`` holds each layer's ``(c, h)`` before the first
+    row, or None for zero.
 
-    Returns ``(gates, cells, out)``: the activated gate block in
-    ``GATE_ORDER`` and the per-step cell memory and hidden output, each
-    shaped like ``A`` with its last axis replaced.
+    Returns ``(out, finals, caches)``: the last layer's output, shaped
+    like ``A`` with its last axis replaced; each layer's ``(c, h)``
+    after the last row; and, with ``keep``, each layer's ``{"gates",
+    "c", "h"}`` as ``forward_sequence`` keeps them (None otherwise). A
+    2-D run's last ``h`` is ``out`` itself.
     """
-    n = A.shape[0]
-    width = layer.width
-    sig = slice(0, 3 * width)
-    gates = _matmul_rows(A, layer.W_in)
-    gates += layer.b
-    gates[..., sig] *= 0.5
-    W_rec = layer.W_rec.copy()
-    W_rec[:, sig] *= 0.5
-    state_shape = A.shape[1:-1] + (width,)
-    cells = np.empty((n,) + state_shape)
-    out = np.empty((n,) + state_shape)
-    rec = np.empty(gates.shape[1:])
-    im = np.empty(state_shape)
-    c, h = start if start is not None else (np.zeros(state_shape),) * 2
-    # per step, the four gate blocks as leading axis: (4, width) or (4, k, width)
-    blocks = np.moveaxis(gates.reshape(gates.shape[:-1] + (4, width)), -2, 1)
-    rows = zip(gates, gates[..., sig], blocks, cells, out)
-    for g, s, (gi, gf, go, gm), c_t, h_t in rows:
-        np.dot(h, W_rec, out=rec)
-        g += rec
-        np.tanh(g, out=g)
-        s *= 0.5
-        s += 0.5
-        np.multiply(gf, c, out=c_t)
-        np.multiply(gi, gm, out=im)
-        c_t += im
-        np.tanh(c_t, out=h_t)
-        h_t *= go
-        c, h = c_t, h_t
-    return gates, cells, out
+    shape = A.shape[1:-1] + (run[0].width,)  # one step of one layer
+    A = A[:, None] if A.ndim == 2 else A  # a 2-D run as a stack of one
+    (n, k, _), width, depth = A.shape, run[0].width, len(run)
+    lag = _lag(n)
+    blocks = -(-n // lag)
+    ring = np.zeros((2 * lag, 6, depth, k, width))
+    # the gate rows seen as product rows, (2 * lag, layers, k, 4, width)
+    products = ring[:, :4].transpose(0, 2, 3, 1, 4)
+    halves = np.full(4 * width, 0.5)
+    halves[3 * width :] = 1.0
+    W_in = [layer.W_in * halves for layer in run]
+    W_rec = [layer.W_rec * halves for layer in run]
+    biases = [(layer.b * halves).reshape(4, width) for layer in run]
+    rec = np.empty((depth, k, 4 * width))
+    rec_gates = rec.reshape(depth, k, 4, width).transpose(2, 0, 1, 3)
+    dots = list(zip(W_rec, rec))
+    im = np.empty((depth, k, width))
+    half = np.array(0.5)
+
+    out = np.empty((n,) + shape)
+    flat = len(shape) == 1
+    caches = None
+    copies = [[] for _ in run]  # (destination, ring view, slot) per layer
+    if keep:
+        caches = [{"gates": np.empty((n, 4 * width)), "c": np.empty((n, width)),
+                   "h": np.empty((n, width))} for _ in run]
+        if flat:
+            caches[-1]["h"] = out
+        first = ring[:, :, :, 0]
+        for cache, dests in zip(caches, copies):
+            dests += [(cache["gates"].reshape(n, 4, width), first, slice(0, 4)),
+                      (cache["c"], first, 4), (cache["h"], first, 5)]
+    if not (keep and flat):
+        copies[-1].append((out.reshape(n, k, width), ring, 5))
+    finals = list(starts)
+
+    for B in range(blocks + depth - 1 if n else 0):
+        # layer j is on its block B - j; only the lowest layer's can be
+        # the last, shorter one
+        lo, hi = max(0, B - blocks + 1), min(depth, B + 1)
+        r0, r_prev = B % 2 * lag, (B + 1) % 2 * lag
+        if B < depth:  # layer B starts: its state goes in the row before
+            before = ring[r0 - 1, 4:, B]
+            before[0], before[1] = (0.0, 0.0) if starts[B] is None else starts[B]
+        for j in range(lo, hi):
+            t0 = (B - j) * lag
+            m = min(lag, n - t0)
+            x = A[t0 : t0 + m] if j == 0 else ring[r_prev : r_prev + m, 5, j - 1]
+            z = products[r0 : r0 + m, j]
+            np.add(_matmul_rows(x, W_in[j]).reshape(z.shape), biases[j], z)
+        m = lag if hi - lo > 1 else min(lag, n - (B - lo) * lag)
+        _cell_steps(ring[r0 : r0 + m], ring[r0 - 1], dots, rec_gates, im, half)
+        for j in range(lo, hi):
+            t0 = (B - j) * lag
+            m = min(lag, n - t0)
+            for dest, src, slot in copies[j]:
+                dest[t0 : t0 + m] = src[r0 : r0 + m, slot, j]
+            if t0 + m == n:
+                last = ring[r0 + m - 1, 4:, j].reshape((2,) + shape)
+                finals[j] = tuple(last.copy())
+    return out, finals, caches
+
+
+def _cell_steps(rows, prev, dots, rec, im, half):
+    """Step every layer of a run over consecutive step rows.
+
+    ``prev`` is the step row before the first; ``dots`` pairs each
+    layer's halved ``W_rec`` with its slot of the product buffer, which
+    ``rec`` sees gate-major.
+    """
+    c, hs = prev[4], prev[5]
+    for g, s, gi, gf, go, gm, c_t, h_t in zip(
+        rows[:, :4], rows[:, :3], rows[:, 0], rows[:, 1], rows[:, 2],
+        rows[:, 3], rows[:, 4], rows[:, 5],
+    ):
+        for h, (W, r) in zip(hs, dots):
+            np.dot(h, W, r)
+        np.add(g, rec, g)
+        np.tanh(g, g)
+        np.multiply(s, half, s)
+        np.add(s, half, s)
+        np.multiply(gf, c, c_t)
+        np.multiply(gi, gm, im)
+        np.add(c_t, im, c_t)
+        np.tanh(c_t, h_t)
+        np.multiply(h_t, go, h_t)
+        c, hs = c_t, h_t
 
 
 def softmax(logits):
@@ -244,15 +351,23 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
     sequences run in lockstep; every output keeps the leading axes. The
     output is the last layer's (the input itself for an empty stack).
 
+    Consecutive LSTM layers of one width form a run (``_runs``), which
+    steps all its layers in one loop, each a lag of rows behind the one
+    before it (``_lstm_run``); any other LSTM layer is a run of one. A
+    run keeps its step rows in a ring of about two blocks of lag rows,
+    so a forward without caches holds no layer's gates or cells, only
+    the ring and the run's output. Outputs are bit-identical to walking
+    the layers one at a time (at an odd width, see ``_lstm_run``).
+
     Caches hold the per-layer intermediates the backward pass needs and
     are None unless requested: ``{"input"}`` for an affine layer and
     ``{"input", "gates", "c", "h"}`` for an LSTM layer, where ``gates``
     is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
-    ``c``/``h`` are the per-step cell memory and output. An LSTM layer's
-    ``h`` is the next layer's ``input``, one array. A stack's caches are
-    its first sequence's, copied as contiguous 2-D arrays, so they feed
-    ``sequence_gradients`` as a 2-D run's would; the stack's own
-    intermediates are freed as the walk goes.
+    ``c``/``h`` are the per-step cell memory and output, each a
+    contiguous 2-D array copied block by block out of the ring. An LSTM
+    layer's ``h`` is the next layer's ``input``, one array. A stack's
+    caches are its first sequence's, so they feed ``sequence_gradients``
+    as a 2-D run's would.
 
     The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
     with 1 / (1 + exp(-x)) to about one ulp.
@@ -267,28 +382,26 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
         raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
     caches = [] if keep_caches else None
     kept = _first_sequence(A) if keep_caches else None  # the cached input
-    for index, layer in enumerate(layers):
-        cache = {"input": kept}
-        if isinstance(layer, DenseParams):
-            out = affine(A, layer)
+    index = 0
+    for run in _runs(layers):
+        if isinstance(run[0], DenseParams):
+            A, run_caches = affine(A, run[0]), [{}]
         else:
-            if A.shape[-1] != layer.W_in.shape[0]:
+            if A.shape[-1] != run[0].W_in.shape[0]:
                 raise DataError(
                     f"lstm input width {A.shape[-1]} incompatible with "
-                    f"W_in {layer.W_in.shape}"
+                    f"W_in {run[0].W_in.shape}"
                 )
-            start = None if state is None else state.get(index)
-            gates, cells, out = _lstm_layer(A, layer, start)
+            positions = range(index, index + len(run))
+            starts = [None if state is None else state.get(i) for i in positions]
+            A, finals, run_caches = _lstm_run(A, run, starts, keep_caches)
             if state is not None:
-                state[index] = (cells[-1].copy(), out[-1].copy())
-            if keep_caches:
-                cache.update(gates=_first_sequence(gates),
-                             c=_first_sequence(cells), h=_first_sequence(out))
-            del gates, cells  # free them before the next layer runs
-        A = out
+                state.update(zip(positions, finals))
+        index += len(run)
         if keep_caches:
-            caches.append(cache)
-            kept = cache["h"] if "h" in cache else _first_sequence(out)
+            for cache in run_caches:
+                caches.append({"input": kept, **cache})
+                kept = cache["h"] if "h" in cache else _first_sequence(A)
     return A, caches
 
 

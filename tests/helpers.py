@@ -162,6 +162,19 @@ def reference_midranks(values):
 
 
 # ---------------------------------------------------------------------------
+# straight-loop majority vote: one count dict per window
+
+def reference_majority_votes(labels, cadence):
+    votes = []
+    for start in range(0, len(labels), cadence):
+        counts = {}
+        for lbl in labels[start : start + cadence]:
+            counts[int(lbl)] = counts.get(int(lbl), 0) + 1
+        votes.append(max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0])
+    return votes
+
+
+# ---------------------------------------------------------------------------
 # straight-loop table writer: one repr per cell
 
 def reference_save_table(samples, path):

@@ -25,8 +25,8 @@ from mindctl.device import (
     replay,
     serve,
 )
-from mindctl.errors import ProtocolError
-from helpers import mutated_bytes
+from mindctl.errors import DataError, ProtocolError
+from helpers import mutated_bytes, reference_majority_votes
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +307,24 @@ def test_majority_votes_match_counting_oracle(labels, cadence):
         best = max(window.count(lbl) for lbl in window)
         expected.append(min(lbl for lbl in window if window.count(lbl) == best))
     assert majority_votes(np.array(labels, dtype=int), cadence) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 9))
+def test_majority_votes_match_the_per_window_loop(seed, n, cadence):
+    # one count over (window, label) pairs against a dict per window, on
+    # skewed labels so that ties and clear winners both occur
+    rng = np.random.default_rng(seed)
+    labels = rng.choice([1, 2, 3, 4, 5], size=n, p=rng.dirichlet(np.ones(5)))
+    votes = majority_votes(labels, cadence)
+    assert votes == reference_majority_votes(labels, cadence)
+    assert all(type(vote) is int for vote in votes)
+
+
+@pytest.mark.parametrize("label", [0, 6])
+def test_majority_votes_reject_labels_outside_the_classes(label):
+    with pytest.raises(DataError, match="labels outside 1..5"):
+        majority_votes(np.array([1, label, 2]), 2)
 
 
 def test_replay_empty_sequence():

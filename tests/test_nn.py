@@ -12,8 +12,8 @@ from mindctl.model import build, HyperParams
 from mindctl.nn import (
     DenseParams,
     LstmParams,
+    _lag,
     _lstm_backward,
-    _lstm_layer,
     adam_init,
     adam_step,
     affine,
@@ -99,6 +99,12 @@ def _zero_lstm(width, fan_in):
         W_rec=np.zeros((width, 4 * width)),
         b=np.zeros(4 * width),
     )
+
+
+def _lstm_layer(A, layer):
+    """``(gates, c, h)`` of one LSTM layer over the rows of ``A``."""
+    _, (cache,) = forward_sequence([layer], A, keep_caches=True)
+    return cache["gates"], cache["c"], cache["h"]
 
 
 def test_lstm_step_all_zero():
@@ -635,3 +641,94 @@ def test_lstm_layer_keeps_two_dimensional_shapes():
     layer = _random_stack(np.random.default_rng(4))[1]
     gates, cells, out = _lstm_layer(np.ones((6, 4)), layer)
     assert (gates.shape, cells.shape, out.shape) == ((6, 16), (6, 4), (6, 4))
+
+
+# ---------------------------------------------------------------------------
+# runs: consecutive LSTM layers stepped in one loop
+
+def _layer_at_a_time(A, layer, start=None):
+    """``(gates, c, h)`` of one LSTM layer over the rows of ``A``, walked
+    as a straight loop with the input product over the whole sequence:
+    the per-layer walk whose outputs a run reproduces bit for bit."""
+    n, width = A.shape[0], layer.width
+    sig = slice(0, 3 * width)
+    gates = (A.reshape(-1, A.shape[-1]) @ layer.W_in).reshape(
+        A.shape[:-1] + (4 * width,))
+    gates += layer.b
+    gates[..., sig] *= 0.5
+    W_rec = layer.W_rec.copy()
+    W_rec[:, sig] *= 0.5
+    shape = A.shape[1:-1] + (width,)
+    c, h = start if start is not None else (np.zeros(shape), np.zeros(shape))
+    cells, out = np.empty((n,) + shape), np.empty((n,) + shape)
+    for t, g in enumerate(gates):
+        g += np.dot(h, W_rec)
+        np.tanh(g, out=g)
+        g[..., sig] *= 0.5
+        g[..., sig] += 0.5
+        gi, gf, go, gm = np.split(g, 4, axis=-1)
+        c = gf * c + gi * gm
+        h = np.tanh(c) * go
+        cells[t], out[t] = c, h
+    return gates, cells, out
+
+
+# n = 1 is shorter than its lag of 2; 2 and 48 are multiples of theirs
+# (2 and 3); 3, 33, 49, 65 and 97 are one more than a multiple of n // 16
+# or 2, which would leave a 1-row last block, so their lag moves up
+_RUN_LENGTHS = [1, 2, 3, 5, 31, 32, 33, 47, 48, 49, 64, 65, 97, 161]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from(_RUN_LENGTHS), st.integers(1, 300)),
+    k=st.sampled_from([None, 1, 2, 4]),
+    width=st.integers(1, 6),
+    second=st.one_of(st.none(), st.integers(1, 6)),
+    starts=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_of_two_layers_matches_two_runs_of_one(n, k, width, second,
+                                                   starts, seed):
+    # Two LSTM layers of one width step as one run, layer 2 a lag behind;
+    # apart, each is a run of one. Gates, cells, outputs and the final
+    # (c, h) agree bit for bit, and each layer agrees with the straight
+    # per-layer walk. ``second`` gives layer 2 another width (two runs).
+    rng = np.random.default_rng(seed)
+    fan_in, widths = int(rng.integers(1, 6)), (width, second or width)
+
+    def lstm(fan, w):
+        return LstmParams(W_in=rng.normal(size=(fan, 4 * w)),
+                          W_rec=rng.normal(size=(w, 4 * w)),
+                          b=rng.normal(size=4 * w))
+
+    layers = [lstm(fan_in, widths[0]), lstm(widths[0], widths[1])]
+    lead = () if k is None else (k,)
+    X = rng.normal(size=(n,) + lead + (fan_in,))
+    begin = [tuple(rng.normal(size=(2,) + lead + (w,))) if starts else None
+             for w in widths]
+    pair = {i: s for i, s in enumerate(begin) if s is not None}
+    apart = [{0: s} if s is not None else {} for s in begin]
+
+    out, caches = forward_sequence(layers, X, keep_caches=True, state=pair)
+    A, own = X, []
+    for layer, state in zip(layers, apart):
+        A, (cache,) = forward_sequence([layer], A, keep_caches=True,
+                                       state=state)
+        own.append(cache)
+    assert np.array_equal(out, A)
+    assert caches[1]["input"] is caches[0]["h"]
+    A = X
+    for index, (layer, cache, ref) in enumerate(zip(layers, caches, own)):
+        gates, cells, outs = _layer_at_a_time(A, layer, begin[index])
+        for name, whole in (("gates", gates), ("c", cells), ("h", outs)):
+            assert np.array_equal(cache[name], ref[name]), (index, name)
+            column = whole if k is None else whole[:, 0]
+            assert np.array_equal(cache[name], column), (index, name)
+        for got, final, want in zip(pair[index], apart[index][0],
+                                    (cells[-1], outs[-1])):
+            assert np.array_equal(got, final) and np.array_equal(got, want)
+        A = outs
+    # no input product but a 1-row sequence's own has one row
+    lag = _lag(n)
+    assert n == 1 or n % lag != 1
