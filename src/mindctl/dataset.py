@@ -206,24 +206,30 @@ def label_samples(
 
 @dataclass
 class DatasetSplit:
-    """Train/test partition controlled by the batch count.
-
-    With batch count ``n`` and total size divisible by ``n + 1``, the
-    first ``n/(n+1)`` of the samples (in order) become ``n`` training
-    batches of ``batch_size`` each and the final ``batch_size`` samples
-    become the test set.
+    """Train/test partition controlled by the batch count ``n_b``: the
+    samples, in order, as ``n_b + 1`` equal blocks, the training batches
+    and then the test set. ``features`` is (n_b + 1, batch_size, 64) and
+    ``labels`` (n_b + 1, batch_size), views of the samples' arrays.
     """
 
-    train: SampleSet
-    test: SampleSet
-    n_batches: int
-    batch_size: int
+    features: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def batch_size(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def train(self) -> SampleSet:
+        return SampleSet(self.features[:-1].reshape(-1, N_CHANNELS),
+                         self.labels[:-1].reshape(-1))
+
+    @property
+    def test(self) -> SampleSet:
+        return SampleSet(self.features[-1], self.labels[-1])
 
     def train_batches(self):
-        for b in range(self.n_batches):
-            lo = b * self.batch_size
-            hi = lo + self.batch_size
-            yield SampleSet(self.train.features[lo:hi], self.train.labels[lo:hi])
+        return map(SampleSet, self.features[:-1], self.labels[:-1])
 
 
 def split(samples: SampleSet, n_batches: int) -> DatasetSplit:
@@ -241,14 +247,10 @@ def split(samples: SampleSet, n_batches: int) -> DatasetSplit:
             f"total sample count {total} must be a positive multiple of "
             f"batch count + 1 = {divisor}"
         )
-    batch_size = total // divisor
-    features, labels = samples.features, samples.labels
-    cut = n_batches * batch_size
+    shape = (divisor, total // divisor)
     return DatasetSplit(
-        train=SampleSet(features[:cut], labels[:cut]),
-        test=SampleSet(features[cut:], labels[cut:]),
-        n_batches=n_batches,
-        batch_size=batch_size,
+        features=samples.features.reshape(shape + (N_CHANNELS,)),
+        labels=samples.labels.reshape(shape),
     )
 
 

@@ -199,89 +199,46 @@ def predict(model: ModelParams, features):
     return labels, scores
 
 
-def _score(layers, logits, samples: SampleSet, l2: float):
+def _score(layers, logits, labels, l2: float):
     """``(accuracy, loss)`` of one sequence's logits against its labels."""
     scores = softmax(logits)
     predicted = scores.argmax(axis=1) + 1
-    acc = float((predicted == samples.labels).mean())
+    acc = float((predicted == labels).mean())
     weights = [W for layer in layers for W in layer.weight_matrices()]
-    loss = cross_entropy_loss(scores, samples.labels, weights, l2)
+    loss = cross_entropy_loss(scores, labels, weights, l2)
     return acc, loss
 
 
 def _evaluate_test(layers, split: DatasetSplit, l2: float):
     logits, _ = forward_sequence(layers, split.test.features)
-    return _score(layers, logits, split.test, l2)
+    return _score(layers, logits, split.test.labels, l2)
 
 
 def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     """Epoch 0's scores and, with ``keep``, the first batch's forward.
 
-    The test block and the training batches are ``batch_size`` rows each
-    and share the initial weights, so they run as one lockstep stack of
-    k sequences: the first batch at column 0, the test block at column
-    1, then the other batches. The stack is walked in time chunks of
-    ceil(n/4k) rows with LSTM state carried between them.
-
-    With ``keep``, each chunk's caches (column 0's, see
-    ``forward_sequence``) are written into full-length arrays, which
-    hold what the first batch's own forward would keep. A chunk then
-    holds a quarter of one sequence's rows, so the pass peaks below one
-    training step on the batch; ceil(n/k)-row chunks would not.
+    The training batches and the test block are ``batch_size`` rows each
+    and share the initial weights, so they run as one lockstep stack:
+    the split's blocks seen as ``(n, k, 64)``, the first batch at column
+    0 and the test block at the last. ``forward_sequence`` walks the
+    stack in chunks of ceil(n/4k) rows, a quarter of one sequence's
+    samples, and the caches it keeps are column 0's, the first batch's
+    own forward; so the pass peaks below one training step on the batch.
 
     Returns ``((test accuracy, test loss, mean train loss), kept)``.
     ``kept`` is a list holding the first batch's ``(logits, caches)``
     when ``keep`` is set and is empty otherwise; the caller pops it, so
     nothing else holds the caches once the gradient has used them.
     """
-    first, *rest = split.train_batches()
-    blocks = [first, split.test, *rest]
-    n, k = split.batch_size, len(blocks)
-    rows = -(-n // (4 * k))
-    logits = np.empty((n, k, N_CLASSES))
-    state = {}
-    # The full-length arrays are made before any chunk's temporaries:
-    # made after the first chunk, they left the benchmark's score-actuate
-    # peak RSS up to 14 MB higher in about half of its runs, as the
-    # allocator keeps the heap the chunks fragment.
-    caches = _full_length_caches(layers, first.features) if keep else []
-    for lo in range(0, n, rows):
-        stack = np.stack([b.features[lo : lo + rows] for b in blocks], axis=1)
-        logits[lo : lo + rows], part = forward_sequence(
-            layers, stack, keep_caches=keep, state=state
-        )
-        for index, cache in enumerate(caches):
-            for name, full in cache.items():
-                # the first input is the batch's own; an LSTM's h is
-                # the next layer's input and is written once, as h
-                if name != "input" or index and "h" not in caches[index - 1]:
-                    full[lo : lo + rows] = part[index][name]
-    scores = [_score(layers, logits[:, j], block, l2) for j, block in enumerate(blocks)]
-    test_acc, test_loss = scores.pop(1)
+    logits, caches = forward_sequence(
+        layers, split.features.transpose(1, 0, 2), keep_caches=keep
+    )
+    scores = [_score(layers, logits[:, j], labels, l2)
+              for j, labels in enumerate(split.labels)]
+    test_acc, test_loss = scores.pop()
     train_loss = float(np.mean([loss for _, loss in scores]))
     kept = [(logits[:, 0].copy(), caches)] if keep else []
     return (test_acc, test_loss, train_loss), kept
-
-
-def _full_length_caches(layers, features):
-    """Empty caches for the forward of ``features`` through ``layers``,
-    laid out as ``forward_sequence`` keeps them: the first layer's input
-    is ``features`` itself and an LSTM layer's ``h`` is the next layer's
-    ``input``, one array."""
-    n, caches = len(features), []
-    for layer in layers:
-        if not caches:
-            cache = {"input": features}
-        elif "h" in caches[-1]:
-            cache = {"input": caches[-1]["h"]}
-        else:
-            cache = {"input": np.empty((n, layer.weight_matrices()[0].shape[0]))}
-        if isinstance(layer, LstmParams):
-            width = layer.width
-            cache.update(gates=np.empty((n, 4 * width)),
-                         c=np.empty((n, width)), h=np.empty((n, width)))
-        caches.append(cache)
-    return caches
 
 
 def train(

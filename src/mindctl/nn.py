@@ -7,11 +7,12 @@ LSTM layers of one width step together in one loop, each a lag of rows
 behind the one below, with outputs bit-identical to a layer-at-a-time
 walk at even widths (``_lstm_run``). A gradient comes in two halves:
 ``forward_sequence`` with caches, then ``sequence_gradients`` on that
-forward, so a forward run for another purpose (a lockstep stack, whose
-caches are its first sequence's) can feed the backward. The backward
-pass is hand-derived for exactly this layer vocabulary (affine chains
-feeding a stack of LSTM layers) rather than a generic autodiff graph,
-and is validated against central finite differences.
+forward, so a forward run for another purpose (a lockstep stack, walked
+in chunks, whose caches are its first sequence's) can feed the
+backward. The backward pass is hand-derived for exactly this layer
+vocabulary (affine chains feeding a stack of LSTM layers) rather than a
+generic autodiff graph, and is validated against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _lag(n):
     return lag
 
 
-def _lstm_run(A, run, starts, keep: bool):
+def _lstm_run(A, run, starts, caches):
     """Run a run of LSTM layers (see ``_runs``) over the rows of ``A``.
 
     This is the one implementation of the cell: the gates of step t
@@ -198,13 +199,13 @@ def _lstm_run(A, run, starts, keep: bool):
     ``(k, fan_in)``: the same step of k sequences that share the
     weights, which then take one (k, width) @ (width, 4*width) product
     per step. ``starts`` holds each layer's ``(c, h)`` before the first
-    row, or None for zero.
+    row, or None for zero. ``caches``, unless None, holds each layer's
+    ``{"gates", "c", "h"}`` arrays of ``A``'s rows (see ``_caches``),
+    which the run fills with the first sequence's values.
 
-    Returns ``(out, finals, caches)``: the last layer's output, shaped
-    like ``A`` with its last axis replaced; each layer's ``(c, h)``
-    after the last row; and, with ``keep``, each layer's ``{"gates",
-    "c", "h"}`` as ``forward_sequence`` keeps them (None otherwise). A
-    2-D run's last ``h`` is ``out`` itself.
+    Returns ``(out, finals)``: the last layer's output, shaped like
+    ``A`` with its last axis replaced, and each layer's ``(c, h)`` after
+    the last row. A 2-D run's output is its last cached ``h`` itself.
     """
     shape = A.shape[1:-1] + (run[0].width,)  # one step of one layer
     A = A[:, None] if A.ndim == 2 else A  # a 2-D run as a stack of one
@@ -225,20 +226,15 @@ def _lstm_run(A, run, starts, keep: bool):
     im = np.empty((depth, k, width))
     half = np.array(0.5)
 
-    out = np.empty((n,) + shape)
-    flat = len(shape) == 1
-    caches = None
+    into_h = caches is not None and len(shape) == 1
+    out = caches[-1]["h"] if into_h else np.empty((n,) + shape)
     copies = [[] for _ in run]  # (destination, ring view, slot) per layer
-    if keep:
-        caches = [{"gates": np.empty((n, 4 * width)), "c": np.empty((n, width)),
-                   "h": np.empty((n, width))} for _ in run]
-        if flat:
-            caches[-1]["h"] = out
+    if caches is not None:
         first = ring[:, :, :, 0]
         for cache, dests in zip(caches, copies):
             dests += [(cache["gates"].reshape(n, 4, width), first, slice(0, 4)),
                       (cache["c"], first, 4), (cache["h"], first, 5)]
-    if not (keep and flat):
+    if not into_h:
         copies[-1].append((out.reshape(n, k, width), ring, 5))
     finals = list(starts)
 
@@ -266,7 +262,7 @@ def _lstm_run(A, run, starts, keep: bool):
             if t0 + m == n:
                 last = ring[r0 + m - 1, 4:, j].reshape((2,) + shape)
                 finals[j] = tuple(last.copy())
-    return out, finals, caches
+    return out, finals
 
 
 def _cell_steps(rows, prev, dots, rec, im, half):
@@ -344,7 +340,7 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
 # zero at t = 0 and carries forward across truncation windows; gradients
 # do not cross window boundaries.
 
-def forward_sequence(layers, X, keep_caches: bool = False, state=None):
+def forward_sequence(layers, X, keep_caches: bool = False):
     """Run the stack over a sequence. Returns (output, caches).
 
     ``X`` is (n, width_in), or (n, k, width_in) for k equal-length
@@ -359,33 +355,76 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
     the ring and the run's output. Outputs are bit-identical to walking
     the layers one at a time (at an odd width, see ``_lstm_run``).
 
+    A stack is walked in chunks of ceil(n/4k) rows with each LSTM
+    layer's state carried (``_walk``), so a chunk's temporaries take a
+    quarter of one sequence's samples; a 2-D sequence is one chunk.
+
     Caches hold the per-layer intermediates the backward pass needs and
     are None unless requested: ``{"input"}`` for an affine layer and
     ``{"input", "gates", "c", "h"}`` for an LSTM layer, where ``gates``
     is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
-    ``c``/``h`` are the per-step cell memory and output, each a
-    contiguous 2-D array copied block by block out of the ring. An LSTM
-    layer's ``h`` is the next layer's ``input``, one array. A stack's
+    ``c``/``h`` are the per-step cell memory and output. A stack's
     caches are its first sequence's, so they feed ``sequence_gradients``
-    as a 2-D run's would.
+    as a 2-D run's would. They are laid out whole before the first chunk
+    (``_caches``) and each chunk fills its rows of them.
 
     The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
     with 1 / (1 + exp(-x)) to about one ulp.
-
-    ``state``, for a forward-only walk of a sequence in pieces, maps an
-    LSTM layer's stack position to its ``(c, h)``: a layer starts from
-    its entry (zero if absent), which the call replaces with the state
-    after the last row.
     """
     A = np.asarray(X, dtype=np.float64)
     if A.ndim not in (2, 3):
         raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
-    caches = [] if keep_caches else None
-    kept = _first_sequence(A) if keep_caches else None  # the cached input
+    # The caches are made before any chunk's temporaries: made after the
+    # first chunk, they left the benchmark's score-actuate peak RSS up to
+    # 14 MB higher in about half of its runs, as the allocator keeps the
+    # heap the chunks fragment.
+    caches = _caches(layers, A) if keep_caches else None
+    n, k = len(A), A.shape[1] if A.ndim == 3 else 0
+    rows = max(1, -(-n // (4 * k)) if k else n)
+    state, parts = {}, []
+    for lo in range(0, max(n, 1), rows):
+        chunk = None if caches is None else [
+            {name: arr[lo : lo + rows] for name, arr in cache.items()}
+            for cache in caches
+        ]
+        parts.append(_walk(layers, A[lo : lo + rows], state, chunk))
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), caches
+
+
+def _caches(layers, A):
+    """Empty caches for the forward of ``A`` through ``layers`` (a
+    stack's are its first sequence's): the first input is that sequence
+    (a stack's column 0, copied unless contiguous), an LSTM layer's
+    ``h`` is the next layer's ``input``, one array, and an affine
+    layer's output gets its own array."""
+    n, caches = len(A), []
+    kept = np.ascontiguousarray(A[:, 0]) if A.ndim == 3 else A
+    for layer in layers:
+        if kept is None:
+            kept = np.empty((n, layer.weight_matrices()[0].shape[0]))
+        cache, kept = {"input": kept}, None
+        if isinstance(layer, LstmParams):
+            width = layer.width
+            cache.update(gates=np.empty((n, 4 * width)),
+                         c=np.empty((n, width)), h=np.empty((n, width)))
+            kept = cache["h"]
+        caches.append(cache)
+    return caches
+
+
+def _walk(layers, A, state, caches):
+    """One chunk of ``forward_sequence``: the stack over the rows of
+    ``A``, returning the last layer's output. An LSTM layer starts from
+    ``state[position]``, its ``(c, h)`` (zero if absent), which is
+    replaced by its state after the last row. ``caches``, unless None,
+    are the chunk's rows of ``_caches``' arrays, to be filled: an affine
+    layer writes its output (a stack's column 0) into the next input."""
     index = 0
     for run in _runs(layers):
         if isinstance(run[0], DenseParams):
-            A, run_caches = affine(A, run[0]), [{}]
+            A = affine(A, run[0])
+            if caches is not None and index + 1 < len(layers):
+                caches[index + 1]["input"][...] = A[:, 0] if A.ndim == 3 else A
         else:
             if A.shape[-1] != run[0].W_in.shape[0]:
                 raise DataError(
@@ -393,22 +432,13 @@ def forward_sequence(layers, X, keep_caches: bool = False, state=None):
                     f"W_in {run[0].W_in.shape}"
                 )
             positions = range(index, index + len(run))
-            starts = [None if state is None else state.get(i) for i in positions]
-            A, finals, run_caches = _lstm_run(A, run, starts, keep_caches)
-            if state is not None:
-                state.update(zip(positions, finals))
+            A, finals = _lstm_run(
+                A, run, [state.get(i) for i in positions],
+                None if caches is None else caches[index : index + len(run)],
+            )
+            state.update(zip(positions, finals))
         index += len(run)
-        if keep_caches:
-            for cache in run_caches:
-                caches.append({"input": kept, **cache})
-                kept = cache["h"] if "h" in cache else _first_sequence(A)
-    return A, caches
-
-
-def _first_sequence(a):
-    """A lockstep stack's first sequence as a contiguous 2-D array; a 2-D
-    array is returned as it is."""
-    return a[:, 0].copy() if a.ndim == 3 else a
+    return A
 
 
 def _lstm_backward(layer: LstmParams, cache, d_out, window: int):

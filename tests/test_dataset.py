@@ -231,6 +231,9 @@ def test_split_conservation_property(n_batches, batch_size):
     assert len(result.train) == n_batches * batch_size
     assert len(result.test) == batch_size
     assert SampleSet.concat([result.train, result.test]) == samples
+    # the blocks are views of the samples, not copies
+    assert np.shares_memory(result.features, samples.features)
+    assert np.shares_memory(result.labels, samples.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -251,10 +251,11 @@ def _peak_traced_bytes(fn):
 
 
 def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
-    # n_b 3 and n 700 at the paper topology. Scoring, in ceil(n/4k)-row
-    # chunks, peaks at 0.55 times one 2-D forward of the test block;
-    # ceil(n/k)-row chunks peak at 1.23 times, and running the
-    # (700, 4, 64) stack in one piece higher still.
+    # n_b 3 and n 700 at the paper topology. Scoring, one forward_sequence
+    # call on the (700, 4, 64) view of the blocks in ceil(n/4k)-row
+    # chunks, peaks at 0.50 times one 2-D forward of the test block;
+    # ceil(n/k)-row chunks peak at 1.03 times, and running the stack in
+    # one chunk higher still.
     splits = split(make_toy_samples(n=2800, seed=4), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
@@ -262,7 +263,7 @@ def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
         lambda: forward_sequence(layers, splits.test.features))
     lockstep = _peak_traced_bytes(
         lambda: _initial_pass(layers, splits, hp.l2, keep=False))
-    assert lockstep < 0.8 * one
+    assert lockstep < 0.6 * one
 
 
 def test_no_cache_forward_frees_each_layer_before_the_next():
@@ -345,8 +346,9 @@ def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
 
 def test_kept_pass_needs_no_more_memory_than_a_training_step():
     # n_b 3 and n 700 at the paper topology: the pass that keeps batch
-    # 1's forward peaks at 0.85 of one training step on that batch, and
-    # at 1.26 with chunks of ceil(n/k) rows
+    # 1's forward, filling its full-length caches chunk by chunk, peaks
+    # at 0.75 of one training step on that batch, and at 0.88 with
+    # chunks of ceil(n/k) rows
     splits = split(make_toy_samples(n=2800, seed=4), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
@@ -356,7 +358,7 @@ def test_kept_pass_needs_no_more_memory_than_a_training_step():
         batch.labels, hp.l2, 100))
     kept = _peak_traced_bytes(
         lambda: _initial_pass(layers, splits, hp.l2, keep=True))
-    assert kept <= step
+    assert kept <= 0.85 * step
 
 
 def test_batch_sequence_gradients(toy_model, toy_split):
