@@ -7,6 +7,8 @@ asserted against the standard column-total definition instead.
 """
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +323,54 @@ def test_knn_ties_on_offset_float_grid_match_brute_force(seed):
     assert list(knn_classify(train, queries, k=k)) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["root", "above_root", "all"]),
+       st.booleans())
+@example(seed=0, k_draw="above_root", offset=True)
+@example(seed=0, k_draw="all", offset=False)
+def test_knn_group_bound_on_large_sets_matches_brute_force(seed, k_draw, offset):
+    # up to 2,000 rows, so isqrt(n) strided groups leave tail rows past the
+    # last full group, and k may exceed isqrt(n) (then k groups) or be n
+    rng = np.random.default_rng(seed)
+    n_train = int(rng.integers(5, 41 if k_draw == "all" else 2001))
+    root = math.isqrt(n_train)
+    k = {"root": int(rng.integers(1, min(root, 7) + 1)),
+         "above_root": int(rng.integers(root + 1, 2 * root + 1)),
+         "all": n_train}[k_draw]
+    n_test = int(rng.integers(1, 4))
+    train_pts = rng.integers(0, 4, size=(n_train, 3)).astype(np.float64)
+    test_pts = rng.integers(0, 4, size=(n_test, 3)).astype(np.float64)
+    if offset:  # the inexact offset grid of the test above
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        train_pts = (7.3 + 0.1 * train_pts) * scale
+        test_pts = (7.3 + 0.1 * test_pts) * scale
+    labels = rng.integers(1, 6, size=n_train)
+    train = SampleSet(_embed(train_pts), labels)
+    queries = _embed(test_pts)
+    expected = [_knn_oracle(train.features, labels, q, k) for q in queries]
+    assert list(knn_classify(train, queries, k=k)) == expected
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_knn_nearest_rows_in_one_strided_group_or_the_tail(tail):
+    # 1,000 rows form isqrt(1000) = 31 strided groups over the first 992
+    # rows (group g holds rows g, g + 31, ...) and 8 tail rows. The three
+    # nearest rows share group 5 (or two of them do and one is a tail
+    # row), while every other row lies farther out, one distance per row.
+    # Losing the first or last of them turns the vote from 2 to 4.
+    n, groups, k = 1000, 31, 3
+    near = [5, 5 + groups, 997 if tail else 5 + 2 * groups]
+    points = np.zeros((n, 2))
+    points[:, 0] = 10.0 + np.arange(n) / n
+    points[near, 0] = [0.5, 0.25, 0.75]
+    labels = np.full(n, 3)
+    labels[near] = [2, 4, 2]
+    train = SampleSet(_embed(points), labels)
+    query = _embed([[0.0, 0.0]])
+    assert _knn_oracle(train.features, labels, query[0], k) == 2
+    assert list(knn_classify(train, query, k=k)) == [2]
+
+
 def test_knn_all_tied_full_vote_goes_to_lowest_index():
     # every training row is the same point: all distances tie, and with
     # k = len(train) labels 3 and 2 tie on votes; row 0 ranks first
@@ -337,6 +387,21 @@ def test_knn_argument_errors():
         knn_classify(train, _embed([[1, 1]]), k=2)
     with pytest.raises(DataError, match="empty"):
         knn_classify(SampleSet.empty(), _embed([[1, 1]]), k=1)
+
+
+@pytest.mark.parametrize("queries", [np.zeros(64), np.zeros((2, 63))],
+                         ids=["one_dimensional", "narrow"])
+def test_knn_rejects_queries_not_shaped_like_the_training_rows(queries):
+    train = SampleSet(_embed([[0, 0], [1, 1]]), [1, 2])
+    shapes = rf"\(2, 64\), got {re.escape(str(queries.shape))}"
+    with pytest.raises(DataError, match=shapes):
+        knn_classify(train, queries, k=1)
+
+
+def test_knn_of_no_queries_is_empty():
+    train = SampleSet(_embed([[0, 0], [1, 1]]), [1, 2])
+    got = knn_classify(train, np.zeros((0, 64)), k=1)
+    assert got.shape == (0,) and got.dtype == np.int64
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
