@@ -42,9 +42,15 @@ ANNOTATION_LABEL = "EDF Annotations"
 _FIXED_HEADER = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdfChannel:
-    """Per-signal header entry for one ordinary (non-annotation) channel."""
+    """Per-signal header entry, the one place the channel rules live.
+
+    Every channel has a positive sample count per record; an ordinary
+    (non-annotation) channel also has digital min below digital max and
+    distinct physical bounds, so its calibration is defined. A broken
+    rule raises DataError naming the channel's label.
+    """
 
     label: str
     physical_min: float
@@ -55,6 +61,25 @@ class EdfChannel:
     transducer: str = ""
     physical_dim: str = ""
     prefiltering: str = ""
+
+    def __post_init__(self):
+        if self.samples_per_record <= 0:
+            raise DataError(
+                f"channel {self.label!r}: samples per record must be "
+                f"positive, got {self.samples_per_record}"
+            )
+        if self.label == ANNOTATION_LABEL:
+            return
+        if self.digital_min >= self.digital_max:
+            raise DataError(
+                f"channel {self.label!r}: digital min {self.digital_min} "
+                f"not below digital max {self.digital_max}"
+            )
+        if self.physical_min == self.physical_max:
+            raise DataError(
+                f"channel {self.label!r}: physical min equals physical max "
+                f"({self.physical_min})"
+            )
 
     def gain(self) -> float:
         return (self.physical_max - self.physical_min) / (
@@ -245,24 +270,6 @@ def parse_edf(data: bytes) -> EdfRecording:
             offset += width
     headers = [EdfChannel(**entry) for entry in entries]
 
-    for i, h in enumerate(headers):
-        if h.samples_per_record <= 0:
-            raise DataError(
-                f"samples per record must be positive for signal {i}, "
-                f"got {h.samples_per_record}"
-            )
-        if h.label != ANNOTATION_LABEL:
-            if h.digital_min >= h.digital_max:
-                raise DataError(
-                    f"signal {i}: digital min {h.digital_min} not below "
-                    f"digital max {h.digital_max}"
-                )
-            if h.physical_min == h.physical_max:
-                raise DataError(
-                    f"signal {i}: physical min equals physical max "
-                    f"({h.physical_min})"
-                )
-
     spr = [h.samples_per_record for h in headers]
     record_samples = sum(spr)
     expected = n_records * record_samples * 2
@@ -312,6 +319,8 @@ def parse_edf(data: bytes) -> EdfRecording:
 
 
 def _check_annotation_order(annotations: list[EdfAnnotation]) -> None:
+    """The onset rule of both directions: no onset is negative and none
+    comes before the one ahead of it."""
     previous = None
     for ann in annotations:
         if ann.onset < 0:
@@ -450,19 +459,23 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     if recording.n_records < 0:
         raise ValueError("negative record count")
 
-    onsets = [a.onset for a in recording.annotations]
-    if any(o < 0 for o in onsets) or onsets != sorted(onsets):
-        raise ValueError("annotation onsets must be non-negative and sorted")
+    _check_annotation_order(recording.annotations)
     if recording.annotations and recording.n_records == 0:
         raise ValueError("annotations require at least one data record")
 
-    for ch, sig in zip(recording.channels, recording.signals):
-        if ch.digital_min >= ch.digital_max:
-            raise ValueError(f"channel {ch.label!r}: digital min not below max")
-        if ch.physical_min == ch.physical_max:
-            raise ValueError(f"channel {ch.label!r}: physical min equals max")
-        if ch.samples_per_record <= 0:
-            raise ValueError(f"channel {ch.label!r}: non-positive samples per record")
+    has_annotations = bool(recording.annotations)
+    headers = list(recording.channels)
+    if has_annotations:
+        ann_payloads = _annotation_payloads(recording)
+        ann_spr = max((len(p) + 1) // 2 for p in ann_payloads)
+        headers.append(EdfChannel(ANNOTATION_LABEL, -1, 1, -32768, 32767, ann_spr))
+
+    # the data section as parse_edf reads it: one row per record, each
+    # signal's samples in its columns, the annotation payloads last
+    columns = np.cumsum([0] + [h.samples_per_record for h in headers])
+    samples = np.empty((recording.n_records, columns[-1]), dtype="<i2")
+    for ch, sig, lo, hi in zip(recording.channels, recording.signals,
+                               columns, columns[1:]):
         if len(sig) != recording.n_records * ch.samples_per_record:
             raise ValueError(
                 f"channel {ch.label!r}: expected "
@@ -475,13 +488,10 @@ def serialize_edf(recording: EdfRecording) -> bytes:
                 f"channel {ch.label!r}: samples outside declared digital range "
                 f"[{ch.digital_min}, {ch.digital_max}]"
             )
-
-    has_annotations = bool(recording.annotations)
-    headers = list(recording.channels)
+        samples[:, lo:hi] = arr.reshape(recording.n_records, ch.samples_per_record)
     if has_annotations:
-        ann_payloads = _annotation_payloads(recording)
-        ann_spr = max((len(p) + 1) // 2 for p in ann_payloads)
-        headers.append(EdfChannel(ANNOTATION_LABEL, -1, 1, -32768, 32767, ann_spr))
+        tals = b"".join(p.ljust(ann_spr * 2, b"\x00") for p in ann_payloads)
+        samples[:, columns[-2]:] = np.frombuffer(tals, "<i2").reshape(-1, ann_spr)
 
     n_signals = len(headers)
     header_bytes = _FIXED_HEADER + _PER_SIGNAL_HEADER * n_signals
@@ -518,12 +528,4 @@ def serialize_edf(recording: EdfRecording) -> bytes:
                 value = _fmt_header_number(value, what)
             out += _pad(str(value), width, what)
 
-    for r in range(recording.n_records):
-        for ch, sig in zip(recording.channels, recording.signals):
-            spr = ch.samples_per_record
-            chunk = np.asarray(sig[r * spr : (r + 1) * spr], dtype="<i2")
-            out += chunk.tobytes()
-        if has_annotations:
-            out += ann_payloads[r].ljust(ann_spr * 2, b"\x00")
-
-    return bytes(out)
+    return bytes(out) + samples.tobytes()

@@ -28,11 +28,12 @@ from .nn import (
     adam_init,
     adam_step,
     cross_entropy_loss,
+    flat,
     forward_sequence,
     glorot_uniform,
-    map_layer,
     sequence_gradients,
     softmax,
+    unflat,
 )
 
 # LSTM forget-gate bias at initialization, so early gradients pass
@@ -261,7 +262,7 @@ def train(
     """
     # The returned model shares no array with ``model``. adam_step returns
     # fresh arrays, so the best layers are kept by reference, uncopied.
-    layers = [map_layer(np.copy, layer) for layer in model.layers]
+    layers = unflat(flat(model.layers), layer_layouts(model.topology))
     adam = adam_init(layers)
     hp = model.hyper
     window = schedule.bptt_window
@@ -352,8 +353,8 @@ def save_activations(table: np.ndarray, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: magic + version byte + JSON manifest + little-endian
-# float64 parameter blocks in declared order
+# checkpoints: magic + version byte + JSON manifest + the parameter
+# vector (``nn.flat`` order) as little-endian float64
 
 def _manifest(model: ModelParams, payload: bytes) -> bytes:
     """The manifest ``save`` writes for ``model`` and its parameter bytes."""
@@ -370,10 +371,7 @@ def _manifest(model: ModelParams, payload: bytes) -> bytes:
 
 
 def save(model: ModelParams) -> bytes:
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for layer in model.layers for _, arr in layer.arrays()
-    )
+    payload = flat(model.layers).astype("<f8", copy=False).tobytes()
     manifest_bytes = _manifest(model, payload)
     return (
         CHECKPOINT_MAGIC
@@ -424,8 +422,8 @@ def load(data: bytes) -> ModelParams:
         )
 
     layouts = layer_layouts(plan_topology(hyper))
-    shapes = [shape for _, layout in layouts for shape in layout.values()]
-    expected_bytes = 8 * sum(math.prod(shape) for shape in shapes)
+    expected_bytes = 8 * sum(math.prod(shape) for _, layout in layouts
+                             for shape in layout.values())
 
     param_bytes = _manifest_field(manifest, "param_bytes", int)
     if param_bytes != expected_bytes:
@@ -442,16 +440,8 @@ def load(data: bytes) -> ModelParams:
     if zlib.crc32(payload) != _manifest_field(manifest, "param_crc32", int):
         raise DataError("parameter payload checksum mismatch (field: param_crc32)")
 
-    flat = np.frombuffer(payload, dtype="<f8")
-    layers = []
-    cursor = 0
-    for cls, layout in layouts:
-        arrays = {}
-        for name, shape in layout.items():
-            size = math.prod(shape)
-            arrays[name] = flat[cursor : cursor + size].reshape(shape).copy()
-            cursor += size
-        layers.append(cls(**arrays))
+    # one owned, writable copy of the payload, which the layers view
+    layers = unflat(np.frombuffer(payload, dtype="<f8").astype(np.float64), layouts)
 
     run = {key: _manifest_field(manifest, key)
            for key in ("seed", "epochs_run", "final_loss")}

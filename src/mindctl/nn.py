@@ -17,6 +17,7 @@ differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,30 @@ class _Layer:
         return [arr for _, arr in self.arrays() if arr.ndim == 2]
 
 
-def map_layer(fn, *layers):
-    """A record of the first layer's class holding ``fn`` of the
-    same-named arrays of ``layers``, one call per array in layout order.
-    """
-    cls = type(layers[0])
-    return cls(**{
-        name: fn(*(getattr(layer, name) for layer in layers))
-        for name in cls.names()
-    })
+def flat(layers):
+    """Every array of ``layers``, in layout order, as one new vector: the
+    order of the checkpoint payload."""
+    return np.concatenate(
+        [arr.reshape(-1) for layer in layers for _, arr in layer.arrays()]
+    )
+
+
+def unflat(vector, layouts):
+    """Records of ``layouts``' ``(class, {name: shape})`` entries whose
+    arrays are views of ``vector``, taken in ``flat`` order."""
+    shapes = [shape for _, layout in layouts for shape in layout.values()]
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    pieces = iter(np.split(vector, cuts))
+    return [
+        cls(**{name: next(pieces).reshape(shape) for name, shape in layout.items()})
+        for cls, layout in layouts
+    ]
+
+
+def _layouts(layers):
+    """``unflat``'s layouts for records shaped like ``layers``."""
+    return [(type(layer), {name: arr.shape for name, arr in layer.arrays()})
+            for layer in layers]
 
 
 @dataclass
@@ -595,24 +611,25 @@ def sequence_loss(layers, X, labels, l2: float = 0.0):
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates, as vectors in ``flat`` order, plus
+    the step counter."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def adam_init(layers) -> AdamState:
-    return AdamState(
-        m=[map_layer(np.zeros_like, layer) for layer in layers],
-        v=[map_layer(np.zeros_like, layer) for layer in layers],
-    )
+    zeros = np.zeros_like(flat(layers))
+    return AdamState(m=zeros, v=zeros.copy())
 
 
 def adam_step(layers, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update. Returns (new_layers, new_state).
 
-    A non-finite gradient anywhere rejects the whole update: the inputs
+    The update runs once over the ``flat`` vectors of the parameters and
+    gradients, and the new layers are views of one new vector. A
+    non-finite gradient anywhere rejects the whole update: the inputs
     are left untouched and a NumericError describes the offending array.
     """
     if lr <= 0:
@@ -629,20 +646,11 @@ def adam_step(layers, grads, state: AdamState, lr: float):
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-
-    def first_moment(m, g):
-        return b1 * m + (1.0 - b1) * g
-
-    def second_moment(v, g):
-        return b2 * v + (1.0 - b2) * np.square(g)
-
-    def update(p, m, v):
-        return p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    m = [map_layer(first_moment, *pair) for pair in zip(state.m, grads)]
-    v = [map_layer(second_moment, *pair) for pair in zip(state.v, grads)]
-    new_layers = [map_layer(update, *triple) for triple in zip(layers, m, v)]
-    return new_layers, AdamState(m=m, v=v, t=t)
+    g = flat(grads)
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * np.square(g)
+    p = flat(layers) - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return unflat(p, _layouts(layers)), AdamState(m=m, v=v, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +658,21 @@ def adam_step(layers, grads, state: AdamState, lr: float):
 
 def finite_difference_gradients(layers, X, labels, l2: float = 0.0,
                                 step: float = 1e-5):
-    """Central-difference gradients of the full-sequence loss."""
-    grads = [map_layer(np.zeros_like, layer) for layer in layers]
-    for layer, grad in zip(layers, grads):
-        for (_, arr), (_, out) in zip(layer.arrays(), grad.arrays()):
-            flat = arr.reshape(-1)
-            flat_out = out.reshape(-1)
-            for idx in range(flat.size):
-                original = flat[idx]
-                flat[idx] = original + step
-                hi = sequence_loss(layers, X, labels, l2)
-                flat[idx] = original - step
-                lo = sequence_loss(layers, X, labels, l2)
-                flat[idx] = original
-                flat_out[idx] = (hi - lo) / (2.0 * step)
-    return grads
+    """Central-difference gradients of the full-sequence loss, as one
+    vector in ``flat`` order: each entry from two losses with that entry
+    of the ``flat`` parameters moved."""
+    params = flat(layers)
+    probe = unflat(params, _layouts(layers))
+    out = np.empty_like(params)
+    for idx in range(params.size):
+        original = params[idx]
+        params[idx] = original + step
+        hi = sequence_loss(probe, X, labels, l2)
+        params[idx] = original - step
+        lo = sequence_loss(probe, X, labels, l2)
+        params[idx] = original
+        out[idx] = (hi - lo) / (2.0 * step)
+    return out
 
 
 def gradient_check(layers, X, labels, l2: float = 0.0, step: float = 1e-5):
@@ -677,10 +685,7 @@ def gradient_check(layers, X, labels, l2: float = 0.0, step: float = 1e-5):
     """
     forward = forward_sequence(layers, X, keep_caches=True)
     _, analytic = sequence_gradients(layers, forward, labels, l2)
-    numeric = finite_difference_gradients(layers, X, labels, l2, step)
-    worst = 0.0
-    for a_layer, n_layer in zip(analytic, numeric):
-        for (_, a), (_, f) in zip(a_layer.arrays(), n_layer.arrays()):
-            denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
-            worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+    a = flat(analytic)
+    f = finite_difference_gradients(layers, X, labels, l2, step)
+    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+    return float((np.abs(a - f) / denom).max())

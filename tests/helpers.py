@@ -3,6 +3,10 @@ from hypothesis import strategies as st
 
 from mindctl.dataset import LABELS, TABLE_HEADER, SampleSet
 from mindctl.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
     DenseParams,
     LstmParams,
     forward_sequence,
@@ -131,6 +135,42 @@ def reference_gradients(layers, X, labels, l2, window,
             grads[k].W_in += 2.0 * l2 * layer.W_in
             grads[k].W_rec += 2.0 * l2 * layer.W_rec
     return logits, grads
+
+
+# ---------------------------------------------------------------------------
+# per-array Adam: the moments and the update taken one array at a time,
+# with the moments held as records that mirror the layers
+
+def _per_array(fn, *records):
+    cls = type(records[0])
+    return cls(**{name: fn(*(getattr(r, name) for r in records))
+                  for name in cls.names()})
+
+
+def reference_adam_init(layers):
+    return AdamState(m=[_per_array(np.zeros_like, layer) for layer in layers],
+                     v=[_per_array(np.zeros_like, layer) for layer in layers])
+
+
+def reference_adam_step(layers, grads, state, lr):
+    t = state.t + 1
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+
+    def first_moment(m, g):
+        return b1 * m + (1.0 - b1) * g
+
+    def second_moment(v, g):
+        return b2 * v + (1.0 - b2) * np.square(g)
+
+    def update(p, m, v):
+        return p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    m = [_per_array(first_moment, *pair) for pair in zip(state.m, grads)]
+    v = [_per_array(second_moment, *pair) for pair in zip(state.v, grads)]
+    new_layers = [_per_array(update, *triple) for triple in zip(layers, m, v)]
+    return new_layers, AdamState(m=m, v=v, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -409,9 +409,55 @@ def test_decreasing_annotation_onsets_rejected():
     rec = _make_recording()
     blob = serialize_edf(rec)
     rec.annotations = [EdfAnnotation(2.0, 0.5, "T0"), EdfAnnotation(1.0, 0.5, "T1")]
-    with pytest.raises(ValueError, match="sorted"):
+    with pytest.raises(DataError, match="decrease"):
         serialize_edf(rec)
     assert parse_edf(blob)  # original unaffected
+
+
+def test_zero_record_recording_round_trips():
+    rec = _make_recording(n_records=0, with_annotations=False)
+    blob = serialize_edf(rec)
+    assert len(blob) == 256 * 3
+    assert parse_edf(blob) == rec
+
+
+# ---------------------------------------------------------------------------
+# channel rules: EdfChannel holds them, for both directions
+
+def _channel(**fields):
+    base = dict(label="EEG C3", physical_min=-200.0, physical_max=200.0,
+                digital_min=-2048, digital_max=2047, samples_per_record=3)
+    return EdfChannel(**{**base, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"samples_per_record": 0}, "samples per record must be positive, got 0"),
+    ({"samples_per_record": 0, "label": "EDF Annotations"}, "samples per record"),
+    ({"digital_min": 2047}, "digital min 2047 not below digital max 2047"),
+    ({"digital_min": 3000}, "digital min 3000 not below"),
+    ({"physical_max": -200.0}, r"physical min equals physical max \(-200.0\)"),
+])
+def test_channel_rules_raise_naming_the_channel(fields, message):
+    label = fields.get("label", "EEG C3")
+    with pytest.raises(DataError, match=f"channel '{label}': {message}"):
+        _channel(**fields)
+
+
+@pytest.mark.parametrize("bounds", [(0, 0, 5.0, 5.0), (7, -7, 1.0, -1.0)])
+def test_annotation_channel_takes_any_bounds(bounds):
+    dmin, dmax, pmin, pmax = bounds
+    ch = _channel(label="EDF Annotations", digital_min=dmin, digital_max=dmax,
+                  physical_min=pmin, physical_max=pmax)
+    assert (ch.digital_min, ch.physical_max) == (dmin, pmax)
+
+
+def test_parse_names_the_channel_that_breaks_a_rule():
+    # signal 1's digital min field: 256 + 3 * 120, the second of three
+    offset = 256 + 3 * 120 + 8
+    blob = _patched(offset, "101")
+    assert golden_two_channel_annotated_bytes()[offset : offset + 8] == b"-100    "
+    with pytest.raises(DataError, match="channel 'EEG Cz': digital min 101 not below"):
+        parse_edf(blob)
 
 
 def test_invalid_utf8_tal_text_is_parse_error():

@@ -20,6 +20,7 @@ from mindctl.nn import (
     adam_step,
     affine,
     cross_entropy_loss,
+    flat,
     forward_sequence,
     gradient_check,
     sequence_gradients,
@@ -29,6 +30,8 @@ from mindctl.nn import (
 from helpers import (
     _reference_lstm_backward,
     gradients,
+    reference_adam_init,
+    reference_adam_step,
     reference_gradients,
     reference_sigmoid,
     tanh_sigmoid,
@@ -324,6 +327,38 @@ def test_adam_rejects_non_finite_gradient():
     # inputs untouched
     assert state.t == 0
     assert np.array_equal(layers[0].W, np.ones((2, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(1, 4), st.integers(1, 4)),
+             min_size=1, max_size=3),
+    st.integers(1, 5),
+    st.sampled_from([1e-3, 0.01, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_adam_step_matches_per_array_reference_bit_for_bit(shapes, steps, lr, seed):
+    # the vector update against one taken array by array, in the layers
+    # and in both moments, over gradients of mixed scales
+    rng = np.random.default_rng(seed)
+    layers = []
+    for lstm, fan_in, width in shapes:
+        cls = LstmParams if lstm else DenseParams
+        layers.append(cls(**{name: rng.normal(size=shape)
+                             for name, shape in cls.layout(fan_in, width).items()}))
+    ref_layers, ref_state = layers, reference_adam_init(layers)
+    state = adam_init(layers)
+    for _ in range(steps):
+        grads = [type(layer)(**{name: rng.normal(size=arr.shape)
+                                * 10.0 ** rng.integers(-6, 3, size=arr.shape)
+                                for name, arr in layer.arrays()})
+                 for layer in layers]
+        layers, state = adam_step(layers, grads, state, lr)
+        ref_layers, ref_state = reference_adam_step(ref_layers, grads, ref_state, lr)
+        assert state.t == ref_state.t
+        for got, ref in ((flat(layers), flat(ref_layers)), (state.m, flat(ref_state.m)),
+                         (state.v, flat(ref_state.v))):
+            assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
