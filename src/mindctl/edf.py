@@ -388,14 +388,18 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
 # hand-assembled golden files in the tests check it against the spec.
 
 def _pad(text: str, width: int, what: str) -> bytes:
-    raw = text.encode("ascii", errors="strict") if text else b""
+    if not text.isascii():
+        raise DataError(f"{what} {text!r} is not ASCII")
+    raw = text.encode("ascii")
     if len(raw) > width:
-        raise ValueError(f"{what} {text!r} longer than {width} bytes")
+        raise DataError(f"{what} {text!r} longer than {width} bytes")
     return raw.ljust(width)
 
 
 def _fmt_header_number(value: float, what: str) -> str:
     """Shortest decimal text that fits 8 bytes and parses back exactly."""
+    if not math.isfinite(value):
+        raise DataError(f"{what} {value!r} is not finite")
     if float(value) == int(value) and abs(value) < 10**8:
         text = str(int(value))
         if len(text) <= 8:
@@ -407,10 +411,12 @@ def _fmt_header_number(value: float, what: str) -> str:
         text = f"{value:.{precision}g}"
         if len(text) <= 8 and float(text) == float(value):
             return text
-    raise ValueError(f"{what} {value!r} not representable in 8 header bytes")
+    raise DataError(f"{what} {value!r} not representable in 8 header bytes")
 
 
 def _fmt_tal_number(value: float) -> bytes:
+    if not math.isfinite(value):
+        raise DataError(f"annotation time {value!r} is not finite")
     if float(value) == int(value):
         text = str(int(value))
     else:
@@ -427,10 +433,10 @@ def _annotation_payloads(recording: EdfRecording) -> list[bytes]:
         if r == 0:
             for ann in recording.annotations:
                 if not ann.text:
-                    raise ValueError("annotation text must be non-empty")
+                    raise DataError("annotation text must be non-empty")
                 encoded = ann.text.encode("utf-8")
                 if b"\x00" in encoded or b"\x14" in encoded or b"\x15" in encoded:
-                    raise ValueError(
+                    raise DataError(
                         f"annotation text {ann.text!r} contains reserved bytes"
                     )
                 block += (
@@ -450,18 +456,19 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     """Encode a recording as EDF (or EDF+C when it carries annotations).
 
     The output is the parser's fixed point: ``parse_edf(serialize_edf(r))``
-    reproduces ``r`` field by field.
+    reproduces ``r`` field by field. A recording the format cannot hold
+    raises DataError, as a file the parser cannot read does.
     """
     if not recording.channels:
-        raise ValueError("recording must have at least one channel")
+        raise DataError("recording must have at least one channel")
     if len(recording.signals) != len(recording.channels):
-        raise ValueError("signals and channels lists disagree in length")
+        raise DataError("signals and channels lists disagree in length")
     if recording.n_records < 0:
-        raise ValueError("negative record count")
+        raise DataError("negative record count")
 
     _check_annotation_order(recording.annotations)
     if recording.annotations and recording.n_records == 0:
-        raise ValueError("annotations require at least one data record")
+        raise DataError("annotations require at least one data record")
 
     has_annotations = bool(recording.annotations)
     headers = list(recording.channels)
@@ -477,7 +484,7 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     for ch, sig, lo, hi in zip(recording.channels, recording.signals,
                                columns, columns[1:]):
         if len(sig) != recording.n_records * ch.samples_per_record:
-            raise ValueError(
+            raise DataError(
                 f"channel {ch.label!r}: expected "
                 f"{recording.n_records * ch.samples_per_record} samples, "
                 f"got {len(sig)}"

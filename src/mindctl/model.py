@@ -40,6 +40,12 @@ from .nn import (
 # through the cell memory.
 FORGET_BIAS = 1.0
 
+# The most parameters a model may have, checked before anything is
+# allocated: 80 MB per float64 copy, of which training holds several
+# (weights, their halved run copies, the gradient, Adam's two moments).
+# The paper topology has about 79,000.
+MAX_PARAMETERS = 10**7
+
 CHECKPOINT_MAGIC = b"MCTL"
 CHECKPOINT_VERSION = 1
 
@@ -87,6 +93,12 @@ class HyperParams:
             raise DataError(
                 f"need at least 4 layers (input, 2 recurrent, output), "
                 f"got {self.layers}"
+            )
+        count = parameter_count(self)
+        if count > MAX_PARAMETERS:
+            raise DataError(
+                f"width {self.width} and {self.layers} layers make {count:,} "
+                f"parameters, above the limit of {MAX_PARAMETERS:,}"
             )
 
 
@@ -146,6 +158,17 @@ def plan_topology(hp: HyperParams) -> list:
     specs += [LayerSpec("lstm", hp.width), LayerSpec("lstm", hp.width)]
     specs += [LayerSpec("output", N_CLASSES)]
     return specs
+
+
+def parameter_count(hp: HyperParams) -> int:
+    """Parameters of ``plan_topology(hp)``'s model, counted without
+    listing its layers: an affine layer holds ``(fan_in + 1) * width``
+    and an LSTM layer ``(fan_in + width + 1) * 4 * width``."""
+    n_dense, w = hp.layers - 4, hp.width
+    dense = (N_CHANNELS + 1) * w + (n_dense - 1) * (w + 1) * w if n_dense else 0
+    lstm_fan_in = w if n_dense else N_CHANNELS
+    lstm = (lstm_fan_in + w + 1) * 4 * w + (2 * w + 1) * 4 * w
+    return dense + lstm + (w + 1) * N_CLASSES
 
 
 def layer_layouts(topology) -> list:
@@ -223,8 +246,9 @@ def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     the split's blocks seen as ``(n, k, 64)``, the first batch at column
     0 and the test block at the last. ``forward_sequence`` walks the
     stack in chunks of ceil(n/4k) rows, a quarter of one sequence's
-    samples, and the caches it keeps are column 0's, the first batch's
-    own forward; so the pass peaks below one training step on the batch.
+    samples (but no fewer than ``nn.CHUNK_SAMPLES`` samples), and the
+    caches it keeps are column 0's, the first batch's own forward; so
+    the pass peaks below one training step on the batch.
 
     Returns ``((test accuracy, test loss, mean train loss), kept)``.
     ``kept`` is a list holding the first batch's ``(logits, caches)``

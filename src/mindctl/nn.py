@@ -32,6 +32,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Fewest samples (rows times k) in a chunk of a lockstep stack's walk;
+# a shorter chunk spends more on its set-up than on its steps.
+CHUNK_SAMPLES = 128
+
 
 class _Layer:
     """Walks shared by the parameter records.
@@ -150,19 +154,46 @@ def _matmul_rows(X, W):
     return (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + W.shape[1:])
 
 
-def _runs(layers):
-    """The stack as runs of layers that step together: each dense layer
-    alone, and each stretch of consecutive LSTM layers of one width, each
-    taking the previous one's output as its input."""
-    runs = []
+def _runs(layers, A):
+    """The stack as runs of layers that step together, made ready for one
+    forward of ``A``: each dense layer alone, and each stretch of
+    consecutive LSTM layers of one width, each taking the previous one's
+    output as its input, as a ``_Run``."""
+    groups = []
     for layer in layers:
-        last = runs[-1][-1] if runs else None
+        last = groups[-1][-1] if groups else None
         if (isinstance(layer, LstmParams) and isinstance(last, LstmParams)
                 and layer.W_in.shape[0] == last.width == layer.width):
-            runs[-1].append(layer)
+            groups[-1].append(layer)
         else:
-            runs.append([layer])
-    return runs
+            groups.append([layer])
+    k = A.shape[1] if A.ndim == 3 else 1
+    return [group[0] if isinstance(group[0], DenseParams) else _Run(group, k)
+            for group in groups]
+
+
+class _Run:
+    """A run of LSTM layers prepared for the rows of one forward, each
+    row ``(k, fan_in)``: copies of the layers' ``W_in``, ``W_rec`` and
+    ``b`` with the three sigmoid blocks halved (see ``_lstm_run``), and
+    the step buffers every chunk of the forward shares: ``slots``, each
+    layer's ``h_prev @ W_rec`` product, which ``rec`` sees gate-major,
+    and ``im`` for ``input * modulation``. It lives as long as the
+    forward."""
+
+    def __init__(self, layers, k):
+        width, depth = layers[0].width, len(layers)
+        halves = np.full(4 * width, 0.5)
+        halves[3 * width :] = 1.0
+        self.layers, self.width = layers, width
+        self.W_in = [layer.W_in * halves for layer in layers]
+        self.W_rec = [layer.W_rec * halves for layer in layers]
+        self.biases = [(layer.b * halves).reshape(4, width) for layer in layers]
+        products = np.empty((depth, k, 4 * width))
+        self.slots = list(products)
+        self.rec = products.reshape(depth, k, 4, width).transpose(2, 0, 1, 3)
+        self.im = np.empty((depth, k, width))
+        self.half = np.array(0.5)
 
 
 def _lag(n):
@@ -178,19 +209,19 @@ def _lag(n):
 
 
 def _lstm_run(A, run, starts, caches):
-    """Run a run of LSTM layers (see ``_runs``) over the rows of ``A``.
+    """Run a prepared run of LSTM layers (``_Run``) over the rows of ``A``.
 
     This is the one implementation of the cell: the gates of step t
     activate ``x[t] @ W_in + h_prev @ W_rec + b`` (sigmoid for input,
     forget and output, tanh for modulation), the cell memory becomes
     ``forget * c_prev + input * modulation`` and the output
-    ``output * tanh(c)``. The run works on copies of ``W_in``, ``W_rec``
-    and ``b`` with the three sigmoid blocks halved. Halving is exact
-    (away from the subnormal range), so each step computes ``x/2`` for
-    every sigmoid pre-activation ``x``. A step adds ``h_prev @ W_rec``
-    to its row, takes one tanh over the whole row and maps the sigmoid
-    blocks through sigmoid(x) = (1 + tanh(x/2)) / 2, all in place: no
-    branch, no mask and no overflow.
+    ``output * tanh(c)``. The run's copies of ``W_in``, ``W_rec`` and
+    ``b`` have the three sigmoid blocks halved. Halving is exact (away
+    from the subnormal range), so each step computes ``x/2`` for every
+    sigmoid pre-activation ``x``. A step adds ``h_prev @ W_rec`` to its
+    row, takes one tanh over the whole row and maps the sigmoid blocks
+    through sigmoid(x) = (1 + tanh(x/2)) / 2, all in place: no branch,
+    no mask and no overflow.
 
     All layers of the run step in one loop, layer j+1 running ``lag``
     rows (see ``_lag``) behind layer j. The rows go in blocks of
@@ -203,13 +234,14 @@ def _lstm_run(A, run, starts, caches):
     row of the loop, also before its first block and after its last, on
     finite values that nothing reads. The step rows live in a ring of
     two blocks, and each finished block is copied out before its rows
-    are reused. Every per-element operation is that of a layer-at-a-time
-    walk, so the outputs are bit-identical to it wherever the BLAS
-    rounds a product row the same at any row count of 2 or more.
-    OpenBLAS 0.3.31 does so when 4 * width is a multiple of 8; at an odd
-    width, the walk's whole-sequence input product switches kernels
-    above about a million multiply-adds, and outputs differ from it in
-    the last bit.
+    are reused. The views a step works on are made once per ring row
+    and call, not once per step (``_cell_steps``). Every per-element
+    operation is that of a layer-at-a-time walk, so the outputs are
+    bit-identical to it wherever the BLAS rounds a product row the same
+    at any row count of 2 or more. OpenBLAS 0.3.31 does so when 4 *
+    width is a multiple of 8; at an odd width, the walk's whole-sequence
+    input product switches kernels above about a million multiply-adds,
+    and outputs differ from it in the last bit.
 
     A row of ``A`` is one sample ``(fan_in,)`` or a lockstep stack
     ``(k, fan_in)``: the same step of k sequences that share the
@@ -223,28 +255,27 @@ def _lstm_run(A, run, starts, caches):
     ``A`` with its last axis replaced, and each layer's ``(c, h)`` after
     the last row. A 2-D run's output is its last cached ``h`` itself.
     """
-    shape = A.shape[1:-1] + (run[0].width,)  # one step of one layer
+    shape = A.shape[1:-1] + (run.width,)  # one step of one layer
     A = A[:, None] if A.ndim == 2 else A  # a 2-D run as a stack of one
-    (n, k, _), width, depth = A.shape, run[0].width, len(run)
+    (n, k, _), width, depth = A.shape, run.width, len(run.layers)
     lag = _lag(n)
     blocks = -(-n // lag)
     ring = np.zeros((2 * lag, 6, depth, k, width))
     # the gate rows seen as product rows, (2 * lag, layers, k, 4, width)
     products = ring[:, :4].transpose(0, 2, 3, 1, 4)
-    halves = np.full(4 * width, 0.5)
-    halves[3 * width :] = 1.0
-    W_in = [layer.W_in * halves for layer in run]
-    W_rec = [layer.W_rec * halves for layer in run]
-    biases = [(layer.b * halves).reshape(4, width) for layer in run]
-    rec = np.empty((depth, k, 4 * width))
-    rec_gates = rec.reshape(depth, k, 4, width).transpose(2, 0, 1, 3)
-    dots = list(zip(W_rec, rec))
-    im = np.empty((depth, k, width))
-    half = np.array(0.5)
+    # per ring row, in _cell_steps' order: its gates, sigmoid blocks,
+    # each gate, the c before it and its c and h, and each layer's
+    # (h before it, W_rec, product slot); row 0 follows the ring's last
+    c, h = list(ring[:, 4]), list(ring[:, 5])
+    steps = list(zip(
+        ring[:, :4], ring[:, :3], ring[:, 0], ring[:, 1], ring[:, 2],
+        ring[:, 3], c[-1:] + c[:-1], c, h,
+        [list(zip(hs, run.W_rec, run.slots)) for hs in h[-1:] + h[:-1]],
+    ))
 
     into_h = caches is not None and len(shape) == 1
     out = caches[-1]["h"] if into_h else np.empty((n,) + shape)
-    copies = [[] for _ in run]  # (destination, ring view, slot) per layer
+    copies = [[] for _ in run.layers]  # (destination, ring view, slot) per layer
     if caches is not None:
         first = ring[:, :, :, 0]
         for cache, dests in zip(caches, copies):
@@ -267,9 +298,9 @@ def _lstm_run(A, run, starts, caches):
             m = min(lag, n - t0)
             x = A[t0 : t0 + m] if j == 0 else ring[r_prev : r_prev + m, 5, j - 1]
             z = products[r0 : r0 + m, j]
-            np.add(_matmul_rows(x, W_in[j]).reshape(z.shape), biases[j], z)
+            np.add(_matmul_rows(x, run.W_in[j]).reshape(z.shape), run.biases[j], z)
         m = lag if hi - lo > 1 else min(lag, n - (B - lo) * lag)
-        _cell_steps(ring[r0 : r0 + m], ring[r0 - 1], dots, rec_gates, im, half)
+        _cell_steps(steps[r0 : r0 + m], run.rec, run.im, run.half)
         for j in range(lo, hi):
             t0 = (B - j) * lag
             m = min(lag, n - t0)
@@ -281,30 +312,23 @@ def _lstm_run(A, run, starts, caches):
     return out, finals
 
 
-def _cell_steps(rows, prev, dots, rec, im, half):
-    """Step every layer of a run over consecutive step rows.
-
-    ``prev`` is the step row before the first; ``dots`` pairs each
-    layer's halved ``W_rec`` with its slot of the product buffer, which
-    ``rec`` sees gate-major.
-    """
-    c, hs = prev[4], prev[5]
-    for g, s, gi, gf, go, gm, c_t, h_t in zip(
-        rows[:, :4], rows[:, :3], rows[:, 0], rows[:, 1], rows[:, 2],
-        rows[:, 3], rows[:, 4], rows[:, 5],
-    ):
-        for h, (W, r) in zip(hs, dots):
-            np.dot(h, W, r)
+def _cell_steps(steps, rec, im, half):
+    """Step every layer of a run over consecutive step rows, given as
+    ``_lstm_run``'s tuples of views: the step makes no view of its own.
+    ``rec`` sees the product slots gate-major, and ``im`` holds
+    ``input * modulation``."""
+    for g, s, gi, gf, go, gm, c_prev, c, h, dots in steps:
+        for h_prev, W, r in dots:
+            np.dot(h_prev, W, r)
         np.add(g, rec, g)
         np.tanh(g, g)
         np.multiply(s, half, s)
         np.add(s, half, s)
-        np.multiply(gf, c, c_t)
+        np.multiply(gf, c_prev, c)
         np.multiply(gi, gm, im)
-        np.add(c_t, im, c_t)
-        np.tanh(c_t, h_t)
-        np.multiply(h_t, go, h_t)
-        c, hs = c_t, h_t
+        np.add(c, im, c)
+        np.tanh(c, h)
+        np.multiply(h, go, h)
 
 
 def softmax(logits):
@@ -365,15 +389,20 @@ def forward_sequence(layers, X, keep_caches: bool = False):
 
     Consecutive LSTM layers of one width form a run (``_runs``), which
     steps all its layers in one loop, each a lag of rows behind the one
-    before it (``_lstm_run``); any other LSTM layer is a run of one. A
-    run keeps its step rows in a ring of about two blocks of lag rows,
-    so a forward without caches holds no layer's gates or cells, only
-    the ring and the run's output. Outputs are bit-identical to walking
-    the layers one at a time (at an odd width, see ``_lstm_run``).
+    before it (``_lstm_run``); any other LSTM layer is a run of one. The
+    runs, with their halved weight copies and step buffers, are prepared
+    once per call and every chunk walks them. A run keeps its step rows
+    in a ring of about two blocks of lag rows, so a forward without
+    caches holds no layer's gates or cells, only the ring and the run's
+    output. Outputs are bit-identical to walking the layers one at a
+    time (at an odd width, see ``_lstm_run``).
 
-    A stack is walked in chunks of ceil(n/4k) rows with each LSTM
-    layer's state carried (``_walk``), so a chunk's temporaries take a
-    quarter of one sequence's samples; a 2-D sequence is one chunk.
+    A stack is walked in chunks of ceil(n/4k) rows, but of no fewer
+    than ``CHUNK_SAMPLES`` samples (rows times k), with each LSTM
+    layer's state carried (``_walk``). So a long stack's chunk
+    temporaries take a quarter of one sequence's samples, and a short
+    stack's chunks are long enough to pay for their set-up; a 2-D
+    sequence is one chunk.
 
     Caches hold the per-layer intermediates the backward pass needs and
     are None unless requested: ``{"input"}`` for an affine layer and
@@ -396,14 +425,14 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     # heap the chunks fragment.
     caches = _caches(layers, A) if keep_caches else None
     n, k = len(A), A.shape[1] if A.ndim == 3 else 0
-    rows = max(1, -(-n // (4 * k)) if k else n)
-    state, parts = {}, []
+    rows = max(1, -(-n // (4 * k)), -(-CHUNK_SAMPLES // k)) if k else max(1, n)
+    runs, state, parts = _runs(layers, A), {}, []
     for lo in range(0, max(n, 1), rows):
         chunk = None if caches is None else [
             {name: arr[lo : lo + rows] for name, arr in cache.items()}
             for cache in caches
         ]
-        parts.append(_walk(layers, A[lo : lo + rows], state, chunk))
+        parts.append(_walk(runs, A[lo : lo + rows], state, chunk))
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)), caches
 
 
@@ -428,32 +457,35 @@ def _caches(layers, A):
     return caches
 
 
-def _walk(layers, A, state, caches):
-    """One chunk of ``forward_sequence``: the stack over the rows of
-    ``A``, returning the last layer's output. An LSTM layer starts from
-    ``state[position]``, its ``(c, h)`` (zero if absent), which is
-    replaced by its state after the last row. ``caches``, unless None,
-    are the chunk's rows of ``_caches``' arrays, to be filled: an affine
-    layer writes its output (a stack's column 0) into the next input."""
+def _walk(runs, A, state, caches):
+    """One chunk of ``forward_sequence``: the stack, as ``_runs`` of it,
+    over the rows of ``A``, returning the last layer's output. An LSTM
+    layer starts from ``state[position]``, its ``(c, h)`` (zero if
+    absent), which is replaced by its state after the last row.
+    ``caches``, unless None, are the chunk's rows of ``_caches``'
+    arrays, to be filled: an affine layer writes its output (a stack's
+    column 0) into the next input."""
     index = 0
-    for run in _runs(layers):
-        if isinstance(run[0], DenseParams):
-            A = affine(A, run[0])
-            if caches is not None and index + 1 < len(layers):
+    for run in runs:
+        if isinstance(run, DenseParams):
+            A = affine(A, run)
+            if caches is not None and index + 1 < len(caches):
                 caches[index + 1]["input"][...] = A[:, 0] if A.ndim == 3 else A
-        else:
-            if A.shape[-1] != run[0].W_in.shape[0]:
-                raise DataError(
-                    f"lstm input width {A.shape[-1]} incompatible with "
-                    f"W_in {run[0].W_in.shape}"
-                )
-            positions = range(index, index + len(run))
-            A, finals = _lstm_run(
-                A, run, [state.get(i) for i in positions],
-                None if caches is None else caches[index : index + len(run)],
+            index += 1
+            continue
+        W_in = run.layers[0].W_in
+        if A.shape[-1] != W_in.shape[0]:
+            raise DataError(
+                f"lstm input width {A.shape[-1]} incompatible with "
+                f"W_in {W_in.shape}"
             )
-            state.update(zip(positions, finals))
-        index += len(run)
+        positions = range(index, index + len(run.layers))
+        A, finals = _lstm_run(
+            A, run, [state.get(i) for i in positions],
+            None if caches is None else caches[index : positions.stop],
+        )
+        state.update(zip(positions, finals))
+        index = positions.stop
     return A
 
 

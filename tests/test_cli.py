@@ -757,6 +757,28 @@ def test_tune_levels_unknown_factor_names_file_and_key(tmp_path, capsys):
     assert f"error: {levels}: expected a JSON object" in capsys.readouterr().err
 
 
+def test_oversized_model_exits_as_data_error_before_any_allocation(
+        tmp_path, monkeypatch, capsys):
+    # the parameter bound fires before model.build, which must not run:
+    # width 200,000 would ask for a 1.16 TiB recurrent matrix
+    def no_build(*args, **kwargs):
+        raise AssertionError("the oversized model was built")
+
+    monkeypatch.setattr(model, "build", no_build)
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=1), data)
+    out = tmp_path / "out"
+    rc = main(["train", "--data", str(data), "--width", "200000", "--layers", "4",
+               "--n-b", "3", "--epochs", "0", "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: width 200000 and 4 layers make 480,053,800,005 parameters, "
+        "above the limit of 10,000,000"
+    ]
+    assert not list(out.iterdir())
+
+
 def test_fault_inside_a_subcommand_is_internal_error(tmp_path, monkeypatch,
                                                      capsys):
     # a ValueError from program code is a bug, not bad input

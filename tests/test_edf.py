@@ -405,6 +405,36 @@ def test_serialize_rejects_out_of_range_digital():
         serialize_edf(rec)
 
 
+def _short_signal(rec):
+    rec.signals[0] = rec.signals[0][:-1]
+
+
+def _zero_records_with_annotations(rec):
+    rec.n_records, rec.signals = 0, [s[:0] for s in rec.signals]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_short_signal, "expected 6 samples, got 5"),
+    (_zero_records_with_annotations, "annotations require at least one data record"),
+    (lambda rec: rec.channels.clear(), "at least one channel"),
+    (lambda rec: rec.signals.pop(), "disagree in length"),
+    (lambda rec: setattr(rec, "patient_id", "P" * 81), "longer than 80 bytes"),
+    (lambda rec: setattr(rec, "recording_id", "R \u00e9"), "not ASCII"),
+    (lambda rec: setattr(rec, "record_duration", float("nan")), "not finite"),
+    (lambda rec: setattr(rec, "record_duration", 1 / 3), "not representable"),
+    (lambda rec: rec.annotations.append(EdfAnnotation(1.5, 0.5, "")), "non-empty"),
+    (lambda rec: rec.annotations.append(EdfAnnotation(1.5, float("inf"), "T2")),
+     "annotation time inf"),
+], ids=["short_signal", "zero_records_annotated", "no_channels", "signal_count",
+        "long_field", "non_ascii_field", "nan_duration", "long_duration",
+        "empty_annotation", "infinite_annotation"])
+def test_serialize_faults_are_data_errors(fault, message):
+    rec = _make_recording()
+    fault(rec)
+    with pytest.raises(DataError, match=message):
+        serialize_edf(rec)
+
+
 def test_decreasing_annotation_onsets_rejected():
     rec = _make_recording()
     blob = serialize_edf(rec)

@@ -17,6 +17,7 @@ from mindctl.errors import DataError, NumericError
 import mindctl.model
 import mindctl.nn
 from mindctl.model import (
+    MAX_PARAMETERS,
     HyperParams,
     TrainingSchedule,
     _evaluate_test,
@@ -24,6 +25,7 @@ from mindctl.model import (
     build,
     export_activations,
     load,
+    parameter_count,
     predict,
     save,
     save_activations,
@@ -89,6 +91,24 @@ def test_hyperparams_validation():
         HyperParams(l2=0.0, lr=0.0, width=8, layers=5, batches=1)
     with pytest.raises(DataError, match="l2"):
         HyperParams(l2=-0.1, lr=0.01, width=8, layers=5, batches=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(width=st.integers(1, 12), layers=st.integers(4, 8))
+def test_parameter_count_matches_the_built_model(width, layers):
+    hp = HyperParams(l2=0.0, lr=0.01, width=width, layers=layers, batches=1)
+    assert parameter_count(hp) == mindctl.nn.flat(build(hp, seed=0).layers).size
+
+
+@pytest.mark.parametrize("width, layers", [(200_000, 4), (744, 7), (2, 10**12)])
+def test_oversized_model_is_rejected_before_it_is_built(width, layers):
+    # counted, never built: width 200,000 alone would need 1.16 TiB of
+    # recurrent weights, and width 744 is the first above the bound at 7
+    # layers
+    with pytest.raises(DataError, match=f"width {width} and {layers} layers"):
+        HyperParams(l2=0.0, lr=0.01, width=width, layers=layers, batches=1)
+    assert parameter_count(HyperParams(l2=0.0, lr=0.01, width=743, layers=7,
+                                       batches=1)) <= MAX_PARAMETERS
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +244,10 @@ def test_history_rows_and_early_stop():
 
 
 def test_epoch_zero_row_matches_separate_passes():
-    # 40 rows and 3 batches: batch size 10 and k = 4 sequences, so the
-    # lockstep pass runs ten chunks of one row (ceil(10/16) rows each)
-    splits = split(make_toy_samples(n=40, seed=3), 3)
+    # 280 rows and 3 batches: batch size 70 and k = 4 sequences, so the
+    # lockstep pass runs chunks of 32 rows (the 128-sample floor, above
+    # ceil(70/16) = 5), 32 and 6
+    splits = split(make_toy_samples(n=280, seed=3), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=8, layers=5, batches=3)
     model = build(hp, seed=5)
     schedule = TrainingSchedule(max_epochs=0, patience=5, bptt_window=10)
@@ -317,9 +338,11 @@ def test_first_step_takes_epoch_zero_forward(monkeypatch, max_epochs, rows,
 
 
 @pytest.mark.parametrize("total, n_batches, layers, window", [
-    (400, 3, 5, 10),  # n 100 in 7-row chunks, the last one 2 rows
-    (24, 5, 4, 3),    # n 4 < k 6: one-row chunks; the first layer an LSTM
-    (74, 1, 6, 4),    # n 37 in 5-row chunks, the last one 2 rows
+    (400, 3, 5, 10),  # n 100 in 32-row chunks, the last one 4 rows
+    (24, 5, 4, 3),    # n 4 < k 6: one chunk; the first layer an LSTM
+    (600, 5, 4, 3),   # n 100 in 22-row chunks, the last one 12 rows
+    (74, 1, 6, 4),    # n 37, k 2: one chunk
+    (300, 1, 6, 4),   # n 150 in 64-row chunks, the last one 22 rows
 ])
 def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
                                                       layers, window):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from mindctl.errors import DataError, NumericError
 from mindctl.model import build, HyperParams
 from mindctl.nn import (
+    CHUNK_SAMPLES,
     DenseParams,
     LstmParams,
     _caches,
     _lag,
     _lstm_backward,
+    _runs,
     _walk,
     adam_init,
     adam_step,
@@ -625,12 +627,15 @@ def _random_stack(rng, fan_in=3, width=4):
 
 @pytest.mark.parametrize("n, k, view", [
     pytest.param(n, k, view, id=f"{n}-{k}" + ("-view" if view else ""))
-    for view in (False, True) for n in (2, 7, 12) for k in (1, 2, 3, 5)
+    for view in (False, True) for n in (2, 7, 12, 70, 300) for k in (1, 2, 3, 5)
 ])
 def test_lockstep_stack_in_chunks_matches_separate_sequences(n, k, view):
-    # forward_sequence walks the stack in ceil(n/4k)-row chunks with
-    # state carried; (7, 1) leaves a short last chunk, and (2, 3) and
-    # (2, 5) have fewer rows than k. ``view`` passes the sequences as a
+    # forward_sequence walks the stack in chunks of ceil(n/4k) rows, and
+    # of at least CHUNK_SAMPLES (128) samples, with state carried. Up to
+    # n 12 every stack is one chunk, and (2, 3) and (2, 5) have fewer
+    # rows than k. (70, 3) runs chunks of 43 and 27 rows, (70, 5) of 26,
+    # 26 and 18, (300, 1) of 128, 128 and 44, and (300, 5) eleven of 26
+    # and a last one of 14. ``view`` passes the sequences as a
     # transposed (strided) view, as model.train does; its outputs and
     # caches are bit-identical to a contiguous stack's.
     rng = np.random.default_rng(10 * k + n)
@@ -651,20 +656,77 @@ def test_lockstep_stack_in_chunks_matches_separate_sequences(n, k, view):
             assert np.array_equal(arr, own[name]), name
 
 
+@pytest.mark.parametrize("n, k, rows", [
+    (200, 14, [10] * 20),       # tune's 13 batches of 200: the floor, 128/14
+    (700, 4, [44] * 15 + [40]),  # the memory tests' stack: ceil(n/4k)
+    (7, 3, [7]),                # shorter than the floor: one chunk
+    (5, 0, [5]),                # no sequence: one chunk
+])
+def test_stack_chunks_are_a_quarter_sequence_but_not_below_the_floor(
+        monkeypatch, n, k, rows):
+    walked = []
+
+    def walk(runs, A, state, caches):
+        walked.append(len(A))
+        return _walk(runs, A, state, caches)
+
+    monkeypatch.setattr("mindctl.nn._walk", walk)
+    forward_sequence(_random_stack(np.random.default_rng(n)), np.zeros((n, k, 3)))
+    assert walked == rows
+
+
 @pytest.mark.parametrize("cuts", [(1,), (5, 6), (3, 4, 10)])
 def test_chunks_with_carried_state_match_one_pass(cuts):
     rng = np.random.default_rng(len(cuts))
     layers = _random_stack(rng)
     X = rng.normal(size=(13, 3))
     whole, _ = forward_sequence(layers, X)
-    state = {}
-    pieces = [_walk(layers, part, state, None) for part in np.split(X, cuts)]
+    runs, state = _runs(layers, X), {}  # prepared once, as for chunks
+    pieces = [_walk(runs, part, state, None) for part in np.split(X, cuts)]
     assert np.max(np.abs(np.concatenate(pieces) - whole)) < 1e-12
     # the state holds each LSTM layer's last step: positions 1 and 2
     assert sorted(state) == [1, 2]
     for index, (_, h) in state.items():
         out, _ = forward_sequence(layers[: index + 1], X)
         assert np.max(np.abs(h - out[-1])) < 1e-12
+
+
+def _walk_in_chunks(layers, A, rows):
+    """forward_sequence's walk of ``A`` with caches, in chunks of
+    ``rows`` rows."""
+    caches, runs, state, parts = _caches(layers, A), _runs(layers, A), {}, []
+    for lo in range(0, len(A), rows):
+        chunk = [{name: arr[lo : lo + rows] for name, arr in cache.items()}
+                 for cache in caches]
+        parts.append(_walk(runs, A[lo : lo + rows], state, chunk))
+    return np.concatenate(parts), caches
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 90),
+    k=st.integers(2, 6),
+    width=st.sampled_from([2, 4, 6, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_chunking_leaves_outputs_and_caches_unchanged(n, k, width, seed):
+    # At even widths and k >= 2 (so no product has one row, see _lag),
+    # a stack walked in 1-row chunks, at the CHUNK_SAMPLES floor (as
+    # forward_sequence walks it here) or in one chunk gives the same
+    # outputs and caches, bit for bit.
+    rng = np.random.default_rng(seed)
+    layers = _random_stack(rng, width=width)
+    stack = rng.normal(size=(n, k, 3))
+    floor = -(-CHUNK_SAMPLES // k)
+    assert -(-n // (4 * k)) <= floor  # the floor sets this walk's chunks
+    walks = [_walk_in_chunks(layers, stack, rows) for rows in (1, floor, n)]
+    walks.append(forward_sequence(layers, stack, keep_caches=True))
+    out, caches = walks[0]
+    for other, other_caches in walks[1:]:
+        assert np.array_equal(out, other)
+        for cache, own in zip(caches, other_caches):
+            for name, arr in cache.items():
+                assert np.array_equal(arr, own[name]), name
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -759,11 +821,11 @@ def test_run_of_two_layers_matches_two_runs_of_one(n, k, width, second,
     apart = [{0: s} if s is not None else {} for s in begin]
 
     caches = _caches(layers, X)
-    out = _walk(layers, X, pair, caches)
+    out = _walk(_runs(layers, X), X, pair, caches)
     A, own = X, []
     for layer, state in zip(layers, apart):
         (cache,) = _caches([layer], A)
-        A = _walk([layer], A, state, [cache])
+        A = _walk(_runs([layer], A), A, state, [cache])
         own.append(cache)
     assert np.array_equal(out, A)
     assert caches[1]["input"] is caches[0]["h"]
