@@ -18,6 +18,7 @@ import multiprocessing
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,10 @@ def _cmd_tune(args) -> int:
             # here, before oa.execute's threads exist, so no fork copies them
             pool.submit(int).result()
             oa.execute(levels, runner, workers, results)
+    except BrokenProcessPool:  # a worker killed by a signal, say: no traceback
+        _log("error: a tune worker process died; results.csv keeps the "
+             "finished runs and a re-run resumes from them")
+        return EXIT_INTERNAL
     finally:  # a stopped sweep keeps its finished runs for the resume
         oa.save_plan(levels, results, results_path)
     analysis = oa.range_analysis(levels, results)

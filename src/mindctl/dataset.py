@@ -8,7 +8,9 @@ recurrent model treats consecutive samples as a time sequence.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,15 +302,40 @@ def read_json(path):
 # formatted once (keyed by its bit pattern, which keeps -0.0 apart from
 # 0.0) and gathered back into place. The block bounds the memory of the
 # index, the cell strings and the row lists.
+#
+# Beside each table it writes, save_table leaves a binary sidecar
+# (``<table name>.bin``): SIDECAR_MAGIC, the SHA-256 digest of the CSV's
+# bytes followed by the payload, then the payload, the features as one
+# C-order <f8 (n, 64) block and the labels as <i8 (n,). load_table reads
+# the arrays from it only when its magic, size and digest all match the
+# CSV beside it; any other table, or a table edited after it was
+# written, is parsed as text.
 
 SAVE_BLOCK_ROWS = 1024
+SIDECAR_MAGIC = b"mindctl-table 1\n"
+_SIDECAR_HEAD = len(SIDECAR_MAGIC) + hashlib.sha256().digest_size
+_SIDECAR_ROW = 8 * (N_CHANNELS + 1)
+_HASH_CHUNK = 1 << 20
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".bin")
 
 
 def save_table(samples: SampleSet, path) -> None:
+    path = Path(path)
+    sidecar = _sidecar(path)
+    sidecar.unlink(missing_ok=True)  # a stale one would no longer match
     features = samples.features
     labels = samples.labels.tolist()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(TABLE_HEADER + "\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def emit(text: str) -> None:
+            data = text.encode("ascii")
+            digest.update(data)
+            fh.write(data)
+
+        emit(TABLE_HEADER + "\n")
         for start in range(0, len(labels), SAVE_BLOCK_ROWS):
             stop = start + SAVE_BLOCK_ROWS
             block = features[start:stop]
@@ -317,12 +344,46 @@ def save_table(samples: SampleSet, path) -> None:
             text = np.array(list(map(repr, bits.view(np.float64).tolist())),
                             dtype=object)
             cells = text[inverse].reshape(block.shape).tolist()
-            fh.writelines(f"{','.join(row)},{label}\n"
-                          for row, label in zip(cells, labels[start:stop]))
+            emit("".join(f"{','.join(row)},{label}\n"
+                         for row, label in zip(cells, labels[start:stop])))
+    payload = (np.ascontiguousarray(features, dtype="<f8"),
+               np.ascontiguousarray(samples.labels, dtype="<i8"))
+    for arr in payload:
+        digest.update(arr)
+    with open(sidecar, "wb") as fh:
+        fh.write(SIDECAR_MAGIC + digest.digest())
+        for arr in payload:
+            fh.write(arr)
 
 
-def load_table(path) -> SampleSet:
-    path = Path(path)
+def _read_sidecar(path: Path):
+    """``(features, labels)`` from the sidecar of the table at ``path``,
+    or None unless its magic, size and digest match that table's bytes."""
+    try:
+        with open(_sidecar(path), "rb") as side, open(path, "rb") as table:
+            head = side.read(_SIDECAR_HEAD)
+            rows, extra = divmod(os.fstat(side.fileno()).st_size - _SIDECAR_HEAD,
+                                 _SIDECAR_ROW)
+            if not head.startswith(SIDECAR_MAGIC) or rows < 0 or extra:
+                return None
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: table.read(_HASH_CHUNK), b""):
+                digest.update(chunk)
+            payload = (np.empty((rows, N_CHANNELS), dtype="<f8"),
+                       np.empty(rows, dtype="<i8"))
+            for arr in payload:
+                if side.readinto(arr) != arr.nbytes:
+                    return None
+                digest.update(arr)
+    except OSError:  # no sidecar; a missing table fails in the parse
+        return None
+    if digest.digest() != head[len(SIDECAR_MAGIC):]:
+        return None
+    return payload
+
+
+def _parse_table(path: Path):
+    """``(features, labels)`` parsed from the table's CSV text."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
@@ -338,7 +399,7 @@ def load_table(path) -> SampleSet:
                 rows_start = fh.tell()
                 line = fh.readline()
             if not line:
-                return SampleSet.empty()
+                return np.empty((0, N_CHANNELS)), np.empty(0)
             fh.seek(rows_start)
             data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
     except UnicodeDecodeError as exc:
@@ -346,13 +407,21 @@ def load_table(path) -> SampleSet:
     except ValueError as exc:
         raise DataError(f"{path}: malformed table row: {exc}") from exc
     if data.size == 0:
-        return SampleSet.empty()
+        return np.empty((0, N_CHANNELS)), np.empty(0)
     if data.shape[1] != N_CHANNELS + 1:
         raise DataError(
             f"{path}: expected {N_CHANNELS + 1} columns, got {data.shape[1]}"
         )
+    return data[:, :-1], data[:, -1]
+
+
+def load_table(path) -> SampleSet:
+    path = Path(path)
+    columns = _read_sidecar(path)
+    if columns is None:
+        columns = _parse_table(path)
     try:
-        return SampleSet(data[:, :-1], data[:, -1])
+        return SampleSet(*columns)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

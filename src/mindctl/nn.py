@@ -41,17 +41,18 @@ class _Layer:
     """Walks shared by the parameter records.
 
     Each record class declares ``layout(fan_in, width)``: its array
-    names and shapes, in checkpoint order. Every walk over a record's
+    names and shapes, in checkpoint order, and ``names``, the tuple of
+    those names, is set once per class. Every walk over a record's
     arrays follows that order, and the 2-D arrays are the weight
     matrices that take the l2 penalty; the 1-D arrays are biases.
     """
 
-    @classmethod
-    def names(cls):
-        return tuple(cls.layout(1, 1))
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.names = tuple(cls.layout(1, 1))
 
     def arrays(self):
-        return [(name, getattr(self, name)) for name in self.names()]
+        return [(name, getattr(self, name)) for name in self.names]
 
     def weight_matrices(self):
         return [arr for _, arr in self.arrays() if arr.ndim == 2]

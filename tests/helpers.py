@@ -144,7 +144,7 @@ def reference_gradients(layers, X, labels, l2, window,
 def _per_array(fn, *records):
     cls = type(records[0])
     return cls(**{name: fn(*(getattr(r, name) for r in records))
-                  for name in cls.names()})
+                  for name in cls.names})
 
 
 def reference_adam_init(layers):

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -399,35 +400,52 @@ def test_stopped_sweep_keeps_finished_runs_and_resumes(tmp_path, monkeypatch,
             == {n: (whole / n).read_bytes() for n in names})
 
 
+_REAL_TUNE_RUN = cli._tune_run
+
+
+def _tune_run_killed_at_width_5(samples, values, seed, schedule):
+    # module level, so the pool can pickle it by name as cli._tune_run's
+    # stand-in; it runs in a worker process, which kills itself
+    if values[2] == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _REAL_TUNE_RUN(samples, values, seed, schedule)
+
+
 def test_worker_process_that_dies_is_a_fault_and_keeps_finished_runs(
         tmp_path, monkeypatch, capsys):
-    # a forked worker inherits the patch; os._exit ends it without an
-    # exception to send back, which breaks the pool for the runs in flight
-    parent, real = os.getpid(), cli._fit
-
-    def dying(samples, values, settings, announce=False):
-        if os.getpid() != parent and values[2] == 5:
-            os._exit(1)
-        return real(samples, values, settings, announce)
-
-    monkeypatch.setattr(cli, "_fit", dying)
+    # a killed worker sends no exception back: the pool breaks for every
+    # run in flight, and tune says so in one line instead of a traceback
+    monkeypatch.setattr(cli, "_tune_run", _tune_run_killed_at_width_5)
     data = tmp_path / "data.csv"
     save_table(make_toy_samples(n=28, seed=2), data)
     levels = tmp_path / "levels.json"
     levels.write_text(json.dumps(_TINY_LEVELS))
     out = tmp_path / "out"
-    rc = main(["tune", "--data", str(data), "--levels", str(levels), "--epochs", "1",
-               "--workers", "2", "--no-confirm", "--out-dir", str(out)])
-    assert rc == EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert "Traceback" in err and "BrokenProcessPool" in err
-    finished = err.count(": accuracy ")
+    tune = ["tune", "--data", str(data), "--levels", str(levels), "--epochs", "1",
+            "--workers", "2", "--no-confirm", "--out-dir", str(out)]
+    assert main(tune) == EXIT_INTERNAL
+    lines = capsys.readouterr().err.splitlines()
+    assert "Traceback" not in "\n".join(lines)
+    assert [line for line in lines if ": accuracy " not in line] == [
+        "error: a tune worker process died; results.csv keeps the finished "
+        "runs and a re-run resumes from them"]
+    finished = len(lines) - 1
     plan = oa.build_plan(tuple(_TINY_LEVELS[n] for n in oa.FACTOR_NAMES))
     recorded = oa.load_results(plan, out / "results.csv")
     assert 0 < finished == sum(a is not None for a in recorded) < 16
     assert all(a is None for run, a in enumerate(recorded)
                if oa.run_values(plan, run)[2] == 5)
     assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(cli, "_tune_run", _REAL_TUNE_RUN)
+    assert main(tune) == 0
+    err = capsys.readouterr().err
+    assert f"resuming: {finished} of 16 runs already recorded" in err
+    assert err.count(": accuracy ") == 16 - finished
+    resumed = oa.load_results(plan, out / "results.csv")
+    assert None not in resumed
+    assert [b for a, b in zip(recorded, resumed) if a is not None] == [
+        a for a in recorded if a is not None]
 
 
 def test_tune_forks_no_more_workers_than_pending_runs(tmp_path, monkeypatch):

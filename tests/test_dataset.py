@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mindctl.dataset import (
     SAVE_BLOCK_ROWS,
+    SIDECAR_MAGIC,
     TABLE_HEADER,
     SampleSet,
     default_mapping,
@@ -405,3 +406,93 @@ def test_mutated_table_loads_valid_or_fails_as_data_error(tmp_path_factory, blob
         return
     assert np.isfinite(samples.features).all()
     assert np.isin(samples.labels, (1, 2, 3, 4, 5)).all()
+
+
+# ---------------------------------------------------------------------------
+# the binary sidecar save_table writes beside each table
+
+def _edge_samples(rows, seed):
+    # signed zeros and repr's notation edges, so a bit-level compare
+    # tells -0.0 from 0.0; Fortran order, so the writer must reorder
+    rng = np.random.default_rng(seed)
+    values = np.array(_REPR_EDGES)[rng.integers(0, len(_REPR_EDGES), (rows, 64))]
+    return SampleSet(np.asfortranarray(values), rng.integers(1, 6, size=rows))
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
+            and np.array_equal(a.labels, b.labels))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_sidecar_layout_and_round_trip(tmp_path, rows):
+    samples = _edge_samples(rows, seed=rows)
+    path = tmp_path / "t.csv"
+    save_table(samples, path)
+    payload = samples.features.tobytes() + samples.labels.astype("<i8").tobytes()
+    digest = hashlib.sha256(path.read_bytes() + payload).digest()
+    assert (tmp_path / "t.csv.bin").read_bytes() == SIDECAR_MAGIC + digest + payload
+    back = load_table(path)
+    assert back.features.shape == (rows, 64) and _same_bits(back, samples)
+    flags = back.features.flags
+    assert flags.c_contiguous and flags.writeable and flags.owndata
+
+
+def test_table_with_its_sidecar_loads_without_the_text_parse(tmp_path, monkeypatch):
+    samples = _edge_samples(7, seed=3)
+    save_table(samples, tmp_path / "t.csv")
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the CSV text was parsed")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    assert _same_bits(load_table(tmp_path / "t.csv"), samples)
+
+
+def test_interrupted_save_leaves_no_stale_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    save_table(_sequential_samples(3), path)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(np, "unique", broken)  # fails inside the CSV write
+    with pytest.raises(RuntimeError):
+        save_table(_sequential_samples(4), path)
+    assert not (tmp_path / "t.csv.bin").exists()
+
+
+@settings(max_examples=80, deadline=None)
+@given(how=st.sampled_from(["mutate", "truncate", "delete", "cell"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sidecar_that_does_not_match_its_table_is_not_trusted(
+        tmp_path_factory, how, seed, data):
+    rows = data.draw(st.integers(1 if how == "cell" else 0, 4), label="rows")
+    samples = _edge_samples(rows, seed)
+    d = tmp_path_factory.mktemp("sidecar")
+    path, side = d / "t.csv", d / "t.csv.bin"
+    save_table(samples, path)
+    blob = side.read_bytes()
+    if how == "mutate":
+        side.write_bytes(data.draw(mutated_bytes(blob), label="sidecar"))
+    elif how == "truncate":
+        side.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    elif how == "delete":
+        side.unlink()
+    else:  # one cell of the CSV gets another valid value
+        row = data.draw(st.integers(0, rows - 1), label="row")
+        col = data.draw(st.integers(0, 63), label="column")
+        value = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+        lines = path.read_text().split("\n")
+        cells = lines[row + 1].split(",")
+        cells[col] = repr(value)
+        lines[row + 1] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        samples.features[row, col] = value
+    listing = {p.name: p.read_bytes() for p in d.iterdir()}
+    loaded = load_table(path)
+    assert {p.name: p.read_bytes() for p in d.iterdir()} == listing
+    alone = tmp_path_factory.mktemp("alone") / "t.csv"
+    alone.write_bytes(path.read_bytes())
+    parsed = load_table(alone)
+    assert _same_bits(loaded, parsed) and _same_bits(parsed, samples)
