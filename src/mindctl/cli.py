@@ -115,14 +115,11 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_split(args) -> int:
     out = _out_dir(args)
-    samples = dataset.load_table(args.data)
-    result = dataset.split(samples, args.n_b)
-    dataset.save_table(result.train, out / "train.csv")
-    dataset.save_table(result.test, out / "test.csv")
-    _log(
-        f"split {len(samples)} samples into {len(result.train)} train / "
-        f"{len(result.test)} test (batch size {result.batch_size})"
-    )
+    result = dataset.save_split(args.data, args.n_b, out / "train.csv",
+                                out / "test.csv")
+    total, size = result.labels.size, result.batch_size
+    _log(f"split {total} samples into {total - size} train / {size} test "
+         f"(batch size {size})")
     _write_config(out, args, train=str(out / "train.csv"),
                   test=str(out / "test.csv"))
     return EXIT_OK

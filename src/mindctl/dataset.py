@@ -269,11 +269,41 @@ def write_csv(path, header, rows) -> None:
     """One header line, then one line per row, with LF line ends.
 
     A float cell is written in shortest round-trip form, None as an
-    empty cell and anything else with ``str``.
+    empty cell and anything else with ``str``. Rows given as a float64
+    array are written as :func:`_csv_blocks` formats them.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            fh.writelines(_csv_blocks(rows))
+        else:
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _csv_blocks(values, labels=None):
+    """The CSV lines of a float64 (n, m) array, with ``labels`` (values
+    in LABELS), when given, as one more column: one string per block of
+    SAVE_BLOCK_ROWS rows.
+
+    In each block every distinct value is formatted once, keyed by its
+    bit pattern, which keeps -0.0 apart from 0.0, and gathered back into
+    place, and the block is joined in one call.
+    """
+    for start in range(0, len(values), SAVE_BLOCK_ROWS):
+        block = values[start:start + SAVE_BLOCK_ROWS]
+        n, m = block.shape
+        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        reprs = list(map(repr, bits.view(np.float64).tolist()))
+        index = inverse.reshape(n, m)
+        if labels is None:  # the last value ends the line
+            text = [r + "," for r in reprs] + [r + "\n" for r in reprs]
+            index[:, -1] += len(reprs)
+        else:
+            # LABELS are consecutive: a label's text sits at label - LABELS[0]
+            text = [r + "," for r in reprs] + [f"{label}\n" for label in LABELS]
+            index = np.column_stack(
+                (index, labels[start:start + SAVE_BLOCK_ROWS] - LABELS[0] + len(reprs)))
+        yield "".join(np.array(text, dtype=object)[index].ravel().tolist())
 
 
 def write_json(path, obj) -> None:
@@ -298,10 +328,9 @@ def read_json(path):
 # identically.
 #
 # Table values come from 16-bit EDF samples through a per-channel affine
-# map, so they repeat heavily: each distinct value in a block of rows is
-# formatted once (keyed by its bit pattern, which keeps -0.0 apart from
-# 0.0) and gathered back into place. The block bounds the memory of the
-# index, the cell strings and the row lists.
+# map, so they repeat heavily: _csv_blocks formats each distinct value
+# in a block of SAVE_BLOCK_ROWS rows once. The block bounds the memory of
+# the index and the cell strings.
 #
 # Beside each table it writes, save_table leaves a binary sidecar
 # (``<table name>.bin``): SIDECAR_MAGIC, the SHA-256 digest of the CSV's
@@ -309,43 +338,39 @@ def read_json(path):
 # C-order <f8 (n, 64) block and the labels as <i8 (n,). load_table reads
 # the arrays from it only when its magic, size and digest all match the
 # CSV beside it; any other table, or a table edited after it was
-# written, is parsed as text.
+# written, is parsed as text. The digest is unkeyed: it tells a stale or
+# edited table, not a forged one.
 
 SAVE_BLOCK_ROWS = 1024
 SIDECAR_MAGIC = b"mindctl-table 1\n"
+_HEADER_LINE = (TABLE_HEADER + "\n").encode("ascii")
 _SIDECAR_HEAD = len(SIDECAR_MAGIC) + hashlib.sha256().digest_size
 _SIDECAR_ROW = 8 * (N_CHANNELS + 1)
-_HASH_CHUNK = 1 << 20
+_CHUNK = 1 << 20
 
 
 def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".bin")
 
 
-def save_table(samples: SampleSet, path) -> None:
+def save_table(samples: SampleSet, path, rows=None) -> None:
+    """Write ``samples`` as the table at ``path``, then its sidecar.
+
+    ``rows``, when given, is the text of exactly these rows as byte
+    chunks, written in place of formatting them.
+    """
     path = Path(path)
     sidecar = _sidecar(path)
     sidecar.unlink(missing_ok=True)  # a stale one would no longer match
     features = samples.features
-    labels = samples.labels.tolist()
-    digest = hashlib.sha256()
+    if rows is None:
+        rows = (text.encode("ascii") for text in _csv_blocks(features, samples.labels))
+    digest = hashlib.sha256(_HEADER_LINE)
     with open(path, "wb") as fh:
-        def emit(text: str) -> None:
-            data = text.encode("ascii")
-            digest.update(data)
-            fh.write(data)
-
-        emit(TABLE_HEADER + "\n")
-        for start in range(0, len(labels), SAVE_BLOCK_ROWS):
-            stop = start + SAVE_BLOCK_ROWS
-            block = features[start:stop]
-            bits, inverse = np.unique(block.view(np.int64).ravel(),
-                                      return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                            dtype=object)
-            cells = text[inverse].reshape(block.shape).tolist()
-            emit("".join(f"{','.join(row)},{label}\n"
-                         for row, label in zip(cells, labels[start:stop])))
+        fh.write(_HEADER_LINE)
+        for chunk in rows:
+            digest.update(chunk)
+            fh.write(chunk)
     payload = (np.ascontiguousarray(features, dtype="<f8"),
                np.ascontiguousarray(samples.labels, dtype="<i8"))
     for arr in payload:
@@ -356,18 +381,47 @@ def save_table(samples: SampleSet, path) -> None:
             fh.write(arr)
 
 
-def _read_sidecar(path: Path):
+def _chunks(fh):
+    """The rest of the open binary file ``fh``, in chunks of at most
+    _CHUNK bytes read into one buffer: a chunk is valid until the next
+    one is drawn."""
+    buf = bytearray(_CHUNK)
+    while size := fh.readinto(buf):
+        if size < len(buf):
+            del buf[size:]
+        yield buf
+
+
+def _lines(fh, count: int):
+    """The next ``count`` lines of the open binary file ``fh``, as
+    :func:`_chunks` draws them, leaving ``fh`` just past them."""
+    for chunk in _chunks(fh):
+        found = chunk.count(b"\n")
+        if found < count:
+            count -= found
+            yield chunk
+            continue
+        end = 0
+        for _ in range(count):
+            end = chunk.index(b"\n", end) + 1
+        fh.seek(end - len(chunk), os.SEEK_CUR)
+        yield memoryview(chunk)[:end]
+        return
+
+
+def _read_sidecar(path: Path, table):
     """``(features, labels)`` from the sidecar of the table at ``path``,
-    or None unless its magic, size and digest match that table's bytes."""
+    or None unless its magic, size and digest match ``table``, that
+    table's bytes as chunks."""
     try:
-        with open(_sidecar(path), "rb") as side, open(path, "rb") as table:
+        with open(_sidecar(path), "rb") as side:
             head = side.read(_SIDECAR_HEAD)
             rows, extra = divmod(os.fstat(side.fileno()).st_size - _SIDECAR_HEAD,
                                  _SIDECAR_ROW)
             if not head.startswith(SIDECAR_MAGIC) or rows < 0 or extra:
                 return None
             digest = hashlib.sha256()
-            for chunk in iter(lambda: table.read(_HASH_CHUNK), b""):
+            for chunk in table:
                 digest.update(chunk)
             payload = (np.empty((rows, N_CHANNELS), dtype="<f8"),
                        np.empty(rows, dtype="<i8"))
@@ -375,7 +429,7 @@ def _read_sidecar(path: Path):
                 if side.readinto(arr) != arr.nbytes:
                     return None
                 digest.update(arr)
-    except OSError:  # no sidecar; a missing table fails in the parse
+    except OSError:  # no sidecar
         return None
     if digest.digest() != head[len(SIDECAR_MAGIC):]:
         return None
@@ -401,7 +455,8 @@ def _parse_table(path: Path):
             if not line:
                 return np.empty((0, N_CHANNELS)), np.empty(0)
             fh.seek(rows_start)
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2,
+                              comments=None)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except ValueError as exc:
@@ -415,15 +470,69 @@ def _parse_table(path: Path):
     return data[:, :-1], data[:, -1]
 
 
-def load_table(path) -> SampleSet:
-    path = Path(path)
-    columns = _read_sidecar(path)
-    if columns is None:
-        columns = _parse_table(path)
+def _samples(path: Path, columns) -> SampleSet:
     try:
         return SampleSet(*columns)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def load_table(path) -> SampleSet:
+    path = Path(path)
+    try:
+        with open(path, "rb") as table:
+            columns = _read_sidecar(path, _chunks(table))
+    except OSError:  # no table: the parse names the failure
+        columns = None
+    if columns is None:
+        columns = _parse_table(path)
+    return _samples(path, columns)
+
+
+def save_split(source, n_batches: int, train_path, test_path) -> DatasetSplit:
+    """:func:`split` of the table at ``source``, saved as the tables
+    ``train_path`` and ``test_path``.
+
+    When ``source`` verifies through its sidecar, starts with the
+    TABLE_HEADER line, holds one more line than rows and is neither
+    output, the outputs' rows are copied from its bytes, which are the
+    text save_table would format again. Any other source is loaded and
+    its rows formatted.
+    """
+    source, outputs = Path(source), (Path(train_path), Path(test_path))
+    result = _copy_split(source, n_batches, outputs)
+    if result is None:
+        result = split(load_table(source), n_batches)
+        save_table(result.train, outputs[0])
+        save_table(result.test, outputs[1])
+    return result
+
+
+def _copy_split(source: Path, n_batches: int, outputs):
+    """:func:`save_split` by copying rows, or None, having written
+    nothing, when ``source`` does not qualify."""
+    if not source.is_file() or any(
+            out.exists() and os.path.samefile(source, out) for out in outputs):
+        return None
+    lines = 0
+
+    def counted(chunks):
+        nonlocal lines
+        for chunk in chunks:
+            lines += chunk.count(b"\n")
+            yield chunk
+
+    with open(source, "rb") as table:
+        columns = _read_sidecar(source, counted(_chunks(table)))
+        table.seek(0)
+        if (columns is None or lines != len(columns[1]) + 1
+                or table.read(len(_HEADER_LINE)) != _HEADER_LINE):
+            return None
+        result = split(_samples(source, columns), n_batches)
+        train = result.train
+        save_table(train, outputs[0], rows=_lines(table, len(train)))
+        save_table(result.test, outputs[1], rows=_chunks(table))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def save_roc(curve: RocCurve, path) -> None:
     fpr, tpr = curve.points.T
     log_fpr = np.log10(fpr, out=np.full_like(fpr, -np.inf), where=fpr > 0)
     write_csv(path, ("fpr", "log10_fpr", "tpr"),
-              zip(fpr.tolist(), log_fpr.tolist(), tpr.tolist()))
+              np.column_stack((fpr, log_fpr, tpr)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,126 @@
+"""Mutation checks: each entry breaks the source on purpose, and the tests
+it names must then fail.
+
+    python tests/mutations.py            # every entry
+    python tests/mutations.py NAME ...   # the named entries
+
+Each entry is (module, exact snippet, replacement, pytest selection).
+For each, the repository (without .git) is copied to a temporary
+directory, the snippet, which must occur exactly once in
+``src/mindctl/<module>.py``, is replaced, and the selection runs against
+the copy. A selection that passes leaves a surviving mutant; the script
+names every survivor and exits 1. A selection pytest cannot run (a test
+renamed, say) stops the script. Nothing is written into the checkout.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = {
+    "split-cut-one-row-late": (
+        "dataset",
+        "rows=_lines(table, len(train))",
+        "rows=_lines(table, len(train) + 1)",
+        ["tests/test_dataset.py::test_split_of_a_verified_table_copies_its_rows"],
+    ),
+    "split-ignores-the-line-count": (
+        "dataset",
+        "columns is None or lines != len(columns[1]) + 1",
+        "columns is None",
+        ["tests/test_dataset.py::test_split_of_an_unverified_table_formats_its_rows"],
+    ),
+    "split-ignores-the-header": (
+        "dataset",
+        "table.read(len(_HEADER_LINE)) != _HEADER_LINE",
+        "table.read(len(_HEADER_LINE)) is None",
+        ["tests/test_dataset.py::test_split_of_an_unverified_table_formats_its_rows"],
+    ),
+    "split-copies-onto-its-source": (
+        "dataset",
+        "out.exists() and os.path.samefile(source, out)",
+        "False",
+        ["tests/test_cli.py::test_split_may_overwrite_its_own_source"],
+    ),
+    "sidecar-trusted-without-digest": (
+        "dataset",
+        "if digest.digest() != head[len(SIDECAR_MAGIC):]:",
+        "if False:",
+        ["tests/test_dataset.py::test_split_of_an_unverified_table_formats_its_rows"],
+    ),
+    "table-comments-skipped": (
+        "dataset",
+        "ndmin=2,\n                              comments=None)",
+        "ndmin=2)",
+        ["tests/test_dataset.py::test_mutated_table_loads_valid_or_fails_as_data_error",
+         "tests/test_cli.py::test_table_with_a_hash_is_a_data_error"],
+    ),
+    "cells-keyed-by-value": (
+        "dataset",
+        "np.unique(block.view(np.int64).ravel(), return_inverse=True)",
+        "np.unique(block.ravel(), return_inverse=True)",
+        ["tests/test_dataset.py::test_save_table_bytes_match_reference"],
+    ),
+    "adam-reassociated": (
+        "nn",
+        "lr * (m / bc1)",
+        "lr / bc1 * m",
+        ["tests/test_nn.py::test_adam_step_matches_per_array_reference_bit_for_bit"],
+    ),
+}
+
+
+def survives(name: str, tmp: Path) -> bool:
+    """Whether the selection of mutant ``name`` passes on a mutated copy."""
+    module, snippet, replacement, selection = MUTANTS[name]
+    copy = tmp / name
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work"))
+    source = copy / "src" / "mindctl" / f"{module}.py"
+    text = source.read_text()
+    found = text.count(snippet)
+    if found != 1:
+        raise SystemExit(f"{name}: the snippet occurs {found} times in "
+                         f"src/mindctl/{module}.py, not once: {snippet!r}")
+    source.write_text(text.replace(snippet, replacement))
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *selection],
+        cwd=copy, env=env, capture_output=True, text=True)
+    if run.returncode not in (0, 1):  # 1: a test failed; else pytest could not run
+        raise SystemExit(f"{name}: pytest exited {run.returncode}:\n"
+                         f"{run.stdout}{run.stderr}")
+    return run.returncode == 0
+
+
+def main(names) -> int:
+    unknown = set(names) - MUTANTS.keys()
+    if unknown:
+        raise SystemExit(f"no such mutant: {', '.join(sorted(unknown))}")
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names or MUTANTS:
+            start = time.perf_counter()
+            alive = survives(name, Path(tmp))
+            print(f"{name}: {'SURVIVED' if alive else 'killed'} "
+                  f"({time.perf_counter() - start:.1f} s)", flush=True)
+            if alive:
+                survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} surviving mutant(s): {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

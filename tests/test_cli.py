@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import mindctl
-from mindctl import cli, model, oa
+from mindctl import cli, dataset, model, oa
 from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, build_parser, main
 from mindctl.dataset import SampleSet, load_table, save_table
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, serialize_edf
@@ -142,6 +142,42 @@ def test_split_indivisible_is_data_error(tmp_path):
     rc = main(["split", "--data", str(data), "--n-b", "3",
                "--out-dir", str(tmp_path / "out")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("source", ["train.csv", "test.csv", "link.csv"])
+def test_split_may_overwrite_its_own_source(tmp_path, source):
+    # the source is read whole before either output is written
+    d = tmp_path / "d"
+    d.mkdir()
+    save_table(make_toy_samples(n=48, seed=1), d / "all.csv")
+    assert main(["split", "--data", str(d / "all.csv"), "--n-b", "3",
+                 "--out-dir", str(d)]) == 0
+    (d / "link.csv").symlink_to(d / "test.csv")
+    samples = load_table(d / source)
+    blocks = dataset.split(samples, 2)
+    want = tmp_path / "want"
+    want.mkdir()
+    save_table(blocks.train, want / "train.csv")
+    save_table(blocks.test, want / "test.csv")
+    assert main(["split", "--data", str(d / source), "--n-b", "2",
+                 "--out-dir", str(d)]) == 0
+    for name in ("train.csv", "test.csv", "train.csv.bin", "test.csv.bin"):
+        assert (d / name).read_bytes() == (want / name).read_bytes()
+
+
+@pytest.mark.parametrize("edit", [(b"\n", b"\n# note\n"), (b",2\n", b",2#9\n")],
+                         ids=["comment_line", "comment_in_cell"])
+def test_table_with_a_hash_is_a_data_error(tmp_path, capsys, edit):
+    data = tmp_path / "data.csv"
+    samples = make_toy_samples(n=28, seed=1)
+    samples.labels[:] = 2
+    save_table(samples, data)
+    data.write_bytes(data.read_bytes().replace(*edit, 1))
+    out = tmp_path / "out"
+    assert main(["split", "--data", str(data), "--n-b", "3",
+                 "--out-dir", str(out)]) == 3
+    assert f"error: {data}: malformed table row" in capsys.readouterr().err
+    assert not (out / "train.csv").exists()
 
 
 def _train_args(data, out, seed="7"):

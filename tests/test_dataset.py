@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import tracemalloc
 import warnings
 from datetime import datetime
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindctl import dataset
 from mindctl.dataset import (
     SAVE_BLOCK_ROWS,
     SIDECAR_MAGIC,
@@ -21,6 +24,7 @@ from mindctl.dataset import (
     label_samples,
     load_mapping,
     load_table,
+    save_split,
     save_table,
     split,
 )
@@ -396,6 +400,8 @@ _FUZZ_TABLE = (TABLE_HEADER + "\n" + "".join(
 @example(_FUZZ_TABLE.replace(b",1\n", b",9.3e18\n"))
 @example(_FUZZ_TABLE.replace(b",", b"\xff,", 1))  # in the header
 @example(_FUZZ_TABLE.replace(b"\n", b"\n\xff", 1))  # in the first row
+@example(_FUZZ_TABLE.replace(b"\n", b"\n# note\n", 1))  # a comment line
+@example(_FUZZ_TABLE.replace(b",2\n", b",2#9\n"))  # a comment in a cell
 def test_mutated_table_loads_valid_or_fails_as_data_error(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "fuzz_table.csv"
     path.write_bytes(blob)
@@ -404,6 +410,7 @@ def test_mutated_table_loads_valid_or_fails_as_data_error(tmp_path_factory, blob
     except DataError as exc:
         assert str(path) in str(exc)
         return
+    assert b"#" not in blob  # no part of a table is a comment
     assert np.isfinite(samples.features).all()
     assert np.isin(samples.labels, (1, 2, 3, 4, 5)).all()
 
@@ -496,3 +503,98 @@ def test_sidecar_that_does_not_match_its_table_is_not_trusted(
     alone.write_bytes(path.read_bytes())
     parsed = load_table(alone)
     assert _same_bits(loaded, parsed) and _same_bits(parsed, samples)
+
+
+# ---------------------------------------------------------------------------
+# split's two sources: a verified table's rows are copied, any other
+# table's are formatted, and both give save_table's bytes
+
+_SPLIT_FILES = ("train.csv", "test.csv", "train.csv.bin", "test.csv.bin")
+
+
+def _save_blocks(samples, n_b, out, save=save_table):
+    blocks = split(samples, n_b)
+    out.mkdir()
+    save(blocks.train, out / "train.csv")
+    save(blocks.test, out / "test.csv")
+    return blocks
+
+
+def _same_files(a, b, names=_SPLIT_FILES):
+    return all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
+def _resign(path):
+    """Give the table at ``path`` a sidecar that matches its current bytes."""
+    side = path.with_name(path.name + ".bin")
+    payload = side.read_bytes()[len(SIDECAR_MAGIC) + 32:]
+    digest = hashlib.sha256(path.read_bytes() + payload).digest()
+    side.write_bytes(SIDECAR_MAGIC + digest + payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 12), n_b=st.integers(1, 5),
+       chunk=st.sampled_from([5, 97, 4096, 1 << 20]), seed=st.integers(0, 2**32 - 1))
+def test_split_of_a_verified_table_copies_its_rows(tmp_path_factory, batch, n_b,
+                                                   chunk, seed):
+    samples = _edge_samples(batch * (n_b + 1), seed)
+    d = tmp_path_factory.mktemp("split")
+    save_table(samples, d / "all.csv")
+    want = _save_blocks(samples, n_b, d / "want")
+
+    def no_format(*args):
+        raise AssertionError("a verified table's rows were formatted")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_csv_blocks", no_format)
+        mp.setattr(dataset, "_CHUNK", chunk)  # cuts inside and across chunks
+        got = save_split(d / "all.csv", n_b, d / "train.csv", d / "test.csv")
+    assert _same_bits(got.train, want.train) and _same_bits(got.test, want.test)
+    assert _same_files(d, d / "want")
+
+
+@pytest.mark.parametrize("edit, sidecar", [
+    ("none", "deleted"), ("cell", "stale"), ("crlf", "stale"), ("crlf", "resigned"),
+    ("blank", "stale"), ("blank", "resigned"), ("1.50", "stale"),
+])
+def test_split_of_an_unverified_table_formats_its_rows(tmp_path, edit, sidecar):
+    samples = _edge_samples(12, seed=4)
+    samples.features[5, 9] = 1.5
+    path = tmp_path / "all.csv"
+    save_table(samples, path)
+    text = path.read_bytes()
+    path.write_bytes({
+        "none": text,
+        "cell": text.replace(b",1.5,", b",2.5,"),
+        "crlf": text.replace(b"\n", b"\r\n"),
+        "blank": text.replace(b"\n", b"\n\n", 3),
+        "1.50": text.replace(b",1.5,", b",1.50,"),
+    }[edit])
+    assert path.read_bytes() != text or edit == "none"
+    if sidecar == "deleted":
+        (tmp_path / "all.csv.bin").unlink()
+    elif sidecar == "resigned":  # verifies, but its lines are not save_table's
+        _resign(path)
+    alone = tmp_path / "alone.csv"
+    alone.write_bytes(path.read_bytes())
+    parsed = load_table(alone)
+    _save_blocks(parsed, 3, tmp_path / "ref", save=reference_save_table)
+    _save_blocks(parsed, 3, tmp_path / "want")
+    save_split(path, 3, tmp_path / "train.csv", tmp_path / "test.csv")
+    assert _same_files(tmp_path, tmp_path / "want")
+    assert _same_files(tmp_path, tmp_path / "ref", ("train.csv", "test.csv"))
+
+
+def test_split_of_a_verified_table_streams_its_rows(tmp_path):
+    rows = 2000
+    save_table(_edge_samples(rows, seed=8), tmp_path / "all.csv")
+    tracemalloc.start()
+    try:
+        save_split(tmp_path / "all.csv", 3, tmp_path / "train.csv",
+                   tmp_path / "test.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = rows * 8 * 65
+    assert os.path.getsize(tmp_path / "all.csv") > payload  # not held whole
+    assert peak < payload + (2 << 20)
