@@ -245,10 +245,10 @@ def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     and share the initial weights, so they run as one lockstep stack:
     the split's blocks seen as ``(n, k, 64)``, the first batch at column
     0 and the test block at the last. ``forward_sequence`` walks the
-    stack in chunks of ceil(n/4k) rows, a quarter of one sequence's
-    samples (but no fewer than ``nn.CHUNK_SAMPLES`` samples), and the
-    caches it keeps are column 0's, the first batch's own forward; so
-    the pass peaks below one training step on the batch.
+    stack in blocks of about n/16k² rows (``nn._lag``), so its ring of
+    step rows holds about a k-th of one sequence's, and the caches it
+    keeps are column 0's, the first batch's own forward; so the pass
+    peaks below one training step on the batch.
 
     Returns ``((test accuracy, test loss, mean train loss), kept)``.
     ``kept`` is a list holding the first batch's ``(logits, caches)``

@@ -4,15 +4,15 @@ an l2 penalty, exact sequence gradients, and Adam updates.
 Everything here is float64 and purely functional; a batch of samples is
 treated as one time-ordered sequence for the recurrent layers. Stacked
 LSTM layers of one width step together in one loop, each a lag of rows
-behind the one below, with outputs bit-identical to a layer-at-a-time
-walk at even widths (``_lstm_run``). A gradient comes in two halves:
-``forward_sequence`` with caches, then ``sequence_gradients`` on that
-forward, so a forward run for another purpose (a lockstep stack, walked
-in chunks, whose caches are its first sequence's) can feed the
-backward. The backward pass is hand-derived for exactly this layer
-vocabulary (affine chains feeding a stack of LSTM layers) rather than a
-generic autodiff graph, and is validated against central finite
-differences.
+behind the one below, and the affine layers take the rows a block at a
+time, with outputs bit-identical to a layer-at-a-time walk at widths
+that are multiples of 8 (``_lstm_run``). A gradient comes in two
+halves: ``forward_sequence`` with caches, then ``sequence_gradients``
+on that forward, so a forward run for another purpose (a lockstep
+stack, whose caches are its first sequence's) can feed the backward.
+The backward pass is hand-derived for exactly this layer vocabulary
+(affine chains feeding a stack of LSTM layers) rather than a generic
+autodiff graph, and is validated against central finite differences.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ GATE_ORDER = ("input", "forget", "output", "modulation")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Fewest samples (rows times k) in a chunk of a lockstep stack's walk;
-# a shorter chunk spends more on its set-up than on its steps.
-CHUNK_SAMPLES = 128
 
 
 class _Layer:
@@ -146,77 +142,58 @@ def affine(X, params: DenseParams):
             f"affine input {X.shape} incompatible with weights "
             f"{params.W.shape}"
         )
-    return _matmul_rows(X, params.W) + params.b
+    # one 2-D product: numpy would take one per time step of a stack
+    out = X.reshape(-1, X.shape[-1]) @ params.W
+    return out.reshape(X.shape[:-1] + out.shape[-1:]) + params.b
 
 
-def _matmul_rows(X, W):
-    """``X @ W`` over the last axis of ``X`` as one 2-D product; numpy
-    would take one product per time step of a lockstep stack."""
-    return (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + W.shape[1:])
-
-
-def _runs(layers, A):
-    """The stack as runs of layers that step together, made ready for one
-    forward of ``A``: each dense layer alone, and each stretch of
-    consecutive LSTM layers of one width, each taking the previous one's
-    output as its input, as a ``_Run``."""
-    groups = []
-    for layer in layers:
-        last = groups[-1][-1] if groups else None
-        if (isinstance(layer, LstmParams) and isinstance(last, LstmParams)
-                and layer.W_in.shape[0] == last.width == layer.width):
-            groups[-1].append(layer)
-        else:
-            groups.append([layer])
-    k = A.shape[1] if A.ndim == 3 else 1
-    return [group[0] if isinstance(group[0], DenseParams) else _Run(group, k)
-            for group in groups]
-
-
-class _Run:
-    """A run of LSTM layers prepared for the rows of one forward, each
-    row ``(k, fan_in)``: copies of the layers' ``W_in``, ``W_rec`` and
-    ``b`` with the three sigmoid blocks halved (see ``_lstm_run``), and
-    the step buffers every chunk of the forward shares: ``slots``, each
-    layer's ``h_prev @ W_rec`` product, which ``rec`` sees gate-major,
-    and ``im`` for ``input * modulation``. It lives as long as the
-    forward."""
-
-    def __init__(self, layers, k):
-        width, depth = layers[0].width, len(layers)
-        halves = np.full(4 * width, 0.5)
-        halves[3 * width :] = 1.0
-        self.layers, self.width = layers, width
-        self.W_in = [layer.W_in * halves for layer in layers]
-        self.W_rec = [layer.W_rec * halves for layer in layers]
-        self.biases = [(layer.b * halves).reshape(4, width) for layer in layers]
-        products = np.empty((depth, k, 4 * width))
-        self.slots = list(products)
-        self.rec = products.reshape(depth, k, 4, width).transpose(2, 0, 1, 3)
-        self.im = np.empty((depth, k, width))
-        self.half = np.array(0.5)
-
-
-def _lag(n):
-    """Rows by which each layer of a run trails the one before it in an
-    n-row sequence: about a sixteenth of it, from 2 to 256 rows, and
-    never leaving a last block of one row unless the sequence is one
-    row. A BLAS takes a 1-row product as gemv, which rounds differently
-    from a row of a larger product."""
-    lag = max(2, min(256, n // 16))
+def _lag(n, k=1):
+    """Rows by which each LSTM layer trails the one before it in a
+    forward of n rows of k sequences: about n / 16k², from 2 to 256 rows,
+    and never leaving a last block of one row unless the sequence is one
+    row. A 2-D sequence (k = 1) lags by about a sixteenth of it, and a
+    stack's ring, 2 * lag * k step rows per layer, holds about a k-th
+    of the ring of one of its sequences alone. A BLAS takes a 1-row
+    product as gemv, which rounds differently from a row of a larger
+    product."""
+    lag = max(2, min(256, n // (16 * max(k, 1) ** 2)))
     while n > 1 and n % lag == 1:
         lag += 1
     return lag
 
 
-def _lstm_run(A, run, starts, caches):
-    """Run a prepared run of LSTM layers (``_Run``) over the rows of ``A``.
+def _lstm_span(layers, fan_in):
+    """Positions ``(first, stop)`` of the LSTM layers in ``layers``, a
+    stack fed rows of ``fan_in`` values; ``first == stop`` when there are
+    none. A stack is affine layers, then at most one run of LSTM layers
+    of one width, each fed by the one before, then affine layers. A layer
+    that breaks this, or whose input width does not fit, is a DataError
+    that names it."""
+    first = stop = None
+    for index, layer in enumerate(layers):
+        lstm = isinstance(layer, LstmParams)
+        W = layer.W_in if lstm else layer.W
+        if W.shape[0] != fan_in:
+            raise DataError(f"layer {index}: {'lstm' if lstm else 'affine'} input "
+                            f"width {fan_in} incompatible with weights {W.shape}")
+        if lstm and stop is not None and (stop < index or layer.width != fan_in):
+            raise DataError(f"layer {index}: a stack's LSTM layers must be one "
+                            f"run of one width")
+        if lstm:
+            first, stop = index if first is None else first, index + 1
+        fan_in = layer.width if lstm else W.shape[1]
+    return (len(layers),) * 2 if first is None else (first, stop)
+
+
+def _lstm_run(A, layers, first, stop, caches):
+    """The stack ``layers``, whose LSTM layers are ``layers[first:stop]``
+    (see ``_lstm_span``), over the rows of ``A``: returns its output.
 
     This is the one implementation of the cell: the gates of step t
     activate ``x[t] @ W_in + h_prev @ W_rec + b`` (sigmoid for input,
     forget and output, tanh for modulation), the cell memory becomes
     ``forget * c_prev + input * modulation`` and the output
-    ``output * tanh(c)``. The run's copies of ``W_in``, ``W_rec`` and
+    ``output * tanh(c)``. The call's copies of ``W_in``, ``W_rec`` and
     ``b`` have the three sigmoid blocks halved. Halving is exact (away
     from the subnormal range), so each step computes ``x/2`` for every
     sigmoid pre-activation ``x``. A step adds ``h_prev @ W_rec`` to its
@@ -224,43 +201,57 @@ def _lstm_run(A, run, starts, caches):
     through sigmoid(x) = (1 + tanh(x/2)) / 2, all in place: no branch,
     no mask and no overflow.
 
-    All layers of the run step in one loop, layer j+1 running ``lag``
-    rows (see ``_lag``) behind layer j. The rows go in blocks of
-    ``lag``; before a block, each layer's ``x @ W_in + b`` is one
+    All LSTM layers step in one loop from zero state, layer j+1 running
+    ``lag`` rows (see ``_lag``) behind layer j. The rows go in blocks of
+    ``lag``; before a block, each LSTM layer's ``x @ W_in + b`` is one
     product over its block, whose rows the layer before it has just
-    finished. A step row is laid out gate-major, ``(6, layers, k,
-    width)``: the four gates, then ``c`` and ``h``, of every layer. So
-    one add, tanh, sigmoid or cell call covers every layer while each
-    takes its own ``h_prev @ W_rec`` product. Every layer steps every
-    row of the loop, also before its first block and after its last, on
-    finite values that nothing reads. The step rows live in a ring of
-    two blocks, and each finished block is copied out before its rows
-    are reused. The views a step works on are made once per ring row
-    and call, not once per step (``_cell_steps``). Every per-element
-    operation is that of a layer-at-a-time walk, so the outputs are
-    bit-identical to it wherever the BLAS rounds a product row the same
-    at any row count of 2 or more. OpenBLAS 0.3.31 does so when 4 *
-    width is a multiple of 8; at an odd width, the walk's whole-sequence
-    input product switches kernels above about a million multiply-adds,
-    and outputs differ from it in the last bit.
+    finished. The affine layers take a group of k blocks at once (or
+    every block, if fewer), about n/16 samples, where a 2-D sequence's
+    take one block: before each group of the lowest LSTM layer, the
+    group's rows go through the affine layers before the run, and the
+    last LSTM layer's output is gathered a group at a time for the
+    affine layers after the run, which write the output. An affine
+    layer's group is one product into its buffer and its bias added in
+    place, the two operations of ``X @ W + b``. A step row is laid out
+    gate-major, ``(6, layers, k, width)``: the four gates, then ``c`` and
+    ``h``, of every layer. So one add, tanh, sigmoid or cell call covers
+    every layer while each takes its own ``h_prev @ W_rec`` product.
+    Every layer steps every row of the loop, also before its first block
+    and after its last, on finite values that nothing reads. The step
+    rows live in a ring of two blocks, and each finished block is copied
+    out before its rows are reused. The views a step works on are made
+    once per ring row and call, not once per step (``_cell_steps``).
+    Every per-element operation is that of a layer-at-a-time walk, so the
+    outputs are bit-identical to it wherever the BLAS rounds a product
+    row the same at any row count of 2 or more. OpenBLAS 0.3.31 does so
+    at widths that are multiples of 8, every width ``tune`` tries. At
+    other widths (odd ones, and 2, 4, 10, 12 or 18, say) a product of
+    more than about a million multiply-adds takes another kernel than
+    its blocks', and outputs differ from the walk in the last bit.
 
     A row of ``A`` is one sample ``(fan_in,)`` or a lockstep stack
     ``(k, fan_in)``: the same step of k sequences that share the
     weights, which then take one (k, width) @ (width, 4*width) product
-    per step. ``starts`` holds each layer's ``(c, h)`` before the first
-    row, or None for zero. ``caches``, unless None, holds each layer's
-    ``{"gates", "c", "h"}`` arrays of ``A``'s rows (see ``_caches``),
-    which the run fills with the first sequence's values.
-
-    Returns ``(out, finals)``: the last layer's output, shaped like
-    ``A`` with its last axis replaced, and each layer's ``(c, h)`` after
-    the last row. A 2-D run's output is its last cached ``h`` itself.
+    per step. ``caches``, unless None, are ``_caches``' arrays for
+    ``A``'s rows, which the call fills with the first sequence's values.
     """
-    shape = A.shape[1:-1] + (run.width,)  # one step of one layer
-    A = A[:, None] if A.ndim == 2 else A  # a 2-D run as a stack of one
-    (n, k, _), width, depth = A.shape, run.width, len(run.layers)
-    lag = _lag(n)
+    lead = A.shape[1:-1]
+    A = A[:, None] if A.ndim == 2 else A  # a 2-D sequence as a stack of one
+    (n, k, _), run = A.shape, layers[first:stop]
+    width, depth = run[0].width, len(run)
+    lag = _lag(n, k)
     blocks = -(-n // lag)
+    halves = np.full(4 * width, 0.5)
+    halves[3 * width :] = 1.0
+    W_in = [layer.W_in * halves for layer in run]
+    W_rec = [layer.W_rec * halves for layer in run]
+    biases = [(layer.b * halves).reshape(4, width) for layer in run]
+    # each layer's h_prev @ W_rec, and that seen gate-major
+    slots = np.empty((depth, k, 4 * width))
+    rec = slots.reshape(depth, k, 4, width).transpose(2, 0, 1, 3)
+    im, half = np.empty((depth, k, width)), np.array(0.5)
+    inputs = np.empty((lag * k, 4 * width))  # a block's x @ W_in
+    inputs4 = inputs.reshape(lag, k, 4, width)
     ring = np.zeros((2 * lag, 6, depth, k, width))
     # the gate rows seen as product rows, (2 * lag, layers, k, 4, width)
     products = ring[:, :4].transpose(0, 2, 3, 1, 4)
@@ -271,46 +262,75 @@ def _lstm_run(A, run, starts, caches):
     steps = list(zip(
         ring[:, :4], ring[:, :3], ring[:, 0], ring[:, 1], ring[:, 2],
         ring[:, 3], c[-1:] + c[:-1], c, h,
-        [list(zip(hs, run.W_rec, run.slots)) for hs in h[-1:] + h[:-1]],
+        [list(zip(hs, W_rec, slots)) for hs in h[-1:] + h[:-1]],
     ))
+    out = np.empty((n, k, layers[-1].b.shape[0] if stop < len(layers) else width))
+    flat_out = out.reshape(n * k, out.shape[-1])
+    group = max(1, min(k, blocks))  # blocks the affine layers take at once
+    above = np.empty((group * lag, k, width))  # the run's output, gathered
+    # per affine layer: W, b, its group buffer (None for the output
+    # layer, which writes its rows of ``out``) and, unless None, the
+    # cached input its output is
+    dense = [None if isinstance(layer, LstmParams) else (
+        layer.W, layer.b,
+        None if i + 1 == len(layers) else np.empty((group * lag * k, len(layer.b))),
+        None if caches is None or i + 1 == len(layers) else caches[i + 1]["input"],
+    ) for i, layer in enumerate(layers)]
 
-    into_h = caches is not None and len(shape) == 1
-    out = caches[-1]["h"] if into_h else np.empty((n,) + shape)
-    copies = [[] for _ in run.layers]  # (destination, ring view, slot) per layer
+    def affine_block(x, lo, hi, t0):
+        # the m rows x, from row t0 on, through the affine layers[lo:hi];
+        # a cache takes each k-th row, its first sequence's
+        m = len(x)
+        x = x.reshape(m * k, x.shape[-1])
+        for W, b, y, cached in dense[lo:hi]:
+            y = flat_out[t0 * k : (t0 + m) * k] if y is None else y[: m * k]
+            np.matmul(x, W, out=y)
+            y += b
+            if cached is not None:
+                cached[t0 : t0 + m] = y[::k]
+            x = y
+        return x
+
+    copies = [[] for _ in run]  # (destination, ring view, slot) per layer
     if caches is not None:
-        first = ring[:, :, :, 0]
-        for cache, dests in zip(caches, copies):
-            dests += [(cache["gates"].reshape(n, 4, width), first, slice(0, 4)),
-                      (cache["c"], first, 4), (cache["h"], first, 5)]
-    if not into_h:
-        copies[-1].append((out.reshape(n, k, width), ring, 5))
-    finals = list(starts)
+        column = ring[:, :, :, 0]
+        for cache, dests in zip(caches[first:stop], copies):
+            dests += [(cache["gates"].reshape(n, 4, width), column, slice(0, 4)),
+                      (cache["c"], column, 4), (cache["h"], column, 5)]
+    if stop == len(layers):
+        copies[-1].append((out, ring, 5))
 
     for B in range(blocks + depth - 1 if n else 0):
         # layer j is on its block B - j; only the lowest layer's can be
         # the last, shorter one
         lo, hi = max(0, B - blocks + 1), min(depth, B + 1)
         r0, r_prev = B % 2 * lag, (B + 1) % 2 * lag
-        if B < depth:  # layer B starts: its state goes in the row before
-            before = ring[r0 - 1, 4:, B]
-            before[0], before[1] = (0.0, 0.0) if starts[B] is None else starts[B]
+        if B < depth:  # layer B starts from zero state
+            ring[r0 - 1, 4:, B] = 0.0
         for j in range(lo, hi):
             t0 = (B - j) * lag
             m = min(lag, n - t0)
-            x = A[t0 : t0 + m] if j == 0 else ring[r_prev : r_prev + m, 5, j - 1]
-            z = products[r0 : r0 + m, j]
-            np.add(_matmul_rows(x, run.W_in[j]).reshape(z.shape), run.biases[j], z)
+            if j == 0:
+                if B % group == 0:  # the next group through the layers below
+                    below = affine_block(A[t0 : t0 + group * lag], 0, first, t0)
+                x = below[B % group * lag * k :][: m * k]
+            else:
+                x = ring[r_prev : r_prev + m, 5, j - 1].reshape(m * k, width)
+            np.matmul(x, W_in[j], out=inputs[: m * k])
+            np.add(inputs4[:m], biases[j], products[r0 : r0 + m, j])
         m = lag if hi - lo > 1 else min(lag, n - (B - lo) * lag)
-        _cell_steps(steps[r0 : r0 + m], run.rec, run.im, run.half)
+        _cell_steps(steps[r0 : r0 + m], rec, im, half)
         for j in range(lo, hi):
             t0 = (B - j) * lag
             m = min(lag, n - t0)
             for dest, src, slot in copies[j]:
                 dest[t0 : t0 + m] = src[r0 : r0 + m, slot, j]
-            if t0 + m == n:
-                last = ring[r0 + m - 1, 4:, j].reshape((2,) + shape)
-                finals[j] = tuple(last.copy())
-    return out, finals
+            if j == depth - 1 and stop < len(layers):
+                g0 = (B - j) % group * lag  # the block's rows in its group
+                above[g0 : g0 + m] = ring[r0 : r0 + m, 5, j]
+                if g0 + lag == group * lag or t0 + m == n:  # a whole group
+                    affine_block(above[: g0 + m], stop, len(layers), t0 - g0)
+    return out.reshape((n,) + lead + out.shape[-1:])
 
 
 def _cell_steps(steps, rec, im, half):
@@ -388,22 +408,18 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     sequences run in lockstep; every output keeps the leading axes. The
     output is the last layer's (the input itself for an empty stack).
 
-    Consecutive LSTM layers of one width form a run (``_runs``), which
-    steps all its layers in one loop, each a lag of rows behind the one
-    before it (``_lstm_run``); any other LSTM layer is a run of one. The
-    runs, with their halved weight copies and step buffers, are prepared
-    once per call and every chunk walks them. A run keeps its step rows
-    in a ring of about two blocks of lag rows, so a forward without
-    caches holds no layer's gates or cells, only the ring and the run's
-    output. Outputs are bit-identical to walking the layers one at a
-    time (at an odd width, see ``_lstm_run``).
-
-    A stack is walked in chunks of ceil(n/4k) rows, but of no fewer
-    than ``CHUNK_SAMPLES`` samples (rows times k), with each LSTM
-    layer's state carried (``_walk``). So a long stack's chunk
-    temporaries take a quarter of one sequence's samples, and a short
-    stack's chunks are long enough to pay for their set-up; a 2-D
-    sequence is one chunk.
+    The stack is affine layers, then at most one run of LSTM layers of
+    one width, each fed by the one before, then affine layers
+    (``_lstm_span``); any other stack is a DataError before any array is
+    made. A stack without LSTM layers is one affine chain. Otherwise one
+    walk (``_lstm_run``) steps every LSTM layer in one loop, each a lag
+    of rows behind the one before it, and takes the rows through the
+    affine layers a few blocks of lag rows at a time. Its step rows live
+    in a ring of two blocks, so a forward without caches holds no
+    layer's gates or cells and no whole-sequence temporary, only the
+    ring, the affine layers' buffers and the output. Outputs are
+    bit-identical to walking the layers one at a time at widths that are
+    multiples of 8 (at others, see ``_lstm_run``).
 
     Caches hold the per-layer intermediates the backward pass needs and
     are None unless requested: ``{"input"}`` for an affine layer and
@@ -411,8 +427,8 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
     ``c``/``h`` are the per-step cell memory and output. A stack's
     caches are its first sequence's, so they feed ``sequence_gradients``
-    as a 2-D run's would. They are laid out whole before the first chunk
-    (``_caches``) and each chunk fills its rows of them.
+    as a 2-D run's would. They are laid out whole before the walk
+    (``_caches``) and each block fills its rows of them.
 
     The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
     with 1 / (1 + exp(-x)) to about one ulp.
@@ -420,21 +436,19 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     A = np.asarray(X, dtype=np.float64)
     if A.ndim not in (2, 3):
         raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
-    # The caches are made before any chunk's temporaries: made after the
-    # first chunk, they left the benchmark's score-actuate peak RSS up to
-    # 14 MB higher in about half of its runs, as the allocator keeps the
-    # heap the chunks fragment.
+    first, stop = _lstm_span(layers, A.shape[-1])
+    # The caches are made before the walk's temporaries: made after them,
+    # they left the benchmark's score-actuate peak RSS up to 14 MB higher
+    # in about half of its runs, as the allocator keeps the heap those
+    # temporaries fragment.
     caches = _caches(layers, A) if keep_caches else None
-    n, k = len(A), A.shape[1] if A.ndim == 3 else 0
-    rows = max(1, -(-n // (4 * k)), -(-CHUNK_SAMPLES // k)) if k else max(1, n)
-    runs, state, parts = _runs(layers, A), {}, []
-    for lo in range(0, max(n, 1), rows):
-        chunk = None if caches is None else [
-            {name: arr[lo : lo + rows] for name, arr in cache.items()}
-            for cache in caches
-        ]
-        parts.append(_walk(runs, A[lo : lo + rows], state, chunk))
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), caches
+    if first < stop:
+        return _lstm_run(A, layers, first, stop, caches), caches
+    for index, layer in enumerate(layers):
+        A = affine(A, layer)
+        if caches is not None and index + 1 < len(caches):
+            caches[index + 1]["input"][...] = A[:, 0] if A.ndim == 3 else A
+    return A, caches
 
 
 def _caches(layers, A):
@@ -456,38 +470,6 @@ def _caches(layers, A):
             kept = cache["h"]
         caches.append(cache)
     return caches
-
-
-def _walk(runs, A, state, caches):
-    """One chunk of ``forward_sequence``: the stack, as ``_runs`` of it,
-    over the rows of ``A``, returning the last layer's output. An LSTM
-    layer starts from ``state[position]``, its ``(c, h)`` (zero if
-    absent), which is replaced by its state after the last row.
-    ``caches``, unless None, are the chunk's rows of ``_caches``'
-    arrays, to be filled: an affine layer writes its output (a stack's
-    column 0) into the next input."""
-    index = 0
-    for run in runs:
-        if isinstance(run, DenseParams):
-            A = affine(A, run)
-            if caches is not None and index + 1 < len(caches):
-                caches[index + 1]["input"][...] = A[:, 0] if A.ndim == 3 else A
-            index += 1
-            continue
-        W_in = run.layers[0].W_in
-        if A.shape[-1] != W_in.shape[0]:
-            raise DataError(
-                f"lstm input width {A.shape[-1]} incompatible with "
-                f"W_in {W_in.shape}"
-            )
-        positions = range(index, index + len(run.layers))
-        A, finals = _lstm_run(
-            A, run, [state.get(i) for i in positions],
-            None if caches is None else caches[index : positions.stop],
-        )
-        state.update(zip(positions, finals))
-        index = positions.stop
-    return A
 
 
 def _lstm_backward(layer: LstmParams, cache, d_out, window: int):

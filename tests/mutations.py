@@ -75,6 +75,36 @@ MUTANTS = {
         "lr / bc1 * m",
         ["tests/test_nn.py::test_adam_step_matches_per_array_reference_bit_for_bit"],
     ),
+    "affine-cache-takes-column-1": (
+        "nn",
+        "cached[t0 : t0 + m] = y[::k]",
+        "cached[t0 : t0 + m] = y[min(1, k - 1)::k]",
+        ["tests/test_nn.py::test_stack_caches_are_its_first_sequence"],
+    ),
+    "output-reads-the-other-ring-half": (
+        "nn",
+        "above[g0 : g0 + m] = ring[r0 : r0 + m, 5, j]",
+        "above[g0 : g0 + m] = ring[r_prev : r_prev + m, 5, j]",
+        ["tests/test_nn.py::test_fused_lstm_matches_straight_line_reference"],
+    ),
+    "lag-ignores-k": (
+        "nn",
+        "n // (16 * max(k, 1) ** 2)",
+        "n // 16",
+        ["tests/test_model.py::test_epoch_zero_scoring_needs_the_memory_of_one_sequence"],
+    ),
+    "lag-leaves-a-one-row-block": (
+        "nn",
+        "while n > 1 and n % lag == 1:",
+        "while False:",
+        ["tests/test_nn.py::test_stack_outputs_and_caches_do_not_depend_on_the_lag"],
+    ),
+    "gradient-without-l2": (
+        "nn",
+        "dW += 2.0 * l2 * W",
+        "dW += 0.0 * W",
+        ["tests/test_nn.py::test_gradient_check_small_instance"],
+    ),
 }
 
 

@@ -245,8 +245,7 @@ def test_history_rows_and_early_stop():
 
 def test_epoch_zero_row_matches_separate_passes():
     # 280 rows and 3 batches: batch size 70 and k = 4 sequences, so the
-    # lockstep pass runs chunks of 32 rows (the 128-sample floor, above
-    # ceil(70/16) = 5), 32 and 6
+    # lockstep pass walks 35 blocks of _lag(70, 4) = 2 rows
     splits = split(make_toy_samples(n=280, seed=3), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=8, layers=5, batches=3)
     model = build(hp, seed=5)
@@ -273,10 +272,10 @@ def _peak_traced_bytes(fn):
 
 def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
     # n_b 3 and n 700 at the paper topology. Scoring, one forward_sequence
-    # call on the (700, 4, 64) view of the blocks in ceil(n/4k)-row
-    # chunks, peaks at 0.50 times one 2-D forward of the test block;
-    # ceil(n/k)-row chunks peak at 1.03 times, and running the stack in
-    # one chunk higher still.
+    # call on the (700, 4, 64) view of the blocks, walked in blocks of
+    # _lag(700, 4) = 2 rows, peaks at 0.53 times one 2-D forward of the
+    # test block; with a 2-D sequence's lag, n // 16 = 43 rows, it peaks
+    # at 2.37 times.
     splits = split(make_toy_samples(n=2800, seed=4), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
@@ -289,9 +288,10 @@ def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
 
 def test_no_cache_forward_frees_each_layer_before_the_next():
     # 700 rows at the paper topology: a forward without caches keeps no
-    # LSTM gates or cells, only the run's ring of step rows and its
-    # output, 0.30 of the cached forward's peak (0.48 for a walk holding
-    # one whole layer's gates and cells at a time, 0.80 for two)
+    # LSTM gates or cells and no whole-sequence affine output, only the
+    # ring of step rows, the block buffers and the output, 0.23 of the
+    # cached forward's peak (0.48 for a walk holding one whole layer's
+    # gates and cells at a time, 0.80 for two)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
     X = np.random.default_rng(2).normal(size=(700, 64))
@@ -338,11 +338,11 @@ def test_first_step_takes_epoch_zero_forward(monkeypatch, max_epochs, rows,
 
 
 @pytest.mark.parametrize("total, n_batches, layers, window", [
-    (400, 3, 5, 10),  # n 100 in 32-row chunks, the last one 4 rows
-    (24, 5, 4, 3),    # n 4 < k 6: one chunk; the first layer an LSTM
-    (600, 5, 4, 3),   # n 100 in 22-row chunks, the last one 12 rows
-    (74, 1, 6, 4),    # n 37, k 2: one chunk
-    (300, 1, 6, 4),   # n 150 in 64-row chunks, the last one 22 rows
+    (400, 3, 5, 10),  # n 100, k 4: 50 blocks of 2 rows
+    (24, 5, 4, 3),    # n 4 < k 6: 2 blocks; the first layer an LSTM
+    (600, 5, 4, 3),   # n 100, k 6: 50 blocks of 2 rows
+    (74, 1, 6, 4),    # n 37, k 2: blocks of 5 rows, the last one 2
+    (300, 1, 6, 4),   # n 150, k 2: 75 blocks of 2 rows
 ])
 def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
                                                       layers, window):
@@ -369,9 +369,9 @@ def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
 
 def test_kept_pass_needs_no_more_memory_than_a_training_step():
     # n_b 3 and n 700 at the paper topology: the pass that keeps batch
-    # 1's forward, filling its full-length caches chunk by chunk, peaks
-    # at 0.75 of one training step on that batch, and at 0.88 with
-    # chunks of ceil(n/k) rows
+    # 1's forward, filling its full-length caches block by block, peaks
+    # at 0.73 of one training step on that batch (0.75 when the stack
+    # was walked in ceil(n/4k)-row chunks, 0.88 in ceil(n/k)-row ones)
     splits = split(make_toy_samples(n=2800, seed=4), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
