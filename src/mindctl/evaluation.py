@@ -11,6 +11,7 @@ import numpy as np
 
 from .dataset import LABELS, SampleSet, write_csv
 from .errors import DataError
+from .model import check_int
 
 
 def confusion(predicted, truth) -> np.ndarray:
@@ -160,10 +161,8 @@ def save_roc(curve: RocCurve, path) -> None:
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor baseline: exact search in the raw 64-channel space
 
-# Bytes per block of query-to-training distances. Each block allocates one
-# array of this size, and blocks this small stay below glibc's mmap threshold
-# (at most 32 MiB), so later blocks reuse the pages of earlier ones instead
-# of faulting in fresh ones.
+# Bytes per block of float32 query-to-training screen values: every block
+# of a call is screened into one array of this size.
 KNN_BLOCK_BYTES = 16 << 20
 
 
@@ -173,13 +172,14 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     Exactness contract: neighbours are ordered by the direct float64 sum
     of (x - y)^2 over the channels, and equal sums by lower training
     index. A vote tie goes to the tied label whose nearest member ranks
-    first. Queries that are not (m, training width), non-finite queries,
-    and features whose squared distances would overflow float64, raise
-    :class:`DataError`.
+    first. A k that is not an integer in 1..len(train), queries that are
+    not (m, training width), non-finite queries, and features whose
+    squared distances would overflow float64, raise :class:`DataError`.
     """
     if len(train) == 0:
         raise DataError("empty training set")
-    if not 1 <= k <= len(train):
+    check_int("k", k, 1)
+    if k > len(train):
         raise DataError(f"k must be in 1..{len(train)}, got {k}")
     X = train.features
     test_features = np.asarray(test_features, dtype=np.float64)
@@ -190,51 +190,110 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
         )
 
     y = train.labels
+    n, d = X.shape
     sq_train = np.einsum("ij,ij->i", X, X)
     sq_test = np.einsum("ij,ij->i", test_features, test_features)
-    max_sq_train = sq_train.max()
     # Every term below is at most 4 (|q|^2 + max|x|^2) in magnitude, so this
     # keeps both distance forms finite; NaN and infinite queries fail it too.
-    if not np.isfinite(4.0 * (sq_test.max(initial=0.0) + max_sq_train)):
+    if not np.isfinite(4.0 * (sq_test.max(initial=0.0) + sq_train.max())):
         raise DataError(
             "knn features are non-finite or too large: squared distances "
             "overflow float64"
         )
-    # Candidate slack. Rows are ranked by e = |x|^2 - 2 q.x, the squared
-    # distance less |q|^2, which is the same along a query's row. With d
-    # channels, S = |q|^2 + max|x|^2 and u = eps/2, scaling q by -2 is exact,
-    # the dot product and |x|^2 each carry the gamma_d = d u summation bound
-    # (2|q.x| <= S) and the one addition adds u times a sum below 2S, so e is
-    # off by at most about (2d + 2) u S. The direct sum of (x - q)^2 is off by
-    # at most (d + 2) u times a distance below 2S. So both errors together
-    # are E <= (2d + 3) eps S. Let t be any value with k rows at e <= t:
-    # their direct distances are at most t + |q|^2 + E, so each of the k
-    # nearest rows has e <= t + 2E, and a row above that cannot be one of
-    # them. 4 (d + 3) eps S covers 2E with room for the second-order terms.
-    bound = 4.0 * (X.shape[1] + 3) * np.finfo(np.float64).eps
+    # Rows are screened by e = |x|^2 - 2 q.x, the squared distance less |q|^2,
+    # which is the same along a query's row. Both are first moved by the
+    # training rows' mean: distances do not change, and an offset that every
+    # row shares no longer sets the screen's rounding. The screen is one
+    # float32 product of a = [-2 s q, 1] and b = [s x, s^2 |x|^2]. With
+    # S = max|q|^2 + max|x|^2 over the moved rows, the power of two s puts
+    # S' = s^2 S in [1/4, 1), so the scaling is exact, no term can overflow,
+    # and the product is s^2 e.
+    centre = X.mean(axis=0)
+    Xc, Qc = X - centre, test_features - centre
+    sq_xc = np.einsum("ij,ij->i", Xc, Xc)
+    S = np.einsum("ij,ij->i", Qc, Qc).max(initial=0.0) + sq_xc.max()
+    s = math.ldexp(1.0, -math.frexp(S)[1] // 2)
+    B = np.empty((n, d + 1), dtype=np.float32)
+    np.multiply(Xc, s, out=B[:, :d], casting="same_kind")
+    B[:, d] = sq_xc * s * s
+    A = np.empty((len(test_features), d + 1), dtype=np.float32)
+    np.multiply(Qc, -2.0 * s, out=A[:, :d], casting="same_kind")
+    A[:, d] = 1.0
+    del Xc, Qc
+    # Candidate slack, in units of s^2. Let u = 2^-24 and u64 = 2^-53 be the
+    # unit roundoffs, and mu = 2^-126 and mu64 = 2^-1022 bound what one
+    # underflow loses, also where subnormals flush to zero. Each of the d
+    # terms 2 s q_i * s x_i is off by 2u relative (both inputs are rounded),
+    # and they sum to at most 2 s^2 |q||x| <= S'; s^2 |x|^2 is off by u plus
+    # the d u64 of its float64 sum; the float32 accumulation of d + 1 terms
+    # whose magnitudes sum below 2 S' adds (d + 1) u 2 S'; rounding the moved
+    # coordinates moves e by at most 4 u64 S'. Every input is below 2, so
+    # underflow adds at most 6 (d + 1) mu in float32 and 5 d mu64 s^2 in
+    # float64 (what s < 1 leaves of the latter is below mu). The screen is
+    # therefore off by E32 <= (2d + 6) u S' + 6 (d + 1) mu + 5 d mu64 s^2,
+    # where one u S' covers the second-order terms and (d + 4) u64 S' for d
+    # up to about 2^11. The direct sum of (x - q)^2 is off by E64 <= (d + 3)
+    # u64 times a distance below 2 S', plus 3 d mu64 s^2. Let t be any value
+    # with k rows at a screened value <= t: their direct distances are at
+    # most t + s^2 |q|^2 + E32 + E64, so each of the k nearest rows has a
+    # screened value of at most t + 2 E32 + 2 E64, and a row above that
+    # cannot be one of them. The limit is rounded up to float32.
+    u, u64 = 2.0**-24, 2.0**-53
+    slack = (4 * (d + 3) * (u + u64) * (S * s * s) + 12 * (d + 1) * 2.0**-126
+             + 16 * d * 2.0**-1022 * s * s)
     # t is the k-th smallest of the minima of strided groups of rows (group g
-    # holds rows g, g + groups, ...): k group minima are k distinct rows. The
-    # tail rows past span fall in no group but stay in the candidate test.
-    # About sqrt(n) groups keep the partition short and the candidates few
-    # (about 3 per query for k = 3 against 21,000 EEG samples).
-    groups = max(k, math.isqrt(len(train)))
-    span = groups * (len(train) // groups)
-    chunk = max(1, KNN_BLOCK_BYTES // (8 * len(train)))
-    out = np.empty(test_features.shape[0], dtype=np.int64)
+    # holds rows g, g + groups, ...): k group minima are k distinct rows. Only
+    # groups whose minimum passes the limit are scanned, and the tail rows
+    # past span, which fall in no group. About sqrt(n) groups keep the
+    # partition short and the candidates few (about 3 per query for k = 3
+    # against 21,000 EEG samples).
+    groups = max(k, math.isqrt(n))
+    span = groups * (n // groups)
+    rows = max(1, KNN_BLOCK_BYTES // (4 * n))
+    # The exact sums take the candidates in passes of whole queries whose
+    # pairs start within one window of `pairs`: each (pairs, d) float64
+    # temporary of a pass fills about half a block, more only for a query
+    # with that many candidates of its own.
+    pairs = max(1, KNN_BLOCK_BYTES // (16 * d))
+    labels = max(LABELS) + 1
+    screen = np.empty((min(rows, len(test_features)), n), dtype=np.float32)
+    out = np.empty(len(test_features), dtype=np.int64)
 
-    for lo in range(0, test_features.shape[0], chunk):
-        block = test_features[lo : lo + chunk]
-        e = (-2.0 * block) @ X.T
-        e += sq_train
-        minima = e[:, :span].reshape(len(block), -1, groups).min(axis=1)
+    for lo in range(0, len(test_features), rows):
+        block = test_features[lo : lo + rows]
+        e = np.matmul(A[lo : lo + rows], B.T, out=screen[: len(block)])
+        grouped = e[:, :span].reshape(len(block), -1, groups)
+        minima = grouped.min(axis=1)
         t = np.partition(minima, k - 1, axis=1)[:, k - 1]
-        limit = t + bound * (sq_test[lo : lo + chunk] + max_sq_train)
-        for row, q in enumerate(block):
-            cand = np.flatnonzero(e[row] <= limit[row])
-            exact = np.square(X[cand] - q).sum(axis=1)
-            top = y[cand[np.lexsort((cand, exact))[:k]]]
-            votes = np.bincount(top)
-            out[lo + row] = top[np.argmax(votes[top] == votes.max())]
+        limit = np.nextafter((t.astype(np.float64) + slack).astype(np.float32),
+                             np.float32(np.inf))
+        gq, gg = np.nonzero(minima <= limit[:, None])
+        hit = grouped[gq, :, gg] <= limit[gq, None]
+        tail = e[:, span:] <= limit[:, None]
+        count = np.bincount(gq, hit.sum(axis=1), len(block)) + tail.sum(axis=1)
+        window = (np.cumsum(count) - count) // pairs
+        starts = np.flatnonzero(np.diff(window, prepend=-1))
+        for a, z in zip(starts, [*starts[1:], len(block)]):
+            g0, g1 = np.searchsorted(gq, (a, z))
+            pi, j = np.nonzero(hit[g0:g1])
+            tq, tj = np.nonzero(tail[a:z])
+            qi = np.concatenate((gq[g0 + pi] - a, tq))
+            ri = np.concatenate((j * groups + gg[g0 + pi], span + tj))
+            diff = X[ri] - block[a + qi]
+            exact = np.square(diff, out=diff).sum(axis=1)
+            # each query's candidates nearest first; the first k are its
+            # neighbours
+            order = np.lexsort((ri, exact, qi))
+            qs = qi[order]
+            rank = np.arange(len(qs)) - np.searchsorted(qs, qs)
+            near = rank < k
+            key = qs[near] * labels + y[ri[order[near]]]
+            # most votes wins, then the label whose nearest member ranks first
+            votes = np.bincount(key, minlength=(z - a) * labels)
+            first = np.full((z - a) * labels, k)
+            np.minimum.at(first, key, rank[near])
+            score = (votes * (k + 1) - first).reshape(-1, labels)
+            out[lo + a : lo + z] = score.argmax(axis=1)
     return out
 
 

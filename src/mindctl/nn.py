@@ -427,7 +427,8 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
     ``c``/``h`` are the per-step cell memory and output. A stack's
     caches are its first sequence's, so they feed ``sequence_gradients``
-    as a 2-D run's would. They are laid out whole before the walk
+    as a 2-D run's would; caches of a stack of no sequences are a
+    DataError. They are laid out whole before the walk
     (``_caches``) and each block fills its rows of them.
 
     The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
@@ -436,6 +437,9 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     A = np.asarray(X, dtype=np.float64)
     if A.ndim not in (2, 3):
         raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
+    if keep_caches and A.ndim == 3 and A.shape[1] == 0:
+        raise DataError(f"a stack of no sequences, {A.shape}, has no first "
+                        f"sequence to cache")
     first, stop = _lstm_span(layers, A.shape[-1])
     # The caches are made before the walk's temporaries: made after them,
     # they left the benchmark's score-actuate peak RSS up to 14 MB higher

@@ -99,6 +99,40 @@ MUTANTS = {
         "while False:",
         ["tests/test_nn.py::test_stack_outputs_and_caches_do_not_depend_on_the_lag"],
     ),
+    "knn-slack-from-float64-eps": (
+        "evaluation",
+        "u, u64 = 2.0**-24, 2.0**-53",
+        "u, u64 = 2.0**-53, 2.0**-53",
+        ["tests/test_evaluation.py::"
+         "test_knn_near_ties_below_float32_resolution_match_brute_force"],
+    ),
+    "knn-scale-dropped": (
+        "evaluation",
+        "s = math.ldexp(1.0, -math.frexp(S)[1] // 2)",
+        "s = 1.0",
+        ["tests/test_evaluation.py::"
+         "test_knn_near_ties_below_float32_resolution_match_brute_force"],
+    ),
+    "knn-tail-not-scanned": (
+        "evaluation",
+        "tail = e[:, span:] <= limit[:, None]",
+        "tail = e[:, n:] <= limit[:, None]",
+        ["tests/test_evaluation.py::"
+         "test_knn_nearest_rows_in_one_strided_group_or_the_tail[True]"],
+    ),
+    "knn-vote-tie-to-last-ranked-label": (
+        "evaluation",
+        "votes * (k + 1) - first",
+        "votes * (k + 1) + first",
+        ["tests/test_evaluation.py::"
+         "test_knn_all_tied_full_vote_goes_to_lowest_index"],
+    ),
+    "range-analysis-argmin": (
+        "oa",
+        "int(np.argmax(sums[f]))",
+        "int(np.argmin(sums[f]))",
+        ["tests/test_oa.py::test_range_analysis_known_fixture"],
+    ),
     "gradient-without-l2": (
         "nn",
         "dW += 2.0 * l2 * W",

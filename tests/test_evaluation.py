@@ -9,6 +9,7 @@ asserted against the standard column-total definition instead.
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,58 @@ def test_knn_argument_errors():
         knn_classify(train, _embed([[1, 1]]), k=2)
     with pytest.raises(DataError, match="empty"):
         knn_classify(SampleSet.empty(), _embed([[1, 1]]), k=1)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "3", 0, -1], ids=repr)
+def test_knn_k_that_is_not_an_integer_of_at_least_one_is_a_data_error(k):
+    train = SampleSet(_embed([[0, 0], [1, 1], [2, 2]]), [1, 2, 3])
+    with pytest.raises(DataError, match=f"k must be an integer >= 1, got {k!r}"):
+        knn_classify(train, _embed([[1, 1]]), k=k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([-110, 110]))
+@example(seed=0, exponent=110)
+def test_knn_near_ties_below_float32_resolution_match_brute_force(seed, exponent):
+    # The training rows lie on a sphere around the query, at radii
+    # 1 + j 1e-11 in shuffled order, offset by 50 in every channel: their
+    # screened values differ far below float32 resolution, so only the
+    # float32 rounding slack keeps the nearest rows among the candidates.
+    # Scaled by 2^110 the squared norms would overflow float32 and by
+    # 2^-110 underflow it, unless the screen rescales them.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 301))
+    k = int(rng.integers(1, min(n, 7) + 1))
+    directions = rng.normal(size=(n, 64))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = 1.0 + rng.permutation(n) * 1e-11
+    scale = 2.0**exponent
+    train_pts = (50.0 + radii[:, None] * directions) * scale
+    queries = np.full((1, 64), 50.0 * scale)
+    labels = rng.integers(1, 6, size=n)
+    train = SampleSet(train_pts, labels)
+    expected = [_knn_oracle(train.features, labels, q, k) for q in queries]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = list(knn_classify(train, queries, k=k))
+    assert [str(w.message) for w in caught] == []  # nothing overflows
+    assert got == expected
+
+
+def test_knn_queries_across_blocks_match_one_query_at_a_time(monkeypatch):
+    # blocks of 3 queries, and exact passes of about 5 candidate pairs, so the
+    # 20 queries span seven blocks (the last one short) and a block makes
+    # several exact passes; tied distances on the integer grid included
+    rng = np.random.default_rng(8)
+    train = SampleSet(_embed(rng.integers(0, 4, size=(500, 3))),
+                      rng.integers(1, 6, size=500))
+    queries = _embed(rng.integers(0, 4, size=(20, 3)))
+    for k in (1, 3, 8):
+        one_at_a_time = [int(knn_classify(train, q[None], k=k)[0])
+                         for q in queries]
+        with monkeypatch.context() as patch:
+            patch.setattr("mindctl.evaluation.KNN_BLOCK_BYTES", 3 * 4 * 500)
+            assert list(knn_classify(train, queries, k=k)) == one_at_a_time
 
 
 @pytest.mark.parametrize("queries", [np.zeros(64), np.zeros((2, 63))],

@@ -721,6 +721,20 @@ def test_empty_and_one_row_forwards_keep_their_shapes(shape):
         ]
 
 
+def test_caches_of_a_stack_of_no_sequences_are_a_data_error(monkeypatch):
+    # a (4, 0, 3) stack has no first sequence to cache: the call fails
+    # naming the shape before any array is made, while the same call
+    # without caches keeps its (4, 0, 5) output (the test above)
+    layers = _random_stack(np.random.default_rng(5))
+
+    def no_arrays(*args):
+        raise AssertionError("caches laid out for a stack of no sequences")
+
+    monkeypatch.setattr("mindctl.nn._caches", no_arrays)
+    with pytest.raises(DataError, match=r"no sequences, \(4, 0, 3\)"):
+        forward_sequence(layers, np.zeros((4, 0, 3)), keep_caches=True)
+
+
 def test_stack_outside_the_family_is_a_data_error(monkeypatch):
     # one run of equal-width LSTM layers between affine chains: an affine
     # layer between LSTM layers, or LSTM layers of unequal width, fails
