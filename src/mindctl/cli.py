@@ -358,18 +358,19 @@ def _cmd_replay(args) -> int:
     net = model.load(Path(args.model).read_bytes())
     samples = dataset.load_table(args.data)
     session = device.DeviceSession(device.PROFILES[args.profile])
-    log = device.replay(net, samples.features, session,
-                        cadence=args.cadence, step_ms=args.step_ms)
-    device.save_command_log(log, out / "command_log.csv")
-    device.save_transcript(session.transcript, out / "transcript.csv")
+    device.replay(net, samples.features, session,
+                  cadence=args.cadence, step_ms=args.step_ms)
+    transcript = session.transcript
+    device.save_command_log(transcript, out / "command_log.csv")
+    device.save_transcript(transcript, out / "transcript.csv")
 
     # decision-level match rate against the recorded labels
     truth = device.majority_votes(samples.labels, args.cadence)
-    matches = sum(1 for t, entry in zip(truth, log) if t == entry[2])
-    rate = matches / len(log) if log else 0.0
-    _log(f"replayed {len(log)} commands, match rate {rate:.4f}")
+    matches = sum(1 for t, entry in zip(truth, transcript) if t == entry[2])
+    rate = matches / len(transcript) if transcript else 0.0
+    _log(f"replayed {len(transcript)} commands, match rate {rate:.4f}")
     dataset.write_json(out / "replay_summary.json",
-                       {"commands": len(log), "match_rate": rate})
+                       {"commands": len(transcript), "match_rate": rate})
     _write_config(out, args)
     return EXIT_OK
 

@@ -92,7 +92,6 @@ class Command:
 _CMD_LINE = re.compile(
     rb"\ACMD (0|[1-9][0-9]*) ([1-9]) ([A-Z][A-Z0-9_]*) (0|[1-9][0-9]*)\n\Z"
 )
-_ACK_LINE = re.compile(rb"\AACK (0|[1-9][0-9]*)\n\Z")
 
 
 def encode_command(cmd: Command) -> bytes:
@@ -120,27 +119,20 @@ def encode_ack(seq: int) -> bytes:
     return f"ACK {seq}\n".encode("ascii")
 
 
-def decode_ack(line: bytes) -> int:
-    match = _ACK_LINE.match(line)
-    if not match:
-        raise ProtocolError(f"malformed acknowledgement {line!r}")
-    return int(match.group(1))
-
-
 # ---------------------------------------------------------------------------
 # device endpoint
 
 class DeviceSession:
     """A simulated device, which is one protocol session.
 
-    Processes command lines in delivery order, enforces strictly
-    increasing sequence numbers and a clock that never moves backwards,
-    applies each action, and acknowledges every command exactly once.
-    The transcript is the device's log, and its last entry holds the
-    last sequence number and the clock; ``led_off_ms`` maps each lit LED
-    color to the (exclusive) simulated time it switches off. A rejected
-    line changes neither. The same object backs both the in-process
-    loopback used by replay/tests and the socket server.
+    Processes commands in delivery order, enforces strictly increasing
+    sequence numbers and a clock that never moves backwards, and applies
+    each action. The transcript is the device's log, and its last entry
+    holds the last sequence number and the clock; ``led_off_ms`` maps
+    each lit LED color to the (exclusive) simulated time it switches
+    off. A rejected command changes neither. Replay hands ``handle`` its
+    commands; the socket server feeds wire lines to ``handle_line``,
+    which acknowledges each once.
     """
 
     def __init__(self, profile: CommandProfile):
@@ -148,19 +140,19 @@ class DeviceSession:
         self.transcript = []  # (t_ms, seq, label, action, ack)
         self.led_off_ms = {}
 
-    def handle_line(self, line: bytes) -> bytes:
-        cmd = decode_command(line)
+    def handle(self, cmd: Command) -> None:
+        """Apply one command, or raise ProtocolError and change nothing."""
         clock_ms, last_seq = (self.transcript[-1][:2] if self.transcript
                               else (0, 0))
         if cmd.seq <= last_seq:
             raise ProtocolError(
                 f"sequence number {cmd.seq} not above {last_seq}"
             )
-        expected = self.profile.wire_ids[cmd.label]
+        expected = self.profile.wire_ids.get(cmd.label)
         if cmd.action_id != expected:
             raise ProtocolError(
                 f"action id {cmd.action_id!r} does not match label "
-                f"{cmd.label} ({expected!r}) in {line!r}"
+                f"{cmd.label} ({expected!r}) in command {cmd.seq}"
             )
         if cmd.t_ms < clock_ms:
             raise ProtocolError(
@@ -173,6 +165,11 @@ class DeviceSession:
             self.led_off_ms[color] = cmd.t_ms + LED_HOLD_MS
         action = self.profile.actions[cmd.label]
         self.transcript.append((cmd.t_ms, cmd.seq, cmd.label, action, cmd.seq))
+
+    def handle_line(self, line: bytes) -> bytes:
+        """``handle`` one wire line and return its acknowledgement."""
+        cmd = decode_command(line)
+        self.handle(cmd)
         return encode_ack(cmd.seq)
 
     def led_on(self, color: str, at_ms: int) -> bool:
@@ -237,41 +234,29 @@ def majority_votes(labels, cadence: int) -> list:
 
 
 def replay(model, features, session: DeviceSession, cadence: int = 1,
-           step_ms: int = 250):
+           step_ms: int = 250) -> None:
     """Drive the device from recorded EEG through a trained model.
 
     Predicts the time-ordered ``features`` rows, emits one command per
     ``cadence`` predictions (majority vote inside each window, ties to
-    the smaller label), and sends it over the session at ``step_ms``
-    simulated intervals, with the ids and actions of ``session.profile``.
-    Returns the ordered (t_ms, seq, label, action) log.
+    the smaller label), and hands it to the session at ``step_ms``
+    simulated intervals, with the ids of ``session.profile``. The
+    session's transcript is the replay's record.
     """
     if cadence < 1:
         raise DataError(f"cadence must be >= 1, got {cadence}")
     if step_ms < 0:
         raise DataError(f"step_ms must be >= 0, got {step_ms}")
     if len(features) == 0:
-        return []
+        return
     labels, _ = predict(model, features)
-
-    profile = session.profile
-    log = []
+    wire_ids = session.profile.wire_ids
     for seq, decided in enumerate(majority_votes(labels, cadence), start=1):
-        t_ms = (seq - 1) * step_ms
-        cmd = Command(
-            seq=seq,
-            label=decided,
-            action_id=profile.wire_ids[decided],
-            t_ms=t_ms,
-        )
-        ack = session.handle_line(encode_command(cmd))
-        if decode_ack(ack) != seq:
-            raise ProtocolError(
-                f"device acknowledged {ack!r} for sequence {seq}"
-            )
-        log.append((t_ms, seq, decided, profile.actions[decided]))
-    return log
+        session.handle(Command(seq, decided, wire_ids[decided],
+                               (seq - 1) * step_ms))
 
 
-def save_command_log(log, path) -> None:
-    write_csv(path, ("t_ms", "seq", "label", "action"), log)
+def save_command_log(transcript, path) -> None:
+    """The transcript's first four columns, ``ack`` left out."""
+    write_csv(path, ("t_ms", "seq", "label", "action"),
+              (entry[:4] for entry in transcript))

@@ -605,7 +605,8 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
                 W=cache["input"].T @ d_out,
                 b=d_out.sum(axis=0),
             )
-            d_out = d_out @ layer.W.T
+            if k > 0:  # the gradient with respect to the input goes unread
+                d_out = d_out @ layer.W.T
         else:
             grads[k], d_out = _lstm_backward(layer, cache, d_out, window)
 

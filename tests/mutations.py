@@ -133,6 +133,30 @@ MUTANTS = {
         "int(np.argmin(sums[f]))",
         ["tests/test_oa.py::test_range_analysis_known_fixture"],
     ),
+    "load-skips-the-crc": (
+        "model",
+        "if zlib.crc32(payload) != ",
+        "if False and zlib.crc32(payload) != ",
+        ["tests/test_model.py::test_payload_corruption_detected_by_checksum"],
+    ),
+    "majority-ties-to-larger-label": (
+        "device",
+        "counts.reshape(windows, slots).argmax(axis=1)",
+        "(slots - 1 - counts.reshape(windows, slots)[:, ::-1].argmax(axis=1))",
+        ["tests/test_device.py::test_majority_votes_match_counting_oracle"],
+    ),
+    "handle-skips-the-action-id-check": (
+        "device",
+        "if cmd.action_id != expected:",
+        "if False:",
+        ["tests/test_device.py::test_clock_cannot_move_backwards"],
+    ),
+    "replay-clock-one-step-late": (
+        "device",
+        "(seq - 1) * step_ms",
+        "seq * step_ms",
+        ["tests/test_device.py::test_replay_leaves_the_session_its_wire_lines_leave"],
+    ),
     "gradient-without-l2": (
         "nn",
         "dW += 2.0 * l2 * W",

@@ -189,11 +189,11 @@ def test_criterion_replay_protocol(five_class_model):
     samples = make_toy_samples(n=80, seed=99, n_classes=5)
     session = DeviceSession(APPLIANCE_PROFILE)
     step_ms = 700  # close enough for consecutive holds to overlap
-    log = replay(five_class_model, samples.features, session, cadence=1,
-                 step_ms=step_ms)
+    replay(five_class_model, samples.features, session, cadence=1,
+           step_ms=step_ms)
+    log = [entry[:4] for entry in session.transcript]
 
     ok = len(log) == 80
-    ok = ok and len(session.transcript) == 80
     seqs = [entry[1] for entry in session.transcript]
     ok = ok and seqs == list(range(1, 81))  # every command acked once, in order
     ok = ok and all(

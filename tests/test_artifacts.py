@@ -89,7 +89,8 @@ def _transcript(path):
 
 
 def _command_log(path):
-    device.save_command_log([(0, 1, 2, "Turn Left"), (250, 2, 4, "Grasp")], path)
+    device.save_command_log([(0, 1, 2, "Turn Left", 1), (250, 2, 4, "Grasp", 2)],
+                            path)
 
 
 def _activations(path):

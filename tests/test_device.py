@@ -3,6 +3,7 @@ socket transport, and end-to-end replay."""
 
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from mindctl.device import (
     ROBOT_PROFILE,
     Command,
     DeviceSession,
-    decode_ack,
     decode_command,
     encode_ack,
     encode_command,
@@ -26,6 +26,7 @@ from mindctl.device import (
     serve,
 )
 from mindctl.errors import DataError, ProtocolError
+from mindctl.nn import DenseParams
 from helpers import mutated_bytes, reference_majority_votes
 
 
@@ -140,8 +141,16 @@ def test_clock_cannot_move_backwards():
     transcript, led_off_ms = list(session.transcript), dict(session.led_off_ms)
     with pytest.raises(ProtocolError, match="before device clock"):
         session.handle_line(b"CMD 2 5 ALL 50\n")
-    # a rejected line changes nothing
+    # a rejected line or command changes nothing
     assert (session.transcript, session.led_off_ms) == (transcript, led_off_ms)
+    for cmd, reason in [(Command(2, 5, "ALL", 50), "before device clock"),
+                        (Command(1, 5, "ALL", 200), "not above 1"),
+                        (Command(2, 5, "RED", 200), "does not match label"),
+                        (Command(2, 6, "ALL", 200), "does not match label")]:
+        with pytest.raises(ProtocolError, match=reason):
+            session.handle(cmd)
+        assert (session.transcript, session.led_off_ms) == (transcript,
+                                                            led_off_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +209,6 @@ def test_mutated_command_line_decodes_or_fails_as_protocol_error(line):
 
 def test_ack_codec():
     assert encode_ack(7) == b"ACK 7\n"
-    assert decode_ack(b"ACK 7\n") == 7
-    with pytest.raises(ProtocolError):
-        decode_ack(b"ACK x\n")
 
 
 # ---------------------------------------------------------------------------
@@ -329,40 +335,68 @@ def test_majority_votes_reject_labels_outside_the_classes(label):
 
 def test_replay_empty_sequence():
     session = DeviceSession(APPLIANCE_PROFILE)
-    assert replay(None, np.empty((0, 64)), session) == []
+    replay(None, np.empty((0, 64)), session)
+    assert (session.transcript, session.led_off_ms) == ([], {})
 
 
 def test_replay_produces_one_command_per_sample(toy_model, toy_split):
     samples = toy_split.test.features[:20]
     session = DeviceSession(APPLIANCE_PROFILE)
-    log = replay(toy_model, samples, session, cadence=1, step_ms=100)
-    assert len(log) == 20
-    assert [entry[1] for entry in log] == list(range(1, 21))
-    assert [entry[0] for entry in log] == [i * 100 for i in range(20)]
-    for _, _, label, action in log:
+    replay(toy_model, samples, session, cadence=1, step_ms=100)
+    transcript = session.transcript
+    assert len(transcript) == 20
+    assert [entry[1] for entry in transcript] == list(range(1, 21))
+    assert [entry[0] for entry in transcript] == [i * 100 for i in range(20)]
+    for _, seq, label, action, ack in transcript:
         assert action == APPLIANCE_PROFILE.actions[label]
-    assert len(session.transcript) == 20
+        assert ack == seq
 
 
 def test_replay_is_deterministic(toy_model, toy_split):
     samples = toy_split.test.features[:15]
-    log_a = replay(toy_model, samples, DeviceSession(ROBOT_PROFILE))
-    log_b = replay(toy_model, samples, DeviceSession(ROBOT_PROFILE))
-    assert log_a == log_b
+    session_a, session_b = DeviceSession(ROBOT_PROFILE), DeviceSession(ROBOT_PROFILE)
+    replay(toy_model, samples, session_a)
+    replay(toy_model, samples, session_b)
+    assert session_a.transcript == session_b.transcript
 
 
 def test_replay_majority_vote_cadence(toy_model, toy_split):
     samples = toy_split.test.features[:12]
     session = DeviceSession(ROBOT_PROFILE)
-    log = replay(toy_model, samples, session, cadence=4)
-    assert len(log) == 3
+    replay(toy_model, samples, session, cadence=4)
+    assert len(session.transcript) == 3
 
     from mindctl.model import predict
 
     labels, _ = predict(toy_model, samples)
-    for w, (_, _, decided, _) in enumerate(log):
+    for w, (_, _, decided, _, _) in enumerate(session.transcript):
         window = list(labels[w * 4 : (w + 1) * 4])
         counts = {lbl: window.count(lbl) for lbl in set(window)}
         best = max(counts.values())
         tied = [lbl for lbl, c in counts.items() if c == best]
         assert decided == min(tied)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PROFILES)), st.integers(1, 5), st.integers(0, 700),
+       st.lists(st.integers(1, 5), max_size=40))
+def test_replay_leaves_the_session_its_wire_lines_leave(name, cadence, step_ms,
+                                                        labels):
+    # a one-layer model whose prediction is the label one-hot encoded in
+    # the first five features, so the drawn labels are the predictions
+    profile = PROFILES[name]
+    W = np.zeros((64, 5))
+    W[:5] = np.eye(5)
+    model = SimpleNamespace(layers=[DenseParams(W=W, b=np.zeros(5))])
+    features = np.zeros((len(labels), 64))
+    features[np.arange(len(labels)), np.array(labels, dtype=int) - 1] = 1.0
+
+    replayed = DeviceSession(profile)
+    replay(model, features, replayed, cadence=cadence, step_ms=step_ms)
+    wired = DeviceSession(profile)
+    for seq, label in enumerate(reference_majority_votes(labels, cadence), start=1):
+        ack = wired.handle_line(encode_command(
+            Command(seq, label, profile.wire_ids[label], (seq - 1) * step_ms)))
+        assert ack == encode_ack(seq)
+    assert replayed.transcript == wired.transcript
+    assert replayed.led_off_ms == wired.led_off_ms
