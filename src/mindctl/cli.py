@@ -376,6 +376,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_serve_device(args) -> int:
+    if not 0 <= args.port <= 65535:  # else socket.bind raises OverflowError
+        raise DataError(f"--port must be in 0..65535, got {args.port}")
     profile = device.PROFILES[args.profile]
     _log(f"serving {args.profile} device on {args.host}:{args.port}")
     if args.transcript:

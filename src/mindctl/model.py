@@ -228,8 +228,7 @@ def _score(layers, logits, labels, l2: float):
     scores = softmax(logits)
     predicted = scores.argmax(axis=1) + 1
     acc = float((predicted == labels).mean())
-    weights = [W for layer in layers for W in layer.weight_matrices()]
-    loss = cross_entropy_loss(scores, labels, weights, l2)
+    loss = cross_entropy_loss(scores, labels, layers, l2)
     return acc, loss
 
 
@@ -445,9 +444,7 @@ def load(data: bytes) -> ModelParams:
             "topology does not match the recorded hyperparameters (field: topology)"
         )
 
-    layouts = layer_layouts(plan_topology(hyper))
-    expected_bytes = 8 * sum(math.prod(shape) for _, layout in layouts
-                             for shape in layout.values())
+    expected_bytes = 8 * parameter_count(hyper)
 
     param_bytes = _manifest_field(manifest, "param_bytes", int)
     if param_bytes != expected_bytes:
@@ -465,7 +462,8 @@ def load(data: bytes) -> ModelParams:
         raise DataError("parameter payload checksum mismatch (field: param_crc32)")
 
     # one owned, writable copy of the payload, which the layers view
-    layers = unflat(np.frombuffer(payload, dtype="<f8").astype(np.float64), layouts)
+    layers = unflat(np.frombuffer(payload, dtype="<f8").astype(np.float64),
+                    layer_layouts(plan_topology(hyper)))
 
     run = {key: _manifest_field(manifest, key)
            for key in ("seed", "epochs_run", "final_loss")}

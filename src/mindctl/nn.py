@@ -129,24 +129,6 @@ def glorot_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward primitives
 
-def affine(X, params: DenseParams):
-    """Affine map over rows: X @ W + b.
-
-    ``X`` is (n, fan_in) or a lockstep stack (n, k, fan_in). The layer
-    connection is purely affine by design; nonlinearity enters through
-    the LSTM layers.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (2, 3) or X.shape[-1] != params.W.shape[0]:
-        raise DataError(
-            f"affine input {X.shape} incompatible with weights "
-            f"{params.W.shape}"
-        )
-    # one 2-D product: numpy would take one per time step of a stack
-    out = X.reshape(-1, X.shape[-1]) @ params.W
-    return out.reshape(X.shape[:-1] + out.shape[-1:]) + params.b
-
-
 def _lag(n, k=1):
     """Rows by which each LSTM layer trails the one before it in a
     forward of n rows of k sequences: about n / 16k², from 2 to 256 rows,
@@ -210,9 +192,8 @@ def _lstm_run(A, layers, first, stop, caches):
     take one block: before each group of the lowest LSTM layer, the
     group's rows go through the affine layers before the run, and the
     last LSTM layer's output is gathered a group at a time for the
-    affine layers after the run, which write the output. An affine
-    layer's group is one product into its buffer and its bias added in
-    place, the two operations of ``X @ W + b``. A step row is laid out
+    affine layers after the run, which write the output
+    (``_affine_group``). A step row is laid out
     gate-major, ``(6, layers, k, width)``: the four gates, then ``c`` and
     ``h``, of every layer. So one add, tanh, sigmoid or cell call covers
     every layer while each takes its own ``h_prev @ W_rec`` product.
@@ -268,28 +249,7 @@ def _lstm_run(A, layers, first, stop, caches):
     flat_out = out.reshape(n * k, out.shape[-1])
     group = max(1, min(k, blocks))  # blocks the affine layers take at once
     above = np.empty((group * lag, k, width))  # the run's output, gathered
-    # per affine layer: W, b, its group buffer (None for the output
-    # layer, which writes its rows of ``out``) and, unless None, the
-    # cached input its output is
-    dense = [None if isinstance(layer, LstmParams) else (
-        layer.W, layer.b,
-        None if i + 1 == len(layers) else np.empty((group * lag * k, len(layer.b))),
-        None if caches is None or i + 1 == len(layers) else caches[i + 1]["input"],
-    ) for i, layer in enumerate(layers)]
-
-    def affine_block(x, lo, hi, t0):
-        # the m rows x, from row t0 on, through the affine layers[lo:hi];
-        # a cache takes each k-th row, its first sequence's
-        m = len(x)
-        x = x.reshape(m * k, x.shape[-1])
-        for W, b, y, cached in dense[lo:hi]:
-            y = flat_out[t0 * k : (t0 + m) * k] if y is None else y[: m * k]
-            np.matmul(x, W, out=y)
-            y += b
-            if cached is not None:
-                cached[t0 : t0 + m] = y[::k]
-            x = y
-        return x
+    dense = _affine_chain(layers, caches, group * lag * k)
 
     copies = [[] for _ in run]  # (destination, ring view, slot) per layer
     if caches is not None:
@@ -312,7 +272,8 @@ def _lstm_run(A, layers, first, stop, caches):
             m = min(lag, n - t0)
             if j == 0:
                 if B % group == 0:  # the next group through the layers below
-                    below = affine_block(A[t0 : t0 + group * lag], 0, first, t0)
+                    below = _affine_group(A[t0 : t0 + group * lag], dense[:first],
+                                          flat_out, t0)
                 x = below[B % group * lag * k :][: m * k]
             else:
                 x = ring[r_prev : r_prev + m, 5, j - 1].reshape(m * k, width)
@@ -329,8 +290,41 @@ def _lstm_run(A, layers, first, stop, caches):
                 g0 = (B - j) % group * lag  # the block's rows in its group
                 above[g0 : g0 + m] = ring[r0 : r0 + m, 5, j]
                 if g0 + lag == group * lag or t0 + m == n:  # a whole group
-                    affine_block(above[: g0 + m], stop, len(layers), t0 - g0)
+                    _affine_group(above[: g0 + m], dense[stop:], flat_out, t0 - g0)
     return out.reshape((n,) + lead + out.shape[-1:])
+
+
+def _affine_chain(layers, caches, rows):
+    """``_affine_group``'s entry per layer of ``layers`` (None for an LSTM
+    layer): its W, b, a buffer of ``rows`` rows (None for the output
+    layer, which writes its rows of the stack's output) and, unless
+    None, the cached input its output is."""
+    return [None if isinstance(layer, LstmParams) else (
+        layer.W, layer.b,
+        None if i + 1 == len(layers) else np.empty((rows, len(layer.b))),
+        None if caches is None or i + 1 == len(layers) else caches[i + 1]["input"],
+    ) for i, layer in enumerate(layers)]
+
+
+def _affine_group(x, chain, flat_out, t0):
+    """The rows ``x``, ``(m, k, fan_in)`` from row t0 on, through the
+    affine layers of ``chain`` (``_affine_chain``'s entries): returns the
+    last one's (m * k, width) output. The connection is purely affine by
+    design; nonlinearity enters through the LSTM layers. A layer's output
+    is one product into its buffer and its bias added in place, the two
+    operations of ``X @ W + b``; the output layer writes its rows of
+    ``flat_out``, the stack's output as (n * k, width). A cache takes each
+    k-th row, its first sequence's."""
+    m, k = x.shape[:2]
+    x = x.reshape(m * k, x.shape[-1])
+    for W, b, y, cached in chain:
+        y = flat_out[t0 * k : (t0 + m) * k] if y is None else y[: m * k]
+        np.matmul(x, W, out=y)
+        y += b
+        if cached is not None:
+            cached[t0 : t0 + m] = y[::k]
+        x = y
+    return x
 
 
 def _cell_steps(steps, rec, im, half):
@@ -367,13 +361,13 @@ def softmax(logits):
 _PROB_FLOOR = 1e-12
 
 
-def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
+def cross_entropy_loss(probs, labels, layers=(), l2: float = 0.0):
     """Mean negative log-probability of the true class, plus the l2 term.
 
     ``labels`` are 1-based class ids indexing ``probs`` columns. The
-    penalty is ``l2 * sum(W**2)`` over weight matrices only, never
-    biases. Probabilities below 1e-12 are clamped to it so the loss is
-    never infinite.
+    penalty is ``l2 * sum(W**2)`` over the weight matrices of
+    ``layers``, never their biases. Probabilities below 1e-12 are
+    clamped to it so the loss is never infinite.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -388,8 +382,9 @@ def cross_entropy_loss(probs, labels, weight_matrices=(), l2: float = 0.0):
     picked = np.maximum(probs[np.arange(len(labels)), labels - 1],
                         _PROB_FLOOR)
     loss = -np.log(picked).mean()
-    for W in weight_matrices:
-        loss += l2 * float(np.sum(np.square(W)))
+    for layer in layers:
+        for W in layer.weight_matrices():
+            loss += l2 * float(np.sum(np.square(W)))
     return float(loss)
 
 
@@ -411,9 +406,10 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     The stack is affine layers, then at most one run of LSTM layers of
     one width, each fed by the one before, then affine layers
     (``_lstm_span``); any other stack is a DataError before any array is
-    made. A stack without LSTM layers is one affine chain. Otherwise one
-    walk (``_lstm_run``) steps every LSTM layer in one loop, each a lag
-    of rows behind the one before it, and takes the rows through the
+    made. A stack without LSTM layers takes all its rows as one group
+    through its affine layers (``_affine_group``). Otherwise one walk
+    (``_lstm_run``) steps every LSTM layer in one loop, each a lag of
+    rows behind the one before it, and takes the rows through the
     affine layers a few blocks of lag rows at a time. Its step rows live
     in a ring of two blocks, so a forward without caches holds no
     layer's gates or cells and no whole-sequence temporary, only the
@@ -448,10 +444,12 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     caches = _caches(layers, A) if keep_caches else None
     if first < stop:
         return _lstm_run(A, layers, first, stop, caches), caches
-    for index, layer in enumerate(layers):
-        A = affine(A, layer)
-        if caches is not None and index + 1 < len(caches):
-            caches[index + 1]["input"][...] = A[:, 0] if A.ndim == 3 else A
+    if layers:  # an affine chain: every row in one group
+        S = A[:, None] if A.ndim == 2 else A
+        n, k = S.shape[:2]
+        A = np.empty(A.shape[:-1] + layers[-1].b.shape)
+        flat_out = A.reshape(n * k, A.shape[-1])
+        _affine_group(S, _affine_chain(layers, caches, n * k), flat_out, 0)
     return A, caches
 
 
@@ -590,8 +588,7 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
         raise ValueError(f"window must be >= 1, got {window}")
 
     probs = softmax(logits)
-    weight_matrices = [W for layer in layers for W in layer.weight_matrices()]
-    loss = cross_entropy_loss(probs, labels, weight_matrices, l2)
+    loss = cross_entropy_loss(probs, labels, layers, l2)
 
     d_out = probs  # the loss is taken, so the gradient reuses the buffer
     d_out[np.arange(n), labels - 1] -= 1.0
@@ -621,9 +618,7 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
 def sequence_loss(layers, X, labels, l2: float = 0.0):
     """Forward-only loss; the reference point for finite differences."""
     logits, _ = forward_sequence(layers, X)
-    probs = softmax(logits)
-    weight_matrices = [W for layer in layers for W in layer.weight_matrices()]
-    return cross_entropy_loss(probs, labels, weight_matrices, l2)
+    return cross_entropy_loss(softmax(logits), labels, layers, l2)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,24 @@ MUTANTS = {
         "dW += 0.0 * W",
         ["tests/test_nn.py::test_gradient_check_small_instance"],
     ),
+    "l2-penalizes-biases": (
+        "nn",
+        "for W in layer.weight_matrices():",
+        "for _, W in layer.arrays():",
+        ["tests/test_nn.py::test_loss_matches_scalar_oracle"],
+    ),
+    "edf-signal-widths-shifted": (
+        "edf",
+        '("transducer", 80, str),\n    ("physical_dim", 8, str),',
+        '("transducer", 79, str),\n    ("physical_dim", 9, str),',
+        ["tests/test_edf.py::test_two_channel_golden_parses_and_serializes_exactly"],
+    ),
+    "serve-device-port-unchecked": (
+        "cli",
+        "if not 0 <= args.port <= 65535:",
+        "if False:",
+        ["tests/test_cli.py::test_serve_device_port_outside_its_range_is_data_error"],
+    ),
 }
 
 

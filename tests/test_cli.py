@@ -695,6 +695,18 @@ def test_corrupt_checkpoint_is_data_error(tmp_path):
     assert rc == 3
 
 
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_device_port_outside_its_range_is_data_error(tmp_path, capsys, port):
+    # checked before the config is written: socket.bind would raise an
+    # OverflowError, an internal error, with the config already on disk
+    rc = main(["serve-device", "--profile", "robot", "--port", port,
+               "--transcript", str(tmp_path / "transcript.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --port must be in 0..65535, got {port}"]
+    assert list(tmp_path.iterdir()) == []
+
 _BAD_CONFIGS = {"config": {"width": "x"}, "config_key": {"widht": 4},
                 "config_data_int": {"data": 5}, "config_data_list": {"data": ["a"]}}
 _BAD_LEVELS = {

@@ -16,7 +16,6 @@ from mindctl.nn import (
     _lstm_backward,
     adam_init,
     adam_step,
-    affine,
     cross_entropy_loss,
     flat,
     forward_sequence,
@@ -58,16 +57,22 @@ def test_arrays_follow_declared_layout(cls, names):
 # ---------------------------------------------------------------------------
 # affine
 
+def _affine(X, params):
+    """One affine layer's forward, the path every affine layer takes."""
+    out, _ = forward_sequence([params], X)
+    return out
+
+
 def test_affine_identity():
     X = np.random.default_rng(0).normal(size=(4, 3))
     params = DenseParams(W=np.eye(3), b=np.zeros(3))
-    assert np.array_equal(affine(X, params), X)
+    assert np.array_equal(_affine(X, params), X)
 
 
 def test_affine_forced_example():
     params = DenseParams(W=np.array([[1.0, 0.0], [0.0, 1.0]]),
                          b=np.array([3.0, 4.0]))
-    assert np.array_equal(affine(np.array([[1.0, 2.0]]), params),
+    assert np.array_equal(_affine(np.array([[1.0, 2.0]]), params),
                           np.array([[4.0, 6.0]]))
 
 
@@ -83,14 +88,45 @@ def test_affine_matches_triple_loop_oracle():
             for k in range(8):
                 acc += X[r, k] * W[k, c]
             expected[r, c] = acc + b[c]
-    got = affine(X, DenseParams(W=W, b=b))
+    got = _affine(X, DenseParams(W=W, b=b))
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_affine_shape_error_names_shapes():
     params = DenseParams(W=np.zeros((3, 2)), b=np.zeros(2))
-    with pytest.raises(DataError, match=r"\(2, 4\).*\(3, 2\)"):
-        affine(np.zeros((2, 4)), params)
+    with pytest.raises(DataError, match=r"layer 0: affine input width 4 "
+                                        r"incompatible with weights \(3, 2\)"):
+        _affine(np.zeros((2, 4)), params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    k=st.one_of(st.none(), st.integers(1, 4)),  # None: a 2-D sequence
+    widths=st.lists(st.sampled_from([1, 3, 8, 10, 16, 64]), min_size=1,
+                    max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, k=3, widths=[64, 10, 5], seed=0)
+def test_affine_chain_matches_per_layer_oracle(n, k, widths, seed):
+    # depth 1-3: each layer X @ W + b over the stack's rows as one 2-D
+    # product, bit for bit; the caches hold column 0 of each layer's input
+    rng = np.random.default_rng(seed)
+    fan_ins = [64] + widths[:-1]
+    layers = [DenseParams(W=rng.normal(size=(f, w)), b=rng.normal(size=w))
+              for f, w in zip(fan_ins, widths)]
+    X = rng.normal(size=(n, 64) if k is None else (n, k, 64))
+    out, caches = forward_sequence(layers, X, keep_caches=True)
+    A, inputs = X, []
+    for layer in layers:
+        inputs.append(A[:, 0] if A.ndim == 3 else A)
+        A = (A.reshape(-1, A.shape[-1]) @ layer.W).reshape(
+            A.shape[:-1] + (layer.W.shape[1],)) + layer.b
+    assert out.shape == A.shape and np.array_equal(out, A)
+    assert [cache["input"].shape for cache in caches] == [
+        (n, f) for f in fan_ins]
+    for cache, expected in zip(caches, inputs):
+        assert np.array_equal(cache["input"], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +279,19 @@ def test_loss_matches_scalar_oracle():
     raw = rng.uniform(0.05, 1.0, size=(6, 5))
     probs = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(1, 6, size=6)
-    weights = [rng.normal(size=(3, 2)), rng.normal(size=(4, 4))]
+    layers = [DenseParams(W=rng.normal(size=(3, 2)), b=rng.normal(size=2)),
+              DenseParams(W=rng.normal(size=(4, 4)), b=rng.normal(size=4))]
     lam = 0.37
 
     total = 0.0
     for i in range(6):
         total += -np.log(probs[i, labels[i] - 1])
     expected = total / 6
-    for W in weights:
-        for value in W.reshape(-1):
+    for layer in layers:  # the weight matrices only, never the biases
+        for value in layer.W.reshape(-1):
             expected += lam * value * value
 
-    got = cross_entropy_loss(probs, labels, weights, lam)
+    got = cross_entropy_loss(probs, labels, layers, lam)
     assert abs(got - expected) < 1e-12
 
 
