@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import LABELS, write_csv
 from .errors import DataError, ProtocolError
+from .evaluation import vote
 from .model import predict
 
 LED_HOLD_MS = 2000
@@ -220,17 +221,14 @@ def majority_votes(labels, cadence: int) -> list:
     """The majority label of each consecutive ``cadence``-long window.
 
     Ties go to the smaller label; a shorter last window votes on its own.
-    One count over ``window * 6 + label`` tallies every window at once,
-    and a window's first maximum is its smallest tied label.
+    Each prediction is its window's member in ``evaluation.vote``, ranked
+    by its label, so the smaller of two tied labels ranks first.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < LABELS[0] or labels.max() > LABELS[-1]):
         raise DataError(f"labels outside {LABELS[0]}..{LABELS[-1]}")
-    slots = LABELS[-1] + 1
-    windows = -(-len(labels) // cadence)
-    counts = np.bincount(np.arange(len(labels)) // cadence * slots + labels,
-                         minlength=windows * slots)
-    return counts.reshape(windows, slots).argmax(axis=1).tolist()
+    windows = np.arange(len(labels)) // cadence
+    return vote(windows, labels, labels, -(-len(labels) // cadence)).tolist()
 
 
 def replay(model, features, session: DeviceSession, cadence: int = 1,

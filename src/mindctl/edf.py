@@ -393,6 +393,8 @@ def _pad(text: str, width: int, what: str) -> bytes:
     raw = text.encode("ascii")
     if len(raw) > width:
         raise DataError(f"{what} {text!r} longer than {width} bytes")
+    if text != text.rstrip():  # the parser strips the padding with it
+        raise DataError(f"{what} {text!r} ends in whitespace")
     return raw.ljust(width)
 
 
@@ -465,6 +467,13 @@ def serialize_edf(recording: EdfRecording) -> bytes:
         raise DataError("signals and channels lists disagree in length")
     if recording.n_records < 0:
         raise DataError("negative record count")
+    start = recording.start
+    if not 1985 <= start.year <= 2084 or start.microsecond or start.tzinfo:
+        raise DataError(f"start {start} is not a whole second in 1985..2084 "
+                        "without a time zone")
+    if any(ch.label == ANNOTATION_LABEL for ch in recording.channels):
+        raise DataError("an ordinary channel cannot be labelled "
+                        f"{ANNOTATION_LABEL!r}")
 
     _check_annotation_order(recording.annotations)
     if recording.annotations and recording.n_records == 0:
@@ -489,6 +498,9 @@ def serialize_edf(recording: EdfRecording) -> bytes:
                 f"{recording.n_records * ch.samples_per_record} samples, "
                 f"got {len(sig)}"
             )
+        if ch.digital_min < -32768 or ch.digital_max > 32767:
+            raise DataError(f"channel {ch.label!r}: digital range "
+                            f"[{ch.digital_min}, {ch.digital_max}] exceeds 16 bits")
         arr = np.asarray(sig)
         if arr.size and (arr.min() < ch.digital_min or arr.max() > ch.digital_max):
             raise DataError(
@@ -507,16 +519,10 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     out += _pad("0", 8, "version")
     out += _pad(recording.patient_id, 80, "patient id")
     out += _pad(recording.recording_id, 80, "recording id")
-    yy = recording.start.year % 100
-    out += _pad(
-        f"{recording.start.day:02d}.{recording.start.month:02d}.{yy:02d}", 8, "date"
-    )
-    out += _pad(
-        f"{recording.start.hour:02d}.{recording.start.minute:02d}."
-        f"{recording.start.second:02d}",
-        8,
-        "time",
-    )
+    out += _pad(f"{start.day:02d}.{start.month:02d}.{start.year % 100:02d}",
+                8, "date")
+    out += _pad(f"{start.hour:02d}.{start.minute:02d}.{start.second:02d}",
+                8, "time")
     out += _pad(str(header_bytes), 8, "header byte count")
     out += _pad("EDF+C" if has_annotations else "", 44, "reserved")
     out += _pad(str(recording.n_records), 8, "record count")

@@ -25,19 +25,16 @@ def confusion(predicted, truth) -> np.ndarray:
             f"predicted and truth must be equal-length 1-D sequences, "
             f"got {predicted.shape} and {truth.shape}"
         )
-    labels = np.asarray(LABELS)
-    p_hit = predicted[:, None] == labels
-    t_hit = truth[:, None] == labels
-    outside = ~(p_hit.any(axis=1) & t_hit.any(axis=1))
+    # LABELS are consecutive: a label's offset from the first is its index
+    n = len(LABELS)
+    p, t = predicted - LABELS[0], truth - LABELS[0]
+    outside = (p < 0) | (p >= n) | (t < 0) | (t >= n)
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(
             f"label pair ({predicted[i]}, {truth[i]}) outside {list(LABELS)}"
         )
-    n = len(labels)
-    return np.bincount(
-        p_hit.argmax(axis=1) * n + t_hit.argmax(axis=1), minlength=n * n
-    ).reshape(n, n)
+    return np.bincount(p * n + t, minlength=n * n).reshape(n, n)
 
 
 @dataclass
@@ -64,20 +61,12 @@ def metrics(counts) -> ClassMetrics:
     if total <= 0:
         raise DataError("confusion matrix is empty")
     diag = np.diag(counts)
-    row_sums = counts.sum(axis=1)
-    col_sums = counts.sum(axis=0)
-
-    precision = np.zeros(len(diag))
-    recall = np.zeros(len(diag))
-    f1 = np.zeros(len(diag))
-    for c in range(len(diag)):
-        if row_sums[c] > 0:
-            precision[c] = diag[c] / row_sums[c]
-        if col_sums[c] > 0:
-            recall[c] = diag[c] / col_sums[c]
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    precision = np.divide(diag, rows, out=np.zeros(len(diag)), where=rows > 0)
+    recall = np.divide(diag, cols, out=np.zeros(len(diag)), where=cols > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(len(diag)),
+                   where=both > 0)
     return ClassMetrics(
         precision=precision,
         recall=recall,
@@ -122,32 +111,21 @@ def roc_auc(scores, truth, class_label: int) -> RocCurve:
         )
 
     # Sweep thresholds from high to low; each distinct score value is one
-    # operating point.
+    # operating point, and (0, 0) comes first.
     order = np.argsort(-s, kind="stable")
     sorted_pos = positive[order]
-    tps = np.cumsum(sorted_pos)
-    fps = np.cumsum(~sorted_pos)
-    distinct = np.nonzero(np.diff(s[order]))[0]
-    keep = np.concatenate([distinct, [len(s) - 1]])
-    tpr = tps[keep] / n_pos
-    fpr = fps[keep] / n_neg
-    points = np.vstack(
-        [np.concatenate([[0.0], fpr]), np.concatenate([[0.0], tpr])]
-    ).T
+    keep = np.append(np.nonzero(np.diff(s[order]))[0], len(s) - 1)
+    tps = np.append(0, np.cumsum(sorted_pos)[keep])
+    fps = np.append(0, np.cumsum(~sorted_pos)[keep])
+    points = np.column_stack((fps / n_neg, tps / n_pos))
 
-    # Exact rank-based AUC via midranks: handles ties without pair loops.
-    ranks = _midranks(s)
-    pos_rank_sum = ranks[positive].sum()
-    auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return RocCurve(points=points, auc=float(auc))
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their ranks."""
-    _, inverse, counts = np.unique(values, return_inverse=True,
-                                   return_counts=True)
-    # a run of c ties ending at rank e holds ranks e-c+1..e, mean e-(c-1)/2
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    # A step from (fp, tp) to (fp + dn, tp + dp) has trapezoid dn (2 tp + dp)
+    # in counts: twice the pairs its dn negatives lose to the tp positives
+    # above them, plus the dn dp pairs tied at its threshold. The steps sum
+    # to 2U (U: the pairs a positive wins plus half the tied ones), so the
+    # exact quotient below is rounded once.
+    twice_u = int(np.dot(np.diff(fps), tps[1:] + tps[:-1]))
+    return RocCurve(points=points, auc=twice_u / (2 * n_pos * n_neg))
 
 
 def save_roc(curve: RocCurve, path) -> None:
@@ -156,6 +134,27 @@ def save_roc(curve: RocCurve, path) -> None:
     log_fpr = np.log10(fpr, out=np.full_like(fpr, -np.inf), where=fpr > 0)
     write_csv(path, ("fpr", "log10_fpr", "tpr"),
               np.column_stack((fpr, log_fpr, tpr)))
+
+
+# ---------------------------------------------------------------------------
+# the one majority vote, over KNN's neighbours and replay's windows
+
+def vote(groups, labels, ranks, n_groups: int) -> np.ndarray:
+    """The winning label of each of ``n_groups`` groups, where member i
+    votes for ``labels[i]`` in group ``groups[i]`` with rank ``ranks[i]``.
+
+    The label with the most members wins, and a tie goes to the tied
+    label whose best-ranked member ranks first (has the smallest rank;
+    then the smaller label).
+    """
+    slots = LABELS[-1] + 1
+    key = groups * slots + labels
+    votes = np.bincount(key, minlength=n_groups * slots)
+    last = int(ranks.max(initial=0)) + 1
+    first = np.full(n_groups * slots, last)
+    np.minimum.at(first, key, ranks)
+    # one vote outweighs any difference of first ranks
+    return (votes * (last + 1) - first).reshape(n_groups, slots).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,6 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     # temporary of a pass fills about half a block, more only for a query
     # with that many candidates of its own.
     pairs = max(1, KNN_BLOCK_BYTES // (16 * d))
-    labels = max(LABELS) + 1
     screen = np.empty((min(rows, len(test_features)), n), dtype=np.float32)
     out = np.empty(len(test_features), dtype=np.int64)
 
@@ -287,13 +285,8 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
             qs = qi[order]
             rank = np.arange(len(qs)) - np.searchsorted(qs, qs)
             near = rank < k
-            key = qs[near] * labels + y[ri[order[near]]]
-            # most votes wins, then the label whose nearest member ranks first
-            votes = np.bincount(key, minlength=(z - a) * labels)
-            first = np.full((z - a) * labels, k)
-            np.minimum.at(first, key, rank[near])
-            score = (votes * (k + 1) - first).reshape(-1, labels)
-            out[lo + a : lo + z] = score.argmax(axis=1)
+            out[lo + a : lo + z] = vote(qs[near], y[ri[order[near]]],
+                                        rank[near], z - a)
     return out
 
 

@@ -174,8 +174,7 @@ def reference_adam_step(layers, grads, state, lr):
 
 
 # ---------------------------------------------------------------------------
-# straight-loop evaluation references: one count per pair and one walk
-# over each run of tied values
+# straight-loop evaluation reference: one count per pair
 
 def reference_confusion(predicted, truth):
     labels = list(LABELS)
@@ -186,19 +185,6 @@ def reference_confusion(predicted, truth):
             raise ValueError(f"label pair ({p}, {t}) outside {labels}")
         counts[index[int(p)], index[int(t)]] += 1
     return counts
-
-
-def reference_midranks(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 # ---------------------------------------------------------------------------

@@ -120,12 +120,25 @@ MUTANTS = {
         ["tests/test_evaluation.py::"
          "test_knn_nearest_rows_in_one_strided_group_or_the_tail[True]"],
     ),
+    "knn-centring-dropped": (
+        "evaluation",
+        "centre = X.mean(axis=0)",
+        "centre = np.zeros(X.shape[1])",
+        ["tests/test_evaluation.py::"
+         "test_knn_candidates_per_query_stay_few_under_a_shared_offset"],
+    ),
     "knn-vote-tie-to-last-ranked-label": (
         "evaluation",
-        "votes * (k + 1) - first",
-        "votes * (k + 1) + first",
+        "votes * (last + 1) - first",
+        "votes * (last + 1) + first",
         ["tests/test_evaluation.py::"
          "test_knn_all_tied_full_vote_goes_to_lowest_index"],
+    ),
+    "auc-drops-the-tie-term": (
+        "evaluation",
+        "np.diff(fps), tps[1:] + tps[:-1]",
+        "np.diff(fps), 2 * tps[:-1]",
+        ["tests/test_evaluation.py::test_confusion_and_auc_match_loop_references"],
     ),
     "range-analysis-argmin": (
         "oa",
@@ -140,9 +153,15 @@ MUTANTS = {
         ["tests/test_model.py::test_payload_corruption_detected_by_checksum"],
     ),
     "majority-ties-to-larger-label": (
+        "evaluation",
+        "votes * (last + 1) - first",
+        "votes * (last + 1) + first",
+        ["tests/test_device.py::test_majority_votes_match_counting_oracle"],
+    ),
+    "replay-ranks-the-larger-label-first": (
         "device",
-        "counts.reshape(windows, slots).argmax(axis=1)",
-        "(slots - 1 - counts.reshape(windows, slots)[:, ::-1].argmax(axis=1))",
+        "vote(windows, labels, labels,",
+        "vote(windows, labels, LABELS[-1] - labels,",
         ["tests/test_device.py::test_majority_votes_match_counting_oracle"],
     ),
     "handle-skips-the-action-id-check": (
@@ -174,6 +193,24 @@ MUTANTS = {
         '("transducer", 80, str),\n    ("physical_dim", 8, str),',
         '("transducer", 79, str),\n    ("physical_dim", 9, str),',
         ["tests/test_edf.py::test_two_channel_golden_parses_and_serializes_exactly"],
+    ),
+    "edf-trailing-whitespace-kept": (
+        "edf",
+        "if text != text.rstrip():",
+        "if False:",
+        ["tests/test_edf.py::test_serialize_faults_are_data_errors"],
+    ),
+    "edf-digital-range-past-16-bits": (
+        "edf",
+        "if ch.digital_min < -32768 or ch.digital_max > 32767:",
+        "if False:",
+        ["tests/test_edf.py::test_serialize_faults_are_data_errors"],
+    ),
+    "serve-device-drops-the-transcript": (
+        "cli",
+        "transcript_path=args.transcript,",
+        "transcript_path=None,",
+        ["tests/test_cli.py::test_serve_device_serves_one_session"],
     ),
     "serve-device-port-unchecked": (
         "cli",

@@ -7,6 +7,7 @@ import os
 import re
 import shlex
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -706,6 +707,39 @@ def test_serve_device_port_outside_its_range_is_data_error(tmp_path, capsys, por
     assert capsys.readouterr().err.splitlines() == [
         f"error: --port must be in 0..65535, got {port}"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_device_serves_one_session(tmp_path, monkeypatch):
+    # the port comes from the "listening on port N" log line of port 0
+    logged, ready = [], threading.Event()
+
+    def log(message):
+        logged.append(message)
+        if message.startswith("listening on port "):
+            ready.set()
+
+    monkeypatch.setattr(cli, "_log", log)
+    transcript = tmp_path / "transcript.csv"
+    rc = []
+    server = threading.Thread(target=lambda: rc.append(main(
+        ["serve-device", "--profile", "robot", "--once", "--port", "0",
+         "--transcript", str(transcript)])), daemon=True)
+    server.start()
+    try:
+        assert ready.wait(5), logged
+        port = int(logged[-1].rsplit(" ", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), 5) as conn:
+            with conn.makefile("rb") as reader:
+                conn.sendall(b"CMD 1 4 GRASP 0\n")
+                assert reader.readline() == b"ACK 1\n"
+    finally:
+        server.join(5)
+    assert not server.is_alive() and rc == [0]
+    assert transcript.read_text().splitlines() == ["t_ms,seq,label,action,ack",
+                                                   "0,1,4,Grasp,1"]
+    config = json.loads((tmp_path / "serve_device_config.json").read_text())
+    assert (config["profile"], config["port"], config["once"]) == ("robot", 0, True)
+
 
 _BAD_CONFIGS = {"config": {"width": "x"}, "config_key": {"widht": 4},
                 "config_data_int": {"data": 5}, "config_data_list": {"data": ["a"]}}

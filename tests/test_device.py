@@ -304,6 +304,7 @@ def test_socket_server_ends_session_on_clean_disconnect(tmp_path):
 # replay
 
 @example([3, 1, 1, 3, 5, 2, 2, 5, 4], 4)  # ties in full windows, short last
+@example([], 3)  # no windows
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 5), max_size=40), st.integers(1, 7))
 def test_majority_votes_match_counting_oracle(labels, cadence):

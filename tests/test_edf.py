@@ -1,8 +1,9 @@
 """EDF parse/serialize conformance and round-trip properties."""
 
+import dataclasses
 import math
 import re
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindctl.edf import (
+    ANNOTATION_LABEL,
     EdfAnnotation,
     EdfChannel,
     EdfRecording,
@@ -220,15 +222,25 @@ def test_sixty_four_channel_labels_survive_round_trip():
 # ---------------------------------------------------------------------------
 # randomized round trip
 
+def _rarely(strategy, value):
+    """``strategy``'s draws, but about one in ten is ``value`` (a middle
+    draw of the ten: hypothesis favours the ends)."""
+    return st.tuples(strategy, st.integers(0, 9)).map(
+        lambda pair: value if pair[1] == 5 else pair[0])
+
+
+# printable ASCII, trailing spaces included, which EDF pads away; two-digit
+# years hold 1985..2084 only, and no microseconds
 _header_text = st.text(
-    alphabet=st.characters(min_codepoint=33, max_codepoint=126), max_size=20
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20
 )
-_label_text = st.text(
-    alphabet=st.characters(min_codepoint=33, max_codepoint=126), max_size=12
-).filter(lambda s: s != "EDF Annotations")
-_start_times = st.datetimes(
-    min_value=datetime(1985, 1, 1), max_value=datetime(2084, 12, 31)
-).map(lambda dt: dt.replace(microsecond=0))
+_label_text = _rarely(st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12
+), ANNOTATION_LABEL)
+_start_times = st.tuples(
+    st.datetimes(min_value=datetime(1984, 1, 1), max_value=datetime(2085, 12, 31)),
+    _rarely(st.just(0), 1),
+).map(lambda pair: pair[0].replace(microsecond=pair[1]))
 # values that always fit the 8-byte header fields exactly
 _physical_bounds = st.integers(min_value=-9999, max_value=9999).map(float)
 
@@ -300,9 +312,26 @@ def recordings(draw):
     )
 
 
-@settings(max_examples=120, deadline=None)
+def _holds(rec):
+    """Whether EDF can hold ``rec``: no text ends in whitespace, the start
+    is a whole second in 1985..2084, and no ordinary channel is labelled
+    as the annotation channel."""
+    texts = [rec.patient_id, rec.recording_id, *(
+        getattr(ch, name) for ch in rec.channels
+        for name in ("label", "transducer", "physical_dim", "prefiltering"))]
+    return (all(text == text.rstrip() for text in texts)
+            and 1985 <= rec.start.year <= 2084 and rec.start.microsecond == 0
+            and all(ch.label != ANNOTATION_LABEL for ch in rec.channels))
+
+
+@settings(max_examples=200, deadline=None)
 @given(recordings())
 def test_round_trip_randomized(rec):
+    # each recording round-trips exactly, or the format cannot hold it
+    if not _holds(rec):
+        with pytest.raises(DataError):
+            serialize_edf(rec)
+        return
     blob = serialize_edf(rec)
     back = parse_edf(blob)
     assert back == rec
@@ -409,6 +438,14 @@ def _short_signal(rec):
     rec.signals[0] = rec.signals[0][:-1]
 
 
+def _relabel(rec, **fields):
+    rec.channels[0] = dataclasses.replace(rec.channels[0], **fields)
+
+
+def _restart(rec, **fields):
+    rec.start = rec.start.replace(**fields)
+
+
 def _zero_records_with_annotations(rec):
     rec.n_records, rec.signals = 0, [s[:0] for s in rec.signals]
 
@@ -425,9 +462,21 @@ def _zero_records_with_annotations(rec):
     (lambda rec: rec.annotations.append(EdfAnnotation(1.5, 0.5, "")), "non-empty"),
     (lambda rec: rec.annotations.append(EdfAnnotation(1.5, float("inf"), "T2")),
      "annotation time inf"),
+    (lambda rec: setattr(rec, "patient_id", "pat "), "'pat ' ends in whitespace"),
+    (lambda rec: _relabel(rec, label="C1 "), "'C1 ' ends in whitespace"),
+    (lambda rec: _relabel(rec, transducer="x\t"), r"'x\\t' ends in whitespace"),
+    (lambda rec: _relabel(rec, label=ANNOTATION_LABEL), "cannot be labelled"),
+    (lambda rec: _restart(rec, year=2090), "1985..2084"),
+    (lambda rec: _restart(rec, year=1970), "1985..2084"),
+    (lambda rec: _restart(rec, microsecond=5), "whole second"),
+    (lambda rec: _restart(rec, tzinfo=timezone.utc), "time zone"),
+    (lambda rec: _relabel(rec, digital_max=40000),
+     r"\[-2048, 40000\] exceeds 16 bits"),
 ], ids=["short_signal", "zero_records_annotated", "no_channels", "signal_count",
         "long_field", "non_ascii_field", "nan_duration", "long_duration",
-        "empty_annotation", "infinite_annotation"])
+        "empty_annotation", "infinite_annotation", "spaced_patient_id",
+        "spaced_label", "tabbed_transducer", "annotation_label", "start_2090",
+        "start_1970", "start_microseconds", "start_time_zone", "wide_digital_range"])
 def test_serialize_faults_are_data_errors(fault, message):
     rec = _make_recording()
     fault(rec)

@@ -10,23 +10,24 @@ import itertools
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_confusion, reference_midranks
+from helpers import reference_confusion
 from mindctl.dataset import LABELS, SampleSet
 from mindctl.errors import DataError
 from mindctl.evaluation import (
-    _midranks,
     confusion,
     knn_classify,
     metrics,
     roc_auc,
     save_report,
     save_roc,
+    vote,
 )
 
 KNOWN_COUNTS = np.array(
@@ -77,7 +78,7 @@ def test_confusion_rejects_bad_input():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_confusion_and_midranks_match_loop_references(seed):
+def test_confusion_and_auc_match_loop_references(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 60))
     labels = rng.permutation(LABELS)[:3]  # two classes stay empty
@@ -85,9 +86,19 @@ def test_confusion_and_midranks_match_loop_references(seed):
     truth = rng.choice(labels, size=n)
     assert np.array_equal(confusion(predicted, truth),
                           reference_confusion(predicted, truth))
-    # integer scores from a narrow range: most values are tied
-    scores = rng.integers(-3, 4, size=n).astype(np.float64)
-    assert np.array_equal(_midranks(scores), reference_midranks(scores))
+    # integer scores from a narrow range: most pairs are tied, and the AUC
+    # is the exact quotient of the pair counts, rounded once
+    scores = np.zeros((n, len(LABELS)))
+    scores[:, labels[0] - 1] = rng.integers(-3, 4, size=n)
+    pos = scores[truth == labels[0], labels[0] - 1]
+    neg = scores[truth != labels[0], labels[0] - 1]
+    if not (len(pos) and len(neg)):
+        with pytest.raises(DataError, match="undefined"):
+            roc_auc(scores, truth, labels[0])
+        return
+    twice_u = sum(2 * (p > q) + (p == q) for p in pos for q in neg)
+    auc = roc_auc(scores, truth, labels[0]).auc
+    assert auc == twice_u / (2 * len(pos) * len(neg))
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +391,41 @@ def test_knn_all_tied_full_vote_goes_to_lowest_index():
     assert list(knn_classify(train, _embed([[0.25, 4.0]]), k=5)) == [3]
     train = SampleSet(_embed([[1.5, -2.0]] * 5), [2, 3, 3, 2, 1])
     assert list(knn_classify(train, _embed([[0.25, 4.0]]), k=5)) == [2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(LABELS), st.integers(0, 9)),
+                         min_size=1, max_size=8), max_size=6))
+def test_vote_matches_the_per_group_loop(groups):
+    # most members first, then the best-ranked member, then the smaller label
+    expected = []
+    for members in groups:
+        tally = {}
+        for label, rank in members:
+            count, first = tally.get(label, (0, rank))
+            tally[label] = (count + 1, min(first, rank))
+        expected.append(max(tally, key=lambda lbl: (tally[lbl][0],
+                                                    -tally[lbl][1], -lbl)))
+    flat = [(g, *member) for g, members in enumerate(groups) for member in members]
+    g, labels, ranks = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+    assert vote(g, labels, ranks, len(groups)).tolist() == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1e4))
+@example(seed=0, offset=1e4)
+def test_knn_candidates_per_query_stay_few_under_a_shared_offset(seed, offset):
+    # Centring on the training mean keeps an offset that every row shares
+    # out of the float32 screen's rounding: without it, every row passes the
+    # screen at offset 1e4. The candidates are the rows the exact pass sorts.
+    rng = np.random.default_rng(seed)
+    train = SampleSet(offset + rng.normal(size=(2000, 64)),
+                      rng.integers(1, 6, size=2000))
+    queries = offset + rng.normal(size=(50, 64))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as ranked:
+        knn_classify(train, queries, k=3)
+    candidates = sum(len(call.args[0][0]) for call in ranked.call_args_list)
+    assert candidates <= 2 * 3 * len(queries)
 
 
 def test_knn_argument_errors():
