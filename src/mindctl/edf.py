@@ -47,9 +47,9 @@ class EdfChannel:
     """Per-signal header entry, the one place the channel rules live.
 
     Every channel has a positive sample count per record; an ordinary
-    (non-annotation) channel also has digital min below digital max and
-    distinct physical bounds, so its calibration is defined. A broken
-    rule raises DataError naming the channel's label.
+    (non-annotation) channel also has a 16-bit digital range, min below
+    max, and distinct physical bounds, so its calibration is defined. A
+    broken rule raises DataError naming the channel's label.
     """
 
     label: str
@@ -74,6 +74,11 @@ class EdfChannel:
             raise DataError(
                 f"channel {self.label!r}: digital min {self.digital_min} "
                 f"not below digital max {self.digital_max}"
+            )
+        if self.digital_min < -32768 or self.digital_max > 32767:
+            raise DataError(
+                f"channel {self.label!r}: digital range "
+                f"[{self.digital_min}, {self.digital_max}] exceeds 16 bits"
             )
         if self.physical_min == self.physical_max:
             raise DataError(
@@ -498,9 +503,6 @@ def serialize_edf(recording: EdfRecording) -> bytes:
                 f"{recording.n_records * ch.samples_per_record} samples, "
                 f"got {len(sig)}"
             )
-        if ch.digital_min < -32768 or ch.digital_max > 32767:
-            raise DataError(f"channel {ch.label!r}: digital range "
-                            f"[{ch.digital_min}, {ch.digital_max}] exceeds 16 bits")
         arr = np.asarray(sig)
         if arr.size and (arr.min() < ch.digital_min or arr.max() > ch.digital_max):
             raise DataError(

@@ -202,9 +202,9 @@ MUTANTS = {
     ),
     "edf-digital-range-past-16-bits": (
         "edf",
-        "if ch.digital_min < -32768 or ch.digital_max > 32767:",
+        "if self.digital_min < -32768 or self.digital_max > 32767:",
         "if False:",
-        ["tests/test_edf.py::test_serialize_faults_are_data_errors"],
+        ["tests/test_edf.py::test_channel_rules_raise_naming_the_channel"],
     ),
     "serve-device-drops-the-transcript": (
         "cli",

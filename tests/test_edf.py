@@ -470,13 +470,11 @@ def _zero_records_with_annotations(rec):
     (lambda rec: _restart(rec, year=1970), "1985..2084"),
     (lambda rec: _restart(rec, microsecond=5), "whole second"),
     (lambda rec: _restart(rec, tzinfo=timezone.utc), "time zone"),
-    (lambda rec: _relabel(rec, digital_max=40000),
-     r"\[-2048, 40000\] exceeds 16 bits"),
 ], ids=["short_signal", "zero_records_annotated", "no_channels", "signal_count",
         "long_field", "non_ascii_field", "nan_duration", "long_duration",
         "empty_annotation", "infinite_annotation", "spaced_patient_id",
         "spaced_label", "tabbed_transducer", "annotation_label", "start_2090",
-        "start_1970", "start_microseconds", "start_time_zone", "wide_digital_range"])
+        "start_1970", "start_microseconds", "start_time_zone"])
 def test_serialize_faults_are_data_errors(fault, message):
     rec = _make_recording()
     fault(rec)
@@ -515,6 +513,8 @@ def _channel(**fields):
     ({"digital_min": 2047}, "digital min 2047 not below digital max 2047"),
     ({"digital_min": 3000}, "digital min 3000 not below"),
     ({"physical_max": -200.0}, r"physical min equals physical max \(-200.0\)"),
+    ({"digital_max": 40000}, r"digital range \[-2048, 40000\] exceeds 16 bits"),
+    ({"digital_min": -40000}, r"digital range \[-40000, 2047\] exceeds 16 bits"),
 ])
 def test_channel_rules_raise_naming_the_channel(fields, message):
     label = fields.get("label", "EEG C3")
@@ -530,13 +530,16 @@ def test_annotation_channel_takes_any_bounds(bounds):
     assert (ch.digital_min, ch.physical_max) == (dmin, pmax)
 
 
-def test_parse_names_the_channel_that_breaks_a_rule():
-    # signal 1's digital min field: 256 + 3 * 120, the second of three
-    offset = 256 + 3 * 120 + 8
-    blob = _patched(offset, "101")
-    assert golden_two_channel_annotated_bytes()[offset : offset + 8] == b"-100    "
-    with pytest.raises(DataError, match="channel 'EEG Cz': digital min 101 not below"):
-        parse_edf(blob)
+@pytest.mark.parametrize("offset, old, new, message", [
+    # signal 1's digital min and max fields, the second of three
+    (256 + 3 * 120 + 8, b"-100    ", "101", "digital min 101 not below"),
+    (256 + 3 * 128 + 8, b"100     ", "40000",
+     r"digital range \[-100, 40000\] exceeds 16 bits"),
+], ids=["digital_min", "digital_max_past_16_bits"])
+def test_parse_names_the_channel_that_breaks_a_rule(offset, old, new, message):
+    assert golden_two_channel_annotated_bytes()[offset : offset + 8] == old
+    with pytest.raises(DataError, match=f"channel 'EEG Cz': {message}"):
+        parse_edf(_patched(offset, new))
 
 
 def test_invalid_utf8_tal_text_is_parse_error():
