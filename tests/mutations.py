@@ -204,7 +204,8 @@ MUTANTS = {
         "edf",
         "if self.digital_min < -32768 or self.digital_max > 32767:",
         "if False:",
-        ["tests/test_edf.py::test_channel_rules_raise_naming_the_channel"],
+        ["tests/test_edf.py::test_channel_rules_raise_naming_the_channel",
+         "tests/test_edf.py::test_parse_names_the_channel_that_breaks_a_rule"],
     ),
     "serve-device-drops-the-transcript": (
         "cli",

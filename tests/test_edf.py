@@ -530,16 +530,17 @@ def test_annotation_channel_takes_any_bounds(bounds):
     assert (ch.digital_min, ch.physical_max) == (dmin, pmax)
 
 
-@pytest.mark.parametrize("offset, old, new, message", [
-    # signal 1's digital min and max fields, the second of three
-    (256 + 3 * 120 + 8, b"-100    ", "101", "digital min 101 not below"),
-    (256 + 3 * 128 + 8, b"100     ", "40000",
-     r"digital range \[-100, 40000\] exceeds 16 bits"),
-], ids=["digital_min", "digital_max_past_16_bits"])
-def test_parse_names_the_channel_that_breaks_a_rule(offset, old, new, message):
-    assert golden_two_channel_annotated_bytes()[offset : offset + 8] == old
-    with pytest.raises(DataError, match=f"channel 'EEG Cz': {message}"):
-        parse_edf(_patched(offset, new))
+def test_parse_names_the_channel_that_breaks_a_rule():
+    # signal 1's digital min field: 256 + 3 * 120, the second of three
+    offset = 256 + 3 * 120 + 8
+    blob = _patched(offset, "101")
+    assert golden_two_channel_annotated_bytes()[offset : offset + 8] == b"-100    "
+    with pytest.raises(DataError, match="channel 'EEG Cz': digital min 101 not below"):
+        parse_edf(blob)
+    # and its digital max field (256 + 3 * 128), 100 in the golden file
+    with pytest.raises(DataError, match=r"channel 'EEG Cz': digital range "
+                       r"\[-100, 40000\] exceeds 16 bits"):
+        parse_edf(_patched(256 + 3 * 128 + 8, "40000"))
 
 
 def test_invalid_utf8_tal_text_is_parse_error():
