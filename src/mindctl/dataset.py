@@ -181,12 +181,12 @@ def label_samples(
         label = mapping.get((run, ann.text))
         if label is None:
             continue
-        start = int(np.floor(ann.onset * rate + 0.5))
-        count = int(np.floor(ann.duration * rate + 0.5))
-        stop = min(start + count, total)
-        if start >= stop:
+        # floats until checked: an extreme rate makes them inf or NaN
+        start = float(np.floor(ann.onset * rate + 0.5))
+        stop = min(start + float(np.floor(ann.duration * rate + 0.5)), total)
+        if not start < stop:
             continue
-        windows.append((start, stop, label))
+        windows.append((int(start), int(stop), label))
     if not windows:
         raise DataError(
             f"mapping matches no annotation present in run {run}"
@@ -269,41 +269,11 @@ def write_csv(path, header, rows) -> None:
     """One header line, then one line per row, with LF line ends.
 
     A float cell is written in shortest round-trip form, None as an
-    empty cell and anything else with ``str``. Rows given as a float64
-    array are written as :func:`_csv_blocks` formats them.
+    empty cell and anything else with ``str``.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            fh.writelines(_csv_blocks(rows))
-        else:
-            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
-
-
-def _csv_blocks(values, labels=None):
-    """The CSV lines of a float64 (n, m) array, with ``labels`` (values
-    in LABELS), when given, as one more column: one string per block of
-    SAVE_BLOCK_ROWS rows.
-
-    In each block every distinct value is formatted once, keyed by its
-    bit pattern, which keeps -0.0 apart from 0.0, and gathered back into
-    place, and the block is joined in one call.
-    """
-    for start in range(0, len(values), SAVE_BLOCK_ROWS):
-        block = values[start:start + SAVE_BLOCK_ROWS]
-        n, m = block.shape
-        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-        reprs = list(map(repr, bits.view(np.float64).tolist()))
-        index = inverse.reshape(n, m)
-        if labels is None:  # the last value ends the line
-            text = [r + "," for r in reprs] + [r + "\n" for r in reprs]
-            index[:, -1] += len(reprs)
-        else:
-            # LABELS are consecutive: a label's text sits at label - LABELS[0]
-            text = [r + "," for r in reprs] + [f"{label}\n" for label in LABELS]
-            index = np.column_stack(
-                (index, labels[start:start + SAVE_BLOCK_ROWS] - LABELS[0] + len(reprs)))
-        yield "".join(np.array(text, dtype=object)[index].ravel().tolist())
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_json(path, obj) -> None:
@@ -347,6 +317,25 @@ _HEADER_LINE = (TABLE_HEADER + "\n").encode("ascii")
 _SIDECAR_HEAD = len(SIDECAR_MAGIC) + hashlib.sha256().digest_size
 _SIDECAR_ROW = 8 * (N_CHANNELS + 1)
 _CHUNK = 1 << 20
+
+
+def _csv_blocks(values, labels):
+    """The table lines of float64 (n, 64) ``values`` and their ``labels``
+    (values in LABELS): one string per block of SAVE_BLOCK_ROWS rows.
+
+    In each block every distinct value is formatted once, keyed by its
+    bit pattern, which keeps -0.0 apart from 0.0, and gathered back into
+    place, and the block is joined in one call.
+    """
+    for start in range(0, len(values), SAVE_BLOCK_ROWS):
+        block = values[start:start + SAVE_BLOCK_ROWS]
+        bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        reprs = list(map(repr, bits.view(np.float64).tolist()))
+        # LABELS are consecutive: a label's text sits at label - LABELS[0]
+        text = [r + "," for r in reprs] + [f"{label}\n" for label in LABELS]
+        ends = labels[start:start + SAVE_BLOCK_ROWS] - LABELS[0] + len(reprs)
+        index = np.column_stack((inverse.reshape(block.shape), ends))
+        yield "".join(np.array(text, dtype=object)[index].ravel().tolist())
 
 
 def _sidecar(path: Path) -> Path:

@@ -9,6 +9,7 @@ wire format is newline-delimited ASCII: ``CMD <seq> <label> <action-id>
 
 from __future__ import annotations
 
+import contextlib
 import re
 import socket
 from dataclasses import dataclass
@@ -189,10 +190,11 @@ def serve(host: str, port: int, profile: CommandProfile, once: bool = True,
     """Run the device endpoint over TCP.
 
     Reads command lines, replies ``ACK`` (or ``ERR <detail>`` for
-    protocol violations, which end the session), and persists the
-    transcript when a path is given. ``on_ready(port)`` fires once the
-    socket is listening, so callers can bind port 0. With ``once`` the
-    server exits after the first session and returns it.
+    protocol violations, which end the session, as a reset connection
+    does), and persists the transcript when a path is given.
+    ``on_ready(port)`` fires once the socket is listening, so callers can
+    bind port 0. With ``once`` the server exits after the first session
+    and returns it.
     """
     with socket.create_server((host, port)) as server:
         if on_ready is not None:
@@ -200,7 +202,7 @@ def serve(host: str, port: int, profile: CommandProfile, once: bool = True,
         while True:
             conn, _ = server.accept()
             session = DeviceSession(profile)
-            with conn, conn.makefile("rb") as reader:
+            with conn, conn.makefile("rb") as reader, contextlib.suppress(OSError):
                 for line in reader:
                     try:
                         response = session.handle_line(line)

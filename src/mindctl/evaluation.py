@@ -83,8 +83,8 @@ class RocCurve:
     """Threshold-sweep operating points for one class against the rest.
 
     ``points`` is an ordered (false-positive rate, true-positive rate)
-    array from (0,0) to (1,1); ``auc`` is the exact rank statistic
-    P(score_pos > score_neg) + 0.5 * P(tie).
+    array of the curve's corners from (0,0) to (1,1); ``auc`` is the exact
+    rank statistic P(score_pos > score_neg) + 0.5 * P(tie).
     """
 
     points: np.ndarray
@@ -117,6 +117,13 @@ def roc_auc(scores, truth, class_label: int) -> RocCurve:
     keep = np.append(np.nonzero(np.diff(s[order]))[0], len(s) - 1)
     tps = np.append(0, np.cumsum(sorted_pos)[keep])
     fps = np.append(0, np.cumsum(~sorted_pos)[keep])
+    # Only corners stay. A point strictly inside a run of horizontal steps
+    # (no new positive) or vertical ones (no new negative) goes, which keeps
+    # the trapezoid sum below; one between collinear mixed steps stays, as
+    # they bend on a log10 FPR axis.
+    dt, df = np.diff(tps) > 0, np.diff(fps) > 0
+    corner = np.r_[True, (dt[:-1] | dt[1:]) & (df[:-1] | df[1:]), True]
+    tps, fps = tps[corner], fps[corner]
     points = np.column_stack((fps / n_neg, tps / n_pos))
 
     # A step from (fp, tp) to (fp + dn, tp + dp) has trapezoid dn (2 tp + dp)
@@ -133,7 +140,7 @@ def save_roc(curve: RocCurve, path) -> None:
     fpr, tpr = curve.points.T
     log_fpr = np.log10(fpr, out=np.full_like(fpr, -np.inf), where=fpr > 0)
     write_csv(path, ("fpr", "log10_fpr", "tpr"),
-              np.column_stack((fpr, log_fpr, tpr)))
+              zip(fpr.tolist(), log_fpr.tolist(), tpr.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +219,19 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     sq_xc = np.einsum("ij,ij->i", Xc, Xc)
     S = np.einsum("ij,ij->i", Qc, Qc).max(initial=0.0) + sq_xc.max()
     s = math.ldexp(1.0, -math.frexp(S)[1] // 2)
-    B = np.empty((n, d + 1), dtype=np.float32)
-    np.multiply(Xc, s, out=B[:, :d], casting="same_kind")
-    B[:, d] = sq_xc * s * s
+    # t is the k-th smallest of the minima of strided groups of rows (group g
+    # holds rows g, g + groups, ...): k group minima are k distinct rows. Only
+    # groups whose minimum passes the limit are scanned. About sqrt(n) groups
+    # keep the partition short and the candidates few (about 3 per query for
+    # k = 3 against 21,000 EEG samples). Padded rows fill the last stride and
+    # screen at 4, above any real row (below 2 S' < 2) and so the limit, as
+    # every group holds a real row (groups <= n).
+    groups = max(k, math.isqrt(n))
+    padded = groups * -(-n // groups)
+    B = np.zeros((padded, d + 1), dtype=np.float32)
+    np.multiply(Xc, s, out=B[:n, :d], casting="same_kind")
+    B[:n, d] = sq_xc * s * s
+    B[n:, d] = 4.0
     A = np.empty((len(test_features), d + 1), dtype=np.float32)
     np.multiply(Qc, -2.0 * s, out=A[:, :d], casting="same_kind")
     A[:, d] = 1.0
@@ -240,43 +257,33 @@ def knn_classify(train: SampleSet, test_features, k: int = 3) -> np.ndarray:
     u, u64 = 2.0**-24, 2.0**-53
     slack = (4 * (d + 3) * (u + u64) * (S * s * s) + 12 * (d + 1) * 2.0**-126
              + 16 * d * 2.0**-1022 * s * s)
-    # t is the k-th smallest of the minima of strided groups of rows (group g
-    # holds rows g, g + groups, ...): k group minima are k distinct rows. Only
-    # groups whose minimum passes the limit are scanned, and the tail rows
-    # past span, which fall in no group. About sqrt(n) groups keep the
-    # partition short and the candidates few (about 3 per query for k = 3
-    # against 21,000 EEG samples).
-    groups = max(k, math.isqrt(n))
-    span = groups * (n // groups)
-    rows = max(1, KNN_BLOCK_BYTES // (4 * n))
+    rows = max(1, KNN_BLOCK_BYTES // (4 * padded))
     # The exact sums take the candidates in passes of whole queries whose
     # pairs start within one window of `pairs`: each (pairs, d) float64
     # temporary of a pass fills about half a block, more only for a query
     # with that many candidates of its own.
     pairs = max(1, KNN_BLOCK_BYTES // (16 * d))
-    screen = np.empty((min(rows, len(test_features)), n), dtype=np.float32)
+    screen = np.empty((min(rows, len(test_features)), padded), dtype=np.float32)
     out = np.empty(len(test_features), dtype=np.int64)
 
     for lo in range(0, len(test_features), rows):
         block = test_features[lo : lo + rows]
         e = np.matmul(A[lo : lo + rows], B.T, out=screen[: len(block)])
-        grouped = e[:, :span].reshape(len(block), -1, groups)
+        grouped = e.reshape(len(block), -1, groups)
         minima = grouped.min(axis=1)
         t = np.partition(minima, k - 1, axis=1)[:, k - 1]
         limit = np.nextafter((t.astype(np.float64) + slack).astype(np.float32),
                              np.float32(np.inf))
         gq, gg = np.nonzero(minima <= limit[:, None])
         hit = grouped[gq, :, gg] <= limit[gq, None]
-        tail = e[:, span:] <= limit[:, None]
-        count = np.bincount(gq, hit.sum(axis=1), len(block)) + tail.sum(axis=1)
+        count = np.bincount(gq, hit.sum(axis=1), len(block))
         window = (np.cumsum(count) - count) // pairs
         starts = np.flatnonzero(np.diff(window, prepend=-1))
         for a, z in zip(starts, [*starts[1:], len(block)]):
             g0, g1 = np.searchsorted(gq, (a, z))
             pi, j = np.nonzero(hit[g0:g1])
-            tq, tj = np.nonzero(tail[a:z])
-            qi = np.concatenate((gq[g0 + pi] - a, tq))
-            ri = np.concatenate((j * groups + gg[g0 + pi], span + tj))
+            qi = gq[g0 + pi] - a
+            ri = j * groups + gg[g0 + pi]
             diff = X[ri] - block[a + qi]
             exact = np.square(diff, out=diff).sum(axis=1)
             # each query's candidates nearest first; the first k are its

@@ -174,6 +174,68 @@ def reference_adam_step(layers, grads, state, lr):
 
 
 # ---------------------------------------------------------------------------
+# straight-line trainer: model.train's loop with every forward and backward
+# taken by the references above, one sequence at a time
+
+def reference_score(layers, logits, labels, l2):
+    """``(accuracy, loss)``: argmax hits, and the mean negative log of the
+    true class's softmax probability (floored at 1e-12) plus l2 times the
+    squared weight matrices."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    labels = np.asarray(labels)
+    acc = float(np.mean(probs.argmax(axis=1) + 1 == labels))
+    loss = -np.log(np.maximum(probs[np.arange(len(labels)), labels - 1],
+                              1e-12)).mean()
+    for layer in layers:
+        weights = ([layer.W] if isinstance(layer, DenseParams)
+                   else [layer.W_in, layer.W_rec])
+        loss += l2 * sum(float(np.sum(W**2)) for W in weights)
+    return acc, float(loss)
+
+
+def reference_train(model, split, schedule):
+    """``(best_layers, epochs_run, history, best_epoch)`` of ``model.train``
+    as a plain loop: epoch 0 scores the initial weights with one forward
+    per batch and one for the test block, then each epoch runs one
+    forward and backward and one Adam step per batch and scores the test
+    block. The best layers are the first with the highest test accuracy;
+    ``patience`` epochs in a row without a lower test loss stop it."""
+    layers, l2, lr = model.layers, model.hyper.l2, model.hyper.lr
+    batches = list(zip(split.features[:-1], split.labels[:-1]))
+    test_X, test_y = split.features[-1], split.labels[-1]
+
+    def score(layers, X, y):
+        logits, _ = reference_forward(layers, X, tanh_sigmoid)
+        return reference_score(layers, logits, y, l2)
+
+    train_loss = np.mean([score(layers, X, y)[1] for X, y in batches])
+    best_acc, best_loss = score(layers, test_X, test_y)
+    history = [(0, float(train_loss), best_acc)]
+    best_layers, best_epoch, stale, epochs_run = layers, 0, 0, 0
+    adam = reference_adam_init(layers)
+    for epoch in range(1, schedule.max_epochs + 1):
+        losses = []
+        for X, y in batches:
+            logits, grads = reference_gradients(layers, X, y, l2,
+                                                schedule.bptt_window, tanh_sigmoid)
+            losses.append(reference_score(layers, logits, y, l2)[1])
+            layers, adam = reference_adam_step(layers, grads, adam, lr)
+        epochs_run = epoch
+        test_acc, test_loss = score(layers, test_X, test_y)
+        history.append((epoch, float(np.mean(losses)), test_acc))
+        if test_acc > best_acc:
+            best_acc, best_layers, best_epoch = test_acc, layers, epoch
+        if test_loss < best_loss:
+            best_loss, stale = test_loss, 0
+        else:
+            stale += 1
+            if stale == schedule.patience:
+                break
+    return best_layers, epochs_run, history, best_epoch
+
+
+# ---------------------------------------------------------------------------
 # straight-loop evaluation reference: one count per pair
 
 def reference_confusion(predicted, truth):

@@ -113,10 +113,10 @@ MUTANTS = {
         ["tests/test_evaluation.py::"
          "test_knn_near_ties_below_float32_resolution_match_brute_force"],
     ),
-    "knn-tail-not-scanned": (
+    "knn-padding-passes-the-limit": (
         "evaluation",
-        "tail = e[:, span:] <= limit[:, None]",
-        "tail = e[:, n:] <= limit[:, None]",
+        "B[n:, d] = 4.0",
+        "B[n:, d] = -4.0",
         ["tests/test_evaluation.py::"
          "test_knn_nearest_rows_in_one_strided_group_or_the_tail[True]"],
     ),
@@ -139,6 +139,18 @@ MUTANTS = {
         "np.diff(fps), tps[1:] + tps[:-1]",
         "np.diff(fps), 2 * tps[:-1]",
         ["tests/test_evaluation.py::test_confusion_and_auc_match_loop_references"],
+    ),
+    "roc-keeps-every-threshold": (
+        "evaluation",
+        "tps, fps = tps[corner], fps[corner]",
+        "tps, fps = tps, fps",
+        ["tests/test_evaluation.py::test_roc_points_are_the_sweeps_corners"],
+    ),
+    "roc-drops-points-between-mixed-steps": (
+        "evaluation",
+        "dt[:-1] | dt[1:]",
+        "dt[:-1] ^ dt[1:]",
+        ["tests/test_evaluation.py::test_roc_points_are_the_sweeps_corners"],
     ),
     "range-analysis-argmin": (
         "oa",
@@ -176,6 +188,30 @@ MUTANTS = {
         "seq * step_ms",
         ["tests/test_device.py::test_replay_leaves_the_session_its_wire_lines_leave"],
     ),
+    "train-best-on-test-loss": (
+        "model",
+        "if test_acc > best_acc:",
+        "if test_loss < best_test_loss:",
+        ["tests/test_model.py::test_train_matches_the_straight_line_reference"],
+    ),
+    "train-patience-off-by-one": (
+        "model",
+        "if epochs_without_improvement >= schedule.patience:",
+        "if epochs_without_improvement > schedule.patience:",
+        ["tests/test_model.py::test_train_matches_the_straight_line_reference"],
+    ),
+    "train-kept-forward-from-the-test-column": (
+        "model",
+        "kept = [(logits[:, 0].copy(), caches)]",
+        "kept = [(logits[:, -1].copy(), caches)]",
+        ["tests/test_model.py::test_train_matches_the_straight_line_reference"],
+    ),
+    "adam-step-count-not-advanced": (
+        "nn",
+        "AdamState(m=m, v=v, t=t)",
+        "AdamState(m=m, v=v, t=state.t)",
+        ["tests/test_model.py::test_train_matches_the_straight_line_reference"],
+    ),
     "gradient-without-l2": (
         "nn",
         "dW += 2.0 * l2 * W",
@@ -206,6 +242,18 @@ MUTANTS = {
         "if False:",
         ["tests/test_edf.py::test_channel_rules_raise_naming_the_channel",
          "tests/test_edf.py::test_parse_names_the_channel_that_breaks_a_rule"],
+    ),
+    "serve-dies-on-a-reset": (
+        "device",
+        "contextlib.suppress(OSError)",
+        "contextlib.nullcontext()",
+        ["tests/test_device.py::test_socket_server_survives_a_peer_that_resets"],
+    ),
+    "window-bounds-made-int-first": (
+        "dataset",
+        "start = float(np.floor(ann.onset * rate + 0.5))",
+        "start = int(np.floor(ann.onset * rate + 0.5))",
+        ["tests/test_cli.py::test_ingest_extreme_record_timing_is_data_error"],
     ),
     "serve-device-drops-the-transcript": (
         "cli",

@@ -686,6 +686,25 @@ def test_ingest_non_finite_record_duration_is_data_error(edf_dir, tmp_path,
     assert "non-finite record duration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration, onset", [
+    (b"1e-300  ", 1e10),  # the onset's sample index overflows to inf
+    (b"5e-324  ", 0.0),   # an infinite rate puts onset 0 at NaN
+])
+def test_ingest_extreme_record_timing_is_data_error(edf_dir, tmp_path, capsys,
+                                                    duration, onset):
+    # the one matched window's bounds are not finite, so it is skipped and
+    # the run has none: one line, no traceback
+    path = edf_dir / "S001" / "S001R04.edf"
+    _write_run(path, 4, [EdfAnnotation(onset, 2.0, "T1")])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:244] + duration + blob[252:])  # record duration field
+    rc = main(["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: mapping matches no annotation present in run 4"]
+
+
 def test_corrupt_checkpoint_is_data_error(tmp_path):
     bad = tmp_path / "bad.mctl"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)

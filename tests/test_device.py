@@ -2,6 +2,7 @@
 socket transport, and end-to-end replay."""
 
 import socket
+import struct
 import threading
 from types import SimpleNamespace
 
@@ -298,6 +299,37 @@ def test_socket_server_ends_session_on_clean_disconnect(tmp_path):
     lines = transcript.read_text().splitlines()
     assert lines[0] == "t_ms,seq,label,action,ack"
     assert lines[1] == "0,1,2,Turn on White LED,1"
+
+
+def test_socket_server_survives_a_peer_that_resets(tmp_path):
+    # SO_LINGER 0 makes close send RST in place of FIN: the server's next
+    # read fails with ECONNRESET, which ends the session as a disconnect
+    ready = threading.Event()
+    port_box = {}
+    results = {}
+    transcript = tmp_path / "transcript.csv"
+
+    def run_server():
+        results["session"] = serve(
+            "127.0.0.1", 0, APPLIANCE_PROFILE, once=True,
+            transcript_path=transcript,
+            on_ready=lambda p: (port_box.update(port=p), ready.set()),
+        )
+
+    thread = threading.Thread(target=run_server, daemon=True)
+    thread.start()
+    assert ready.wait(5)
+
+    conn = socket.create_connection(("127.0.0.1", port_box["port"]), 5)
+    with conn, conn.makefile("rb") as reader:
+        conn.sendall(b"CMD 1 3 YELLOW 0\n")
+        assert reader.readline() == b"ACK 1\n"
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    thread.join(5)
+    assert not thread.is_alive()
+    assert [entry[1] for entry in results["session"].transcript] == [1]
+    assert transcript.read_text().splitlines() == [
+        "t_ms,seq,label,action,ack", "0,1,3,Turn on Yellow LED,1"]
 
 
 # ---------------------------------------------------------------------------

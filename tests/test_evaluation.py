@@ -240,6 +240,40 @@ def test_roc_curve_endpoints_and_monotonicity():
     assert np.all(diffs >= -1e-15)
 
 
+def _roc_corners_loop(values, positive):
+    """(fp, tp) counts at (0, 0) and at each distinct threshold from high
+    to low, less every point strictly inside a horizontal or vertical run."""
+    points = [(0, 0)]
+    for threshold in sorted(set(values), reverse=True):
+        above = [p for v, p in zip(values, positive) if v >= threshold]
+        points.append((above.count(False), above.count(True)))
+    corners = [points[0]]
+    for (f0, t0), (f1, t1), (f2, t2) in zip(points, points[1:], points[2:]):
+        if not (t0 == t1 == t2 or f0 == f1 == f2):
+            corners.append((f1, t1))
+    return corners + [points[-1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 1000).flatmap(lambda r: st.lists(
+    st.tuples(st.integers(-r, r), st.booleans()), min_size=2, max_size=80)))
+def test_roc_points_are_the_sweeps_corners(draw):
+    # narrow ranges tie most scores, wide ones almost none; the corners
+    # keep every point between two mixed steps, collinear or not
+    values, positive = map(list, zip(*draw))
+    n_pos, n_neg = positive.count(True), positive.count(False)
+    if not (n_pos and n_neg):
+        return
+    labels = np.where(positive, 1, 2)
+    curve = roc_auc(_scores_for(labels, values), labels, 1)
+    want = [[fp / n_neg, tp / n_pos] for fp, tp in _roc_corners_loop(values, positive)]
+    assert curve.points.tolist() == want
+    pos = [v for v, p in draw if p]
+    neg = [v for v, p in draw if not p]
+    twice_u = sum(2 * (p > q) + (p == q) for p in pos for q in neg)
+    assert curve.auc == twice_u / (2 * n_pos * n_neg)
+
+
 def test_auc_degenerate_class_rejected():
     labels = np.array([2, 2, 3])
     scores = np.full((3, 5), 0.2)
@@ -342,7 +376,8 @@ def test_knn_ties_on_offset_float_grid_match_brute_force(seed):
 @example(seed=0, k_draw="all", offset=False)
 def test_knn_group_bound_on_large_sets_matches_brute_force(seed, k_draw, offset):
     # up to 2,000 rows, so isqrt(n) strided groups leave tail rows past the
-    # last full group, and k may exceed isqrt(n) (then k groups) or be n
+    # last full stride, which padding completes, and k may exceed isqrt(n)
+    # (then k groups) or be n
     rng = np.random.default_rng(seed)
     n_train = int(rng.integers(5, 41 if k_draw == "all" else 2001))
     root = math.isqrt(n_train)
@@ -365,11 +400,13 @@ def test_knn_group_bound_on_large_sets_matches_brute_force(seed, k_draw, offset)
 
 @pytest.mark.parametrize("tail", [False, True])
 def test_knn_nearest_rows_in_one_strided_group_or_the_tail(tail):
-    # 1,000 rows form isqrt(1000) = 31 strided groups over the first 992
-    # rows (group g holds rows g, g + 31, ...) and 8 tail rows. The three
-    # nearest rows share group 5 (or two of them do and one is a tail
-    # row), while every other row lies farther out, one distance per row.
-    # Losing the first or last of them turns the vote from 2 to 4.
+    # 1,000 rows form isqrt(1000) = 31 strided groups (group g holds rows
+    # g, g + 31, ...), padded to 33 rows each: the 8 tail rows past 992
+    # are the last real members of groups 0..7, and padding fills the
+    # other 23 groups. The three nearest rows share group 5 (with tail
+    # row 997 as one of them), while every other row lies farther out,
+    # one distance per row. Losing the first or last of them turns the
+    # vote from 2 to 4.
     n, groups, k = 1000, 31, 3
     near = [5, 5 + groups, 997 if tail else 5 + 2 * groups]
     points = np.zeros((n, 2))

@@ -33,7 +33,7 @@ from mindctl.model import (
     train,
 )
 from mindctl.nn import forward_sequence, sequence_gradients, sequence_loss
-from helpers import gradients, make_toy_samples
+from helpers import gradients, make_toy_samples, reference_train
 
 
 def test_build_seven_layer_plan():
@@ -241,6 +241,49 @@ def test_history_rows_and_early_stop():
     assert epochs[0] == 0
     assert epochs == sorted(epochs)
     assert trained.epochs_run <= 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 5), layers=st.integers(4, 7), n_b=st.integers(1, 5),
+       rows=st.integers(2, 12), epochs=st.integers(0, 4),
+       patience=st.integers(1, 3), window=st.integers(1, 24),
+       lr=st.sampled_from([0.01, 0.05, 0.1]), l2=st.sampled_from([0.0, 0.003]),
+       seed=st.integers(0, 2**16))
+# stops early at epoch 2, its best accuracy at epoch 1 and its best loss at 0
+@example(width=2, layers=6, n_b=3, rows=12, epochs=4, patience=2, window=23,
+         lr=0.05, l2=0.0, seed=21148)
+# its first dense weights differ by 1.1e-11 of their largest after 2 epochs
+@example(width=5, layers=7, n_b=5, rows=9, epochs=2, patience=1, window=9,
+         lr=0.1, l2=0.0, seed=0)
+def test_train_matches_the_straight_line_reference(width, layers, n_b, rows, epochs,
+                                                   patience, window, lr, l2, seed):
+    # BPTT windows of 1..24 steps fall on both sides of the 2..12-row
+    # batches. The fused cell and the lockstep epoch 0 round differently
+    # from the reference, and Adam's step, whose slope at a zero gradient
+    # is lr / 1e-8, can turn a 1e-17 difference into lr * 1e-9: values
+    # agree to 1e-10 of each array's largest magnitude (at least 1).
+    splits = split(make_toy_samples(n=rows * (n_b + 1), seed=seed, n_classes=5),
+                   n_b)
+    model = build(HyperParams(l2=l2, lr=lr, width=width, layers=layers,
+                              batches=n_b), seed=seed)
+    schedule = TrainingSchedule(max_epochs=epochs, patience=patience,
+                                bptt_window=window)
+    trained, history = train(model, splits, schedule)
+    ref_layers, ref_epochs, ref_history, ref_best = reference_train(model, splits,
+                                                                    schedule)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    assert trained.epochs_run == ref_epochs
+    assert [row[0] for row in history] == [row[0] for row in ref_history]
+    accuracies = [row[2] for row in history]
+    assert accuracies.index(max(accuracies)) == ref_best
+    got, want = np.array(history), np.array(ref_history)
+    assert close(got[:, 1], want[:, 1]) and close(got[:, 2], want[:, 2])
+    for layer, ref in zip(trained.layers, ref_layers):
+        for (name, arr), (_, ref_arr) in zip(layer.arrays(), ref.arrays()):
+            assert close(arr, ref_arr), name
 
 
 def test_epoch_zero_row_matches_separate_passes():
