@@ -10,6 +10,8 @@ that are multiples of 8 (``_lstm_run``). A gradient comes in two
 halves: ``forward_sequence`` with caches, then ``sequence_gradients``
 on that forward, so a forward run for another purpose (a lockstep
 stack, whose caches are its first sequence's) can feed the backward.
+The backward computes in the forward's caches, so a forward feeds one
+gradient.
 The backward pass is hand-derived for exactly this layer vocabulary
 (affine chains feeding a stack of LSTM layers) rather than a generic
 autodiff graph, and is validated against central finite differences.
@@ -425,7 +427,9 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     caches are its first sequence's, so they feed ``sequence_gradients``
     as a 2-D run's would; caches of a stack of no sequences are a
     DataError. They are laid out whole before the walk
-    (``_caches``) and each block fills its rows of them.
+    (``_caches``) and each block fills its rows of them. They feed one
+    gradient: ``sequence_gradients`` computes in them and empties the
+    list.
 
     The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
     with 1 / (1 + exp(-x)) to about one ulp.
@@ -491,6 +495,16 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
     - output: ``tanh(c) * go * (1 - go)``
     - modulation: ``gi * (1 - gm**2)``
 
+    The backward computes in the forward's caches, which it reads once:
+    ``dZ`` is ``cache["gates"]``, each multiplier written over its own
+    gate's columns once nothing else reads that gate, and ``cache["c"]``
+    becomes ``tanh(c)`` and then ``dc_from_dh``. A copy of the forget
+    gates serves the step loop, and one scratch array holds the input
+    and output multipliers while their gates are still read. ``input``,
+    ``h`` and ``d_out`` are left as they are. Every value comes from the
+    same operations in the same order as in separate arrays, so the
+    result is bit-identical to them.
+
     The step loop then scales the rows of ``dZ`` in place and multiplies
     them by ``W_rec.T``. It runs window-major: the windows are
     independent recurrences, so step j takes row j of every window at
@@ -504,28 +518,31 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
     """
     n, width = d_out.shape
     A, cells, outs = cache["input"], cache["c"], cache["h"]
-    gi, gf, go, gm = np.split(cache["gates"], 4, axis=1)
+    dZ = cache["gates"]  # each gate's columns come to hold its multiplier
+    gi, gf, go, gm = zi, zf, zo, zm = np.split(dZ, 4, axis=1)
+    gf = gf.copy()  # the step loop's forget gates
 
-    dZ = np.empty((n, 4 * width))
-    zi, zf, zo, zm = np.split(dZ, 4, axis=1)
-    np.subtract(1.0, gi, out=zi)
-    zi *= gi
-    zi *= gm
+    scratch = np.subtract(1.0, gi)
+    scratch *= gi
+    scratch *= gm
+    np.square(gm, out=zm)
+    np.subtract(1.0, zm, out=zm)
+    zm *= gi
+    zi[:] = scratch
     zf[0] = 0.0
     np.subtract(1.0, gf[1:], out=zf[1:])
     zf[1:] *= gf[1:]
     zf[1:] *= cells[:-1]
-    tanh_c = np.tanh(cells)
-    np.subtract(1.0, go, out=zo)
-    zo *= go
-    zo *= tanh_c
-    np.square(gm, out=zm)
-    np.subtract(1.0, zm, out=zm)
-    zm *= gi
-    # dh to dc through h = go * tanh(c), reusing the tanh(c) buffer
+    tanh_c = np.tanh(cells, out=cells)
+    np.subtract(1.0, go, out=scratch)
+    scratch *= go
+    scratch *= tanh_c
+    # dh to dc through h = go * tanh(c), in the tanh(c) buffer
     dc_from_dh = np.square(tanh_c, out=tanh_c)
     np.subtract(1.0, dc_from_dh, out=dc_from_dh)
     dc_from_dh *= go
+    zo[:] = scratch
+    del scratch  # freed before the step loop and d_in
 
     zif = dZ[:, : 2 * width].reshape(n, 2, width)
     W_rec_T = layer.W_rec.T
@@ -566,14 +583,19 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
     matrices only) is added. ``window`` truncates recurrent gradient
     flow; None unrolls the full sequence.
 
+    It consumes ``forward``: the backward computes in its caches
+    (``_lstm_backward``) and empties their list, so a second call on it
+    is a DataError.
+
     Returns ``(loss, grads)`` with ``grads`` mirroring ``layers``.
     """
-    logits, caches = forward
+    logits, given = forward
     labels = np.asarray(labels, dtype=np.int64)
-    if caches is None or len(caches) != len(layers):
+    if given is None or len(given) != len(layers):
         raise DataError(
             "sequence_gradients needs the forward's caches for every layer: "
-            "run forward_sequence with keep_caches=True"
+            "run forward_sequence with keep_caches=True; a forward feeds one "
+            "gradient"
         )
     if np.ndim(logits) != 2:
         raise DataError(
@@ -586,6 +608,8 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
         window = n
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    caches = tuple(given)
+    given.clear()  # the backward computes in them: the forward is spent
 
     probs = softmax(logits)
     loss = cross_entropy_loss(probs, labels, layers, l2)
@@ -643,12 +667,11 @@ def adam_step(layers, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update. Returns (new_layers, new_state).
 
     The update runs once over the ``flat`` vectors of the parameters and
-    gradients, and the new layers are views of one new vector. A
-    non-finite gradient anywhere rejects the whole update: the inputs
-    are left untouched and a NumericError describes the offending array.
+    gradients, and the new layers are views of one new vector. ``lr`` is
+    positive (``model.HyperParams`` checks it). A non-finite gradient
+    anywhere rejects the whole update: the inputs are left untouched and
+    a NumericError describes the offending array.
     """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
     for k, grad in enumerate(grads):
         for name, arr in grad.arrays():
             if not np.all(np.isfinite(arr)):

@@ -212,6 +212,19 @@ MUTANTS = {
         "AdamState(m=m, v=v, t=state.t)",
         ["tests/test_model.py::test_train_matches_the_straight_line_reference"],
     ),
+    "backward-copies-the-gates": (
+        "nn",
+        'dZ = cache["gates"]',
+        'dZ = cache["gates"].copy()',
+        ["tests/test_model.py::"
+         "test_a_training_step_needs_about_the_memory_of_its_forward"],
+    ),
+    "gradient-keeps-its-forward": (
+        "nn",
+        "given.clear()",
+        "pass",
+        ["tests/test_model.py::test_a_forward_feeds_one_gradient"],
+    ),
     "gradient-without-l2": (
         "nn",
         "dW += 2.0 * l2 * W",

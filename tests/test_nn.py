@@ -610,8 +610,10 @@ def test_fused_lstm_matches_straight_line_reference(width, n, window, scale, see
     (7, 1),
 ])
 def test_window_major_backward_matches_step_major_reference(n, window):
-    # the same forward values through both backward walks; the window-major
-    # loop writes through strided views, so its inputs must come back intact
+    # the same forward values through both backward walks. The window-major
+    # loop computes in the cache's gates and cells, so the reference takes
+    # copies of them. It writes through strided views, so the input, the
+    # outputs and d_out must come back intact
     rng = np.random.default_rng(n + window)
     fan_in, width = 5, 6
     layer = LstmParams(
@@ -623,20 +625,20 @@ def test_window_major_backward_matches_step_major_reference(n, window):
     gates, cells, out = _lstm_layer(A, layer)
     cache = {"input": A, "gates": gates, "c": cells, "h": out}
     d_out = rng.normal(size=(n, width)) / n
-    kept = {name: a.copy() for name, a in cache.items()}
+    kept = {name: cache[name].copy() for name in ("input", "h")}
     kept_d_out = d_out.copy()
+    gi, gf, go, gm = np.split(gates.copy(), 4, axis=1)
+    ref_cache = {"input": A, "i": gi, "f": gf, "o": go, "m": gm,
+                 "c": cells.copy(), "h": out}
 
     grad, d_in = _lstm_backward(layer, cache, d_out, window)
-    gi, gf, go, gm = np.split(gates, 4, axis=1)
-    ref_cache = {"input": A, "i": gi, "f": gf, "o": go, "m": gm,
-                 "c": cells, "h": out}
     ref_grad, ref_d_in = _reference_lstm_backward(layer, ref_cache, d_out, window)
     for (name, a), (_, r) in zip(grad.arrays(), ref_grad.arrays()):
         assert _max_scaled_gap(a, r) < 1e-12, name
     assert _max_scaled_gap(d_in, ref_d_in) < 1e-12
     assert np.array_equal(d_out, kept_d_out)
-    for name, a in cache.items():
-        assert np.array_equal(a, kept[name]), name
+    for name, a in kept.items():
+        assert np.array_equal(cache[name], a), name
 
 
 # ---------------------------------------------------------------------------
