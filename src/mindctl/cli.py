@@ -515,6 +515,3 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return EXIT_INTERNAL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,17 +2,8 @@
 
 Layout handled here (all header fields are fixed-width ASCII):
 
-    256-byte fixed header
-        8   version ("0")
-        80  patient id
-        80  recording id
-        8   start date  dd.mm.yy   (yy >= 85 -> 19yy, else 20yy)
-        8   start time  hh.mm.ss
-        8   header byte count = 256 * (number of signals + 1)
-        44  reserved ("" for plain EDF, "EDF+C" for continuous EDF+)
-        8   number of data records
-        8   record duration in seconds
-        4   number of signals
+    256-byte fixed header, fields and widths as ``_FIXED_FIELDS`` lists
+        them; the start date is dd.mm.yy (yy >= 85 -> 19yy, else 20yy)
     per-signal header block, one field for all signals at a time,
         fields and widths as ``_SIGNAL_FIELDS`` lists them
     data records: for each record, for each signal,
@@ -30,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -39,7 +30,28 @@ from .errors import DataError
 
 ANNOTATION_LABEL = "EDF Annotations"
 
-_FIXED_HEADER = 256
+
+def _clock(text: str) -> tuple[int, int, int]:
+    """A start field's ``dd.mm.yy`` or ``hh.mm.ss`` as its three numbers."""
+    if not re.fullmatch(r"[0-9]{2}\.[0-9]{2}\.[0-9]{2}", text):
+        raise ValueError(text)
+    return tuple(int(part) for part in text.split("."))
+
+
+# The fixed header in file order: each field's name, byte width and type.
+_FIXED_FIELDS = (
+    ("version", 8, str),
+    ("patient_id", 80, str),
+    ("recording_id", 80, str),
+    ("start_date", 8, _clock),
+    ("start_time", 8, _clock),
+    ("header_byte_count", 8, int),
+    ("reserved", 44, str),  # "" for plain EDF, "EDF+C" for continuous EDF+
+    ("record_count", 8, int),
+    ("record_duration", 8, float),  # seconds
+    ("signal_count", 4, int),
+)
+_FIXED_HEADER = sum(width for _, width, _ in _FIXED_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -121,14 +133,16 @@ class EdfAnnotation:
     text: str
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EdfRecording:
-    """A fully decoded EDF/EDF+ file.
+    """A fully decoded EDF/EDF+ file, the one place the recording rules live.
 
     ``signals[i]`` holds channel i's digital samples for the whole file,
     length ``n_records * channels[i].samples_per_record``. Annotation
     channels are decoded into ``annotations`` and do not appear in
-    ``channels``/``signals``.
+    ``channels``/``signals``; all three are stored as tuples. A broken
+    rule raises DataError as the recording is built, whether parse_edf or
+    a caller builds it, and a frozen recording cannot break one later.
     """
 
     patient_id: str
@@ -136,9 +150,40 @@ class EdfRecording:
     start: datetime
     n_records: int
     record_duration: float
-    channels: list[EdfChannel]
-    signals: list[np.ndarray]
-    annotations: list[EdfAnnotation] = field(default_factory=list)
+    channels: tuple[EdfChannel, ...]
+    signals: tuple[np.ndarray, ...]
+    annotations: tuple[EdfAnnotation, ...] = ()
+
+    def __post_init__(self):
+        for name in ("channels", "signals", "annotations"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.channels:
+            raise DataError("recording must have at least one channel")
+        if any(ch.label == ANNOTATION_LABEL for ch in self.channels):
+            raise DataError("an ordinary channel cannot be labelled "
+                            f"{ANNOTATION_LABEL!r}")
+        if not isinstance(self.n_records, (int, np.integer)) or self.n_records < 0:
+            raise DataError("record count must be an integer >= 0, "
+                            f"got {self.n_records!r}")
+        if len(self.signals) != len(self.channels):
+            raise DataError("signals and channels disagree in length")
+        for ch, sig in zip(self.channels, self.signals):
+            if len(sig) != self.n_records * ch.samples_per_record:
+                raise DataError(
+                    f"channel {ch.label!r}: expected "
+                    f"{self.n_records * ch.samples_per_record} samples, "
+                    f"got {len(sig)}"
+                )
+        if not (math.isfinite(self.record_duration) and self.record_duration > 0):
+            raise DataError("record duration must be finite and positive, "
+                            f"got {self.record_duration!r}")
+        start = self.start
+        if not 1985 <= start.year <= 2084 or start.microsecond or start.tzinfo:
+            raise DataError(f"start {start} is not a whole second in 1985..2084 "
+                            "without a time zone")
+        _check_annotation_order(self.annotations)
+        if self.annotations and self.n_records == 0:
+            raise DataError("annotations require at least one data record")
 
     def physical(self, index: int) -> np.ndarray:
         """Channel ``index`` converted to physical units (float64)."""
@@ -166,50 +211,64 @@ class EdfRecording:
         )
 
 
+def _check_annotation_order(annotations: tuple[EdfAnnotation, ...]) -> None:
+    """No onset is negative and none comes before the one ahead of it."""
+    previous = None
+    for ann in annotations:
+        if ann.onset < 0:
+            raise DataError(f"negative annotation onset {ann.onset}")
+        if previous is not None and ann.onset < previous:
+            raise DataError(
+                f"annotation onsets decrease: {ann.onset} after {previous}"
+            )
+        previous = ann.onset
+
+
 # ---------------------------------------------------------------------------
 # parsing
+#
+# Both header tables are declared once, above, and both directions walk
+# them, so a round trip cannot catch a wrong table; the hand-assembled
+# golden files in the tests check them against the spec.
 
-def _ascii(data: bytes, start: int, size: int) -> str:
-    raw = data[start : start + size]
+def _decode(data: bytes, offset: int, width: int, kind, what: str):
+    """The field at ``offset`` as ``kind``: its text, a finite number or a
+    start field's three numbers. A malformed field raises DataError naming
+    its byte offset."""
     try:
-        return raw.decode("ascii").rstrip()
+        text = data[offset : offset + width].decode("ascii").rstrip()
     except UnicodeDecodeError as exc:
         raise DataError(
-            f"non-ASCII bytes in header field (byte offset {start})"
+            f"non-ASCII bytes in {what} field (byte offset {offset})"
         ) from exc
-
-
-def _number_field(data: bytes, start: int, size: int, name: str, kind):
-    """The field's ASCII text as a finite ``kind`` (int or float)."""
-    text = _ascii(data, start, size).strip()
-    if "_" in text:  # int() and float() take Python's digit separator
-        raise DataError(f"non-numeric {name} field {text!r} (byte offset {start})")
+    if kind is str:
+        return text
+    text = text.strip()
     try:
+        if "_" in text:  # int() and float() take Python's digit separator
+            raise ValueError(text)
         value = kind(text)
     except ValueError as exc:
         raise DataError(
-            f"non-numeric {name} field {text!r} (byte offset {start})"
+            f"malformed {what} field {text!r} (byte offset {offset})"
         ) from exc
     if kind is float and not math.isfinite(value):
-        raise DataError(f"non-finite {name} field {text!r} (byte offset {start})")
+        raise DataError(f"non-finite {what} field {text!r} (byte offset {offset})")
     return value
 
 
-def _parse_start(data: bytes) -> datetime:
-    parts = []
-    for offset, layout in ((168, "dd.mm.yy"), (176, "hh.mm.ss")):
-        text = _ascii(data, offset, 8)
-        if not re.fullmatch(r"[0-9]{2}\.[0-9]{2}\.[0-9]{2}", text):
-            raise DataError(
-                f"start field {text!r} is not {layout} (byte offset {offset})"
-            )
-        parts += [int(p) for p in text.split(".")]
-    day, month, yy, hour, minute, second = parts
-    year = 1900 + yy if yy >= 85 else 2000 + yy
-    try:
-        return datetime(year, month, day, hour, minute, second)
-    except ValueError as exc:
-        raise DataError(f"invalid start date/time: {exc} (byte offset 168)") from exc
+def _read_fields(data: bytes, offset: int, fields, count: int) -> list[dict]:
+    """``count`` entries of the header block at ``offset`` laid out by
+    ``fields``, each field for every entry before the next field starts;
+    an unnamed (reserved) field is skipped."""
+    entries = [{} for _ in range(count)]
+    for name, width, kind in fields:
+        if name is not None:
+            what = name.replace("_", " ")
+            for i, entry in enumerate(entries):
+                entry[name] = _decode(data, offset + i * width, width, kind, what)
+        offset += count * width
+    return entries
 
 
 def parse_edf(data: bytes) -> EdfRecording:
@@ -219,70 +278,41 @@ def parse_edf(data: bytes) -> EdfRecording:
             f"fixed header truncated: expected {_FIXED_HEADER} bytes, "
             f"got {len(data)} (byte offset {len(data)})"
         )
+    (head,) = _read_fields(data, 0, _FIXED_FIELDS, 1)
 
-    version = _ascii(data, 0, 8)
-    if version != "0":
-        raise DataError(f"unsupported EDF version tag {version!r}")
-
-    reserved = _ascii(data, 192, 44)
+    if head["version"] != "0":
+        raise DataError(f"unsupported EDF version tag {head['version']!r}")
+    reserved = head["reserved"]
     if reserved.startswith("EDF+D"):
         raise DataError("discontinuous EDF+ (EDF+D) is not supported")
     if reserved and not reserved.startswith("EDF+C"):
         raise DataError(f"unrecognized reserved field {reserved!r}")
 
-    patient_id = _ascii(data, 8, 80)
-    recording_id = _ascii(data, 88, 80)
-    start = _parse_start(data)
-    header_bytes = _number_field(data, 184, 8, "header byte count", int)
-    n_records = _number_field(data, 236, 8, "data record count", int)
-    record_duration = _number_field(data, 244, 8, "record duration", float)
-    n_signals = _number_field(data, 252, 4, "signal count", int)
-
+    n_records, n_signals = head["record_count"], head["signal_count"]
     if n_signals <= 0:
-        raise DataError(
-            f"signal count must be positive, got {n_signals} (byte offset 252)"
-        )
-    if n_records < 0:
-        raise DataError(f"negative data record count {n_records} (byte offset 236)")
-    if record_duration <= 0:
-        raise DataError(
-            f"non-positive record duration {record_duration} is not supported"
-        )
-
+        raise DataError(f"signal count must be positive, got {n_signals}")
     header_size = _FIXED_HEADER + _PER_SIGNAL_HEADER * n_signals
-    if header_bytes != header_size:
+    if head["header_byte_count"] != header_size:
         raise DataError(
-            f"header byte count {header_bytes} does not match "
-            f"256*(signals+1) = {header_size} (byte offset 184)"
+            f"header byte count {head['header_byte_count']} does not match "
+            f"256*(signals+1) = {header_size}"
         )
     if len(data) < header_size:
         raise DataError(
             f"signal headers truncated: expected {header_size} bytes, "
             f"got {len(data)} (byte offset {len(data)})"
         )
-
-    # each field holds every signal's value before the next field starts
-    entries = [{} for _ in range(n_signals)]
-    offset = _FIXED_HEADER
-    for name, width, kind in _SIGNAL_FIELDS:
-        for entry in entries:
-            if name is not None:
-                entry[name] = (
-                    _ascii(data, offset, width) if kind is str
-                    else _number_field(data, offset, width,
-                                       name.replace("_", " "), kind)
-                )
-            offset += width
-    headers = [EdfChannel(**entry) for entry in entries]
+    headers = [EdfChannel(**entry) for entry in
+               _read_fields(data, _FIXED_HEADER, _SIGNAL_FIELDS, n_signals)]
 
     spr = [h.samples_per_record for h in headers]
     record_samples = sum(spr)
     expected = n_records * record_samples * 2
     actual = len(data) - header_size
-    if actual != expected:
+    if actual != expected:  # a negative record count fails here
         raise DataError(
-            f"data section: expected {expected} bytes, got {actual} "
-            f"(byte offset {header_size})"
+            f"data section of {n_records} records: expected {expected} bytes, "
+            f"got {actual} (byte offset {header_size})"
         )
 
     channels: list[EdfChannel] = []
@@ -306,35 +336,23 @@ def parse_edf(data: bytes) -> EdfRecording:
         channels.append(h)
         signals.append(np.ascontiguousarray(raw[:, lo:hi]).reshape(-1))
 
-    if not channels:
-        raise DataError("file contains no ordinary signal channels")
-
-    _check_annotation_order(annotations)
+    day, month, yy = head["start_date"]
+    try:
+        start = datetime(1900 + yy if yy >= 85 else 2000 + yy, month, day,
+                         *head["start_time"])
+    except ValueError as exc:
+        raise DataError(f"invalid start date/time: {exc}") from exc
 
     return EdfRecording(
-        patient_id=patient_id,
-        recording_id=recording_id,
+        patient_id=head["patient_id"],
+        recording_id=head["recording_id"],
         start=start,
         n_records=n_records,
-        record_duration=record_duration,
+        record_duration=head["record_duration"],
         channels=channels,
         signals=signals,
         annotations=annotations,
     )
-
-
-def _check_annotation_order(annotations: list[EdfAnnotation]) -> None:
-    """The onset rule of both directions: no onset is negative and none
-    comes before the one ahead of it."""
-    previous = None
-    for ann in annotations:
-        if ann.onset < 0:
-            raise DataError(f"negative annotation onset {ann.onset}")
-        if previous is not None and ann.onset < previous:
-            raise DataError(
-                f"annotation onsets decrease: {ann.onset} after {previous}"
-            )
-        previous = ann.onset
 
 
 def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
@@ -388,19 +406,37 @@ def _parse_tals(payload: bytes, offset: int) -> list[EdfAnnotation]:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# The per-signal layout is declared once, in _SIGNAL_FIELDS, and both
-# directions walk it, so a round trip cannot catch a wrong table; the
-# hand-assembled golden files in the tests check it against the spec.
+# The recording checked its own rules when it was built; what is left here
+# are the encoding rules: a text fits its field (ASCII, its width, no
+# trailing whitespace), a number fits its 8 header bytes or its TAL, an
+# annotation's text fits a TAL (non-empty, no reserved byte), and each
+# sample lies in its channel's declared digital range. The last two stay
+# here, not in EdfRecording, because parse_edf reads files that break
+# them (a TAL text holding byte 0x15, a sample outside the declared
+# range); refusing such files would change what ingest accepts from real
+# recordings, which no offline test can show.
 
-def _pad(text: str, width: int, what: str) -> bytes:
+def _encode(value, width: int, kind, what: str) -> bytes:
+    """``value`` as the text of a ``width``-byte field, space-padded."""
+    text = _fmt_header_number(value, what) if kind is float else str(value)
     if not text.isascii():
         raise DataError(f"{what} {text!r} is not ASCII")
-    raw = text.encode("ascii")
-    if len(raw) > width:
+    if len(text) > width:
         raise DataError(f"{what} {text!r} longer than {width} bytes")
     if text != text.rstrip():  # the parser strips the padding with it
         raise DataError(f"{what} {text!r} ends in whitespace")
-    return raw.ljust(width)
+    return text.encode("ascii").ljust(width)
+
+
+def _write_fields(fields, entries: list[dict]) -> bytes:
+    """The header block holding ``entries`` laid out by ``fields``, each
+    field for every entry before the next field starts."""
+    out = bytearray()
+    for name, width, kind in fields:
+        what = (name or "reserved").replace("_", " ")
+        for entry in entries:
+            out += _encode(entry[name] if name else "", width, kind, what)
+    return bytes(out)
 
 
 def _fmt_header_number(value: float, what: str) -> str:
@@ -463,30 +499,11 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     """Encode a recording as EDF (or EDF+C when it carries annotations).
 
     The output is the parser's fixed point: ``parse_edf(serialize_edf(r))``
-    reproduces ``r`` field by field. A recording the format cannot hold
+    reproduces ``r`` field by field. A recording the format cannot encode
     raises DataError, as a file the parser cannot read does.
     """
-    if not recording.channels:
-        raise DataError("recording must have at least one channel")
-    if len(recording.signals) != len(recording.channels):
-        raise DataError("signals and channels lists disagree in length")
-    if recording.n_records < 0:
-        raise DataError("negative record count")
-    start = recording.start
-    if not 1985 <= start.year <= 2084 or start.microsecond or start.tzinfo:
-        raise DataError(f"start {start} is not a whole second in 1985..2084 "
-                        "without a time zone")
-    if any(ch.label == ANNOTATION_LABEL for ch in recording.channels):
-        raise DataError("an ordinary channel cannot be labelled "
-                        f"{ANNOTATION_LABEL!r}")
-
-    _check_annotation_order(recording.annotations)
-    if recording.annotations and recording.n_records == 0:
-        raise DataError("annotations require at least one data record")
-
-    has_annotations = bool(recording.annotations)
     headers = list(recording.channels)
-    if has_annotations:
+    if recording.annotations:
         ann_payloads = _annotation_payloads(recording)
         ann_spr = max((len(p) + 1) // 2 for p in ann_payloads)
         headers.append(EdfChannel(ANNOTATION_LABEL, -1, 1, -32768, 32767, ann_spr))
@@ -497,12 +514,6 @@ def serialize_edf(recording: EdfRecording) -> bytes:
     samples = np.empty((recording.n_records, columns[-1]), dtype="<i2")
     for ch, sig, lo, hi in zip(recording.channels, recording.signals,
                                columns, columns[1:]):
-        if len(sig) != recording.n_records * ch.samples_per_record:
-            raise DataError(
-                f"channel {ch.label!r}: expected "
-                f"{recording.n_records * ch.samples_per_record} samples, "
-                f"got {len(sig)}"
-            )
         arr = np.asarray(sig)
         if arr.size and (arr.min() < ch.digital_min or arr.max() > ch.digital_max):
             raise DataError(
@@ -510,37 +521,23 @@ def serialize_edf(recording: EdfRecording) -> bytes:
                 f"[{ch.digital_min}, {ch.digital_max}]"
             )
         samples[:, lo:hi] = arr.reshape(recording.n_records, ch.samples_per_record)
-    if has_annotations:
+    if recording.annotations:
         tals = b"".join(p.ljust(ann_spr * 2, b"\x00") for p in ann_payloads)
         samples[:, columns[-2]:] = np.frombuffer(tals, "<i2").reshape(-1, ann_spr)
 
-    n_signals = len(headers)
-    header_bytes = _FIXED_HEADER + _PER_SIGNAL_HEADER * n_signals
-
-    out = bytearray()
-    out += _pad("0", 8, "version")
-    out += _pad(recording.patient_id, 80, "patient id")
-    out += _pad(recording.recording_id, 80, "recording id")
-    out += _pad(f"{start.day:02d}.{start.month:02d}.{start.year % 100:02d}",
-                8, "date")
-    out += _pad(f"{start.hour:02d}.{start.minute:02d}.{start.second:02d}",
-                8, "time")
-    out += _pad(str(header_bytes), 8, "header byte count")
-    out += _pad("EDF+C" if has_annotations else "", 44, "reserved")
-    out += _pad(str(recording.n_records), 8, "record count")
-    out += _pad(
-        _fmt_header_number(recording.record_duration, "record duration"),
-        8,
-        "record duration",
-    )
-    out += _pad(str(n_signals), 4, "signal count")
-
-    for name, width, kind in _SIGNAL_FIELDS:
-        what = (name or "reserved").replace("_", " ")
-        for ch in headers:
-            value = "" if name is None else getattr(ch, name)
-            if kind is float:
-                value = _fmt_header_number(value, what)
-            out += _pad(str(value), width, what)
-
-    return bytes(out) + samples.tobytes()
+    start = recording.start
+    head = {
+        "version": "0",
+        "patient_id": recording.patient_id,
+        "recording_id": recording.recording_id,
+        "start_date": f"{start:%d.%m.%y}",
+        "start_time": f"{start:%H.%M.%S}",
+        "header_byte_count": _FIXED_HEADER + _PER_SIGNAL_HEADER * len(headers),
+        "reserved": "EDF+C" if recording.annotations else "",
+        "record_count": recording.n_records,
+        "record_duration": recording.record_duration,
+        "signal_count": len(headers),
+    }
+    return (_write_fields(_FIXED_FIELDS, [head])
+            + _write_fields(_SIGNAL_FIELDS, [vars(h) for h in headers])
+            + samples.tobytes())

@@ -243,6 +243,38 @@ MUTANTS = {
         '("transducer", 79, str),\n    ("physical_dim", 9, str),',
         ["tests/test_edf.py::test_two_channel_golden_parses_and_serializes_exactly"],
     ),
+    "edf-fixed-widths-shifted": (
+        "edf",
+        '("patient_id", 80, str),\n    ("recording_id", 80, str),',
+        '("patient_id", 79, str),\n    ("recording_id", 81, str),',
+        ["tests/test_edf.py::test_two_channel_golden_parses_and_serializes_exactly",
+         "tests/test_edf.py::test_serialize_matches_golden_bytes"],
+    ),
+    "edf-recording-takes-any-duration": (
+        "edf",
+        "if not (math.isfinite(self.record_duration) and self.record_duration > 0):",
+        "if not math.isfinite(self.record_duration):",
+        ["tests/test_edf.py::test_record_duration_must_be_positive"],
+    ),
+    "edf-recording-takes-any-record-count": (
+        "edf",
+        "if not isinstance(self.n_records, (int, np.integer)) or self.n_records < 0:",
+        "if False:",
+        ["tests/test_edf.py::test_record_count_must_be_a_whole_number"],
+    ),
+    "edf-recording-takes-short-signals": (
+        "edf",
+        "if len(sig) != self.n_records * ch.samples_per_record:",
+        "if False:",
+        ["tests/test_edf.py::test_serialize_faults_are_data_errors[short_signal]"],
+    ),
+    "edf-annotations-without-a-record": (
+        "edf",
+        "if self.annotations and self.n_records == 0:",
+        "if False:",
+        ["tests/test_edf.py::"
+         "test_serialize_faults_are_data_errors[zero_records_annotated]"],
+    ),
     "edf-trailing-whitespace-kept": (
         "edf",
         "if text != text.rstrip():",

@@ -1,5 +1,6 @@
 """Labeling, splitting, and table-format tests."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -130,8 +131,7 @@ def test_unmatched_run_is_loud():
 
 def test_too_few_channels_is_shape_error():
     rec = make_recording(annotations=[EdfAnnotation(0.0, 1.0, "T1")])
-    rec.channels = rec.channels[:10]
-    rec.signals = rec.signals[:10]
+    rec = dataclasses.replace(rec, channels=rec.channels[:10], signals=rec.signals[:10])
     mapping = label_map([((4,), "T1", 2)])
     with pytest.raises(DataError, match="channels"):
         label_samples(rec, 4, mapping)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_parse_golden_single_channel():
     assert rec.channels[0].samples_per_record == 4
     # identity calibration: physical values equal the stored integers
     assert np.array_equal(rec.physical(0), [1.0, 2.0, 3.0, 4.0])
-    assert rec.annotations == []
+    assert rec.annotations == ()
 
 
 def test_serialize_matches_golden_bytes():
@@ -210,6 +211,7 @@ def _make_recording(n_channels=2, n_records=2, spr=3, with_annotations=True):
 def test_round_trip_with_annotations():
     rec = _make_recording()
     assert parse_edf(serialize_edf(rec)) == rec
+    assert rec != object()  # an EdfRecording equals only an EdfRecording
 
 
 def test_sixty_four_channel_labels_survive_round_trip():
@@ -246,7 +248,9 @@ _physical_bounds = st.integers(min_value=-9999, max_value=9999).map(float)
 
 
 @st.composite
-def recordings(draw):
+def recording_fields(draw):
+    """The fields of a recording, drawn so that only the rules _holds
+    names can break."""
     n_channels = draw(st.integers(1, 4))
     n_records = draw(st.integers(1, 3))
     channels = []
@@ -300,7 +304,7 @@ def recordings(draw):
         )
         for onset in onsets
     ]
-    return EdfRecording(
+    return dict(
         patient_id=draw(_header_text),
         recording_id=draw(_header_text),
         start=draw(_start_times),
@@ -325,13 +329,15 @@ def _holds(rec):
 
 
 @settings(max_examples=200, deadline=None)
-@given(recordings())
-def test_round_trip_randomized(rec):
-    # each recording round-trips exactly, or the format cannot hold it
-    if not _holds(rec):
+@given(recording_fields())
+def test_round_trip_randomized(fields):
+    # each recording round-trips exactly, or the format cannot hold it:
+    # the recording refuses to be built, or serialize_edf to write it
+    if not _holds(SimpleNamespace(**fields)):
         with pytest.raises(DataError):
-            serialize_edf(rec)
+            serialize_edf(EdfRecording(**fields))
         return
+    rec = EdfRecording(**fields)
     blob = serialize_edf(rec)
     back = parse_edf(blob)
     assert back == rec
@@ -427,67 +433,134 @@ def test_truncated_data_section_names_lengths():
         parse_edf(data)
 
 
+def _annotation_only_bytes():
+    # the single-channel golden file with its signal relabelled as the
+    # annotation channel and its four samples holding a timestamp TAL
+    data = bytearray(golden_single_channel_bytes())
+    data[256:272] = ANNOTATION_LABEL.encode("ascii").ljust(16)
+    data[-8:] = b"+0\x14\x14\x00\x00\x00\x00"
+    return bytes(data)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_patched(252, "0", 4), "signal count must be positive, got 0"),
+    (_patched(236, "-1"), "data section of -1 records: expected -44 bytes, got 88"),
+    (_patched(244, "0"), "record duration must be finite and positive, got 0.0"),
+    (golden_two_channel_annotated_bytes()[:1000],
+     r"signal headers truncated: expected 1024 bytes, got 1000 \(byte offset 1000\)"),
+    (_annotation_only_bytes(), "recording must have at least one channel"),
+    (_patched(168, "31.02.20"), "invalid start date/time: day is out of range"),
+    (golden_two_channel_annotated_bytes().replace(b"+0.25\x15", b"+x.25\x15"),
+     r"non-numeric TAL onset/duration in b'\+x.25"),
+], ids=["no_signals", "negative_record_count", "zero_record_duration",
+        "truncated_signal_headers", "annotation_channel_only", "invalid_start_date",
+        "non_numeric_tal_onset"])
+def test_parse_boundary_cases_are_data_errors(blob, message):
+    with pytest.raises(DataError, match=message):
+        parse_edf(blob)
+
+
 def test_serialize_rejects_out_of_range_digital():
     rec = _make_recording()
-    rec.signals[0] = rec.signals[0].astype(np.int32) + 100000
+    rec = dataclasses.replace(
+        rec, signals=(rec.signals[0].astype(np.int32) + 100000, *rec.signals[1:]))
     with pytest.raises(DataError, match="digital range"):
         serialize_edf(rec)
 
 
 def _short_signal(rec):
-    rec.signals[0] = rec.signals[0][:-1]
+    return dataclasses.replace(rec, signals=(rec.signals[0][:-1], *rec.signals[1:]))
 
 
 def _relabel(rec, **fields):
-    rec.channels[0] = dataclasses.replace(rec.channels[0], **fields)
+    channel = dataclasses.replace(rec.channels[0], **fields)
+    return dataclasses.replace(rec, channels=(channel, *rec.channels[1:]))
 
 
 def _restart(rec, **fields):
-    rec.start = rec.start.replace(**fields)
+    return dataclasses.replace(rec, start=rec.start.replace(**fields))
 
 
 def _zero_records_with_annotations(rec):
-    rec.n_records, rec.signals = 0, [s[:0] for s in rec.signals]
+    return dataclasses.replace(rec, n_records=0, signals=[s[:0] for s in rec.signals])
 
 
-@pytest.mark.parametrize("fault, message", [
-    (_short_signal, "expected 6 samples, got 5"),
-    (_zero_records_with_annotations, "annotations require at least one data record"),
-    (lambda rec: rec.channels.clear(), "at least one channel"),
-    (lambda rec: rec.signals.pop(), "disagree in length"),
-    (lambda rec: setattr(rec, "patient_id", "P" * 81), "longer than 80 bytes"),
-    (lambda rec: setattr(rec, "recording_id", "R \u00e9"), "not ASCII"),
-    (lambda rec: setattr(rec, "record_duration", float("nan")), "not finite"),
-    (lambda rec: setattr(rec, "record_duration", 1 / 3), "not representable"),
-    (lambda rec: rec.annotations.append(EdfAnnotation(1.5, 0.5, "")), "non-empty"),
-    (lambda rec: rec.annotations.append(EdfAnnotation(1.5, float("inf"), "T2")),
-     "annotation time inf"),
-    (lambda rec: setattr(rec, "patient_id", "pat "), "'pat ' ends in whitespace"),
-    (lambda rec: _relabel(rec, label="C1 "), "'C1 ' ends in whitespace"),
-    (lambda rec: _relabel(rec, transducer="x\t"), r"'x\\t' ends in whitespace"),
-    (lambda rec: _relabel(rec, label=ANNOTATION_LABEL), "cannot be labelled"),
-    (lambda rec: _restart(rec, year=2090), "1985..2084"),
-    (lambda rec: _restart(rec, year=1970), "1985..2084"),
-    (lambda rec: _restart(rec, microsecond=5), "whole second"),
-    (lambda rec: _restart(rec, tzinfo=timezone.utc), "time zone"),
+def _annotate(rec, annotation):
+    return dataclasses.replace(rec, annotations=(*rec.annotations, annotation))
+
+
+# a recording rule raises as the recording is built, an encoding rule as
+# serialize_edf writes it
+@pytest.mark.parametrize("fault, message, when", [
+    (_short_signal, "expected 6 samples, got 5", "built"),
+    (_zero_records_with_annotations, "annotations require at least one data record",
+     "built"),
+    (lambda rec: dataclasses.replace(rec, channels=()), "at least one channel",
+     "built"),
+    (lambda rec: dataclasses.replace(rec, signals=rec.signals[:-1]),
+     "disagree in length", "built"),
+    (lambda rec: dataclasses.replace(rec, patient_id="P" * 81),
+     "longer than 80 bytes", "written"),
+    (lambda rec: dataclasses.replace(rec, recording_id="R \u00e9"), "not ASCII",
+     "written"),
+    (lambda rec: dataclasses.replace(rec, record_duration=float("nan")),
+     "record duration must be finite and positive, got nan", "built"),
+    (lambda rec: dataclasses.replace(rec, record_duration=1 / 3),
+     "not representable", "written"),
+    (lambda rec: _annotate(rec, EdfAnnotation(1.5, 0.5, "")), "non-empty", "written"),
+    (lambda rec: _annotate(rec, EdfAnnotation(1.5, float("inf"), "T2")),
+     "annotation time inf", "written"),
+    (lambda rec: _annotate(rec, EdfAnnotation(1.5, 0.5, "T\x152")),
+     "contains reserved bytes", "written"),
+    (lambda rec: dataclasses.replace(rec, patient_id="pat "),
+     "'pat ' ends in whitespace", "written"),
+    (lambda rec: _relabel(rec, label="C1 "), "'C1 ' ends in whitespace", "written"),
+    (lambda rec: _relabel(rec, transducer="x\t"), r"'x\\t' ends in whitespace",
+     "written"),
+    (lambda rec: _relabel(rec, physical_min=float("nan")),
+     "physical min nan is not finite", "written"),
+    (lambda rec: _relabel(rec, label=ANNOTATION_LABEL), "cannot be labelled", "built"),
+    (lambda rec: _restart(rec, year=2090), "1985..2084", "built"),
+    (lambda rec: _restart(rec, year=1970), "1985..2084", "built"),
+    (lambda rec: _restart(rec, microsecond=5), "whole second", "built"),
+    (lambda rec: _restart(rec, tzinfo=timezone.utc), "time zone", "built"),
 ], ids=["short_signal", "zero_records_annotated", "no_channels", "signal_count",
         "long_field", "non_ascii_field", "nan_duration", "long_duration",
-        "empty_annotation", "infinite_annotation", "spaced_patient_id",
-        "spaced_label", "tabbed_transducer", "annotation_label", "start_2090",
-        "start_1970", "start_microseconds", "start_time_zone"])
-def test_serialize_faults_are_data_errors(fault, message):
+        "empty_annotation", "infinite_annotation", "reserved_byte_annotation",
+        "spaced_patient_id", "spaced_label", "tabbed_transducer", "nan_physical_min",
+        "annotation_label",
+        "start_2090", "start_1970", "start_microseconds", "start_time_zone"])
+def test_serialize_faults_are_data_errors(fault, message, when):
     rec = _make_recording()
-    fault(rec)
+    if when == "built":
+        with pytest.raises(DataError, match=message):
+            fault(rec)
+        return
+    faulty = fault(rec)
     with pytest.raises(DataError, match=message):
-        serialize_edf(rec)
+        serialize_edf(faulty)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0])
+def test_record_duration_must_be_positive(duration):
+    with pytest.raises(DataError, match="record duration must be finite and "
+                       f"positive, got {duration!r}"):
+        dataclasses.replace(_make_recording(), record_duration=duration)
+
+
+@pytest.mark.parametrize("n_records", [2.0, "2", -1])
+def test_record_count_must_be_a_whole_number(n_records):
+    with pytest.raises(DataError, match=re.escape(
+            f"record count must be an integer >= 0, got {n_records!r}")):
+        dataclasses.replace(_make_recording(), n_records=n_records)
 
 
 def test_decreasing_annotation_onsets_rejected():
     rec = _make_recording()
     blob = serialize_edf(rec)
-    rec.annotations = [EdfAnnotation(2.0, 0.5, "T0"), EdfAnnotation(1.0, 0.5, "T1")]
     with pytest.raises(DataError, match="decrease"):
-        serialize_edf(rec)
+        dataclasses.replace(rec, annotations=[EdfAnnotation(2.0, 0.5, "T0"),
+                                              EdfAnnotation(1.0, 0.5, "T1")])
     assert parse_edf(blob)  # original unaffected
 
 
