@@ -8,7 +8,7 @@ its outputs so it can be reproduced exactly: every flag as parsed, plus
 the values the command resolved.
 
 Exit codes: 0 success, 1 internal error (a traceback is printed),
-2 usage, 3 data error, 4 numeric failure, 5 protocol error.
+2 usage, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, device, evaluation, model, oa
-from .errors import DataError, NumericError, PipelineError, ProtocolError
+from .errors import DataError, NumericError, PipelineError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-EXIT_PROTOCOL = 5
 
 DEFAULT_RUNS = (2, 4, 6, 8, 10, 12, 14)
 
@@ -502,9 +501,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ProtocolError as exc:
-        _log(f"protocol error: {exc}")
-        return EXIT_PROTOCOL
     except NumericError as exc:
         _log(f"numeric failure: {exc}")
         return EXIT_NUMERIC

@@ -41,11 +41,6 @@ class SampleSet:
             raise DataError(
                 f"features must be (n, {N_CHANNELS}), got {features.shape}"
             )
-        if labels.shape != (features.shape[0],):
-            raise DataError(
-                f"labels shape {labels.shape} does not match "
-                f"{features.shape[0]} samples"
-            )
         # checked before the integer cast, which would mangle 1.5 or inf
         outside = ~np.isin(labels, LABELS)
         if outside.any():
@@ -72,13 +67,7 @@ class SampleSet:
         )
 
     @staticmethod
-    def empty() -> "SampleSet":
-        return SampleSet(np.empty((0, N_CHANNELS)), np.empty((0,), dtype=np.int64))
-
-    @staticmethod
     def concat(parts: list["SampleSet"]) -> "SampleSet":
-        if not parts:
-            return SampleSet.empty()
         return SampleSet(
             np.concatenate([p.features for p in parts]),
             np.concatenate([p.labels for p in parts]),
@@ -416,7 +405,7 @@ def _read_sidecar(path: Path, table):
                        np.empty(rows, dtype="<i8"))
             for arr in payload:
                 if side.readinto(arr) != arr.nbytes:
-                    return None
+                    return None  # the file shrank between fstat and read
                 digest.update(arr)
     except OSError:  # no sidecar
         return None
@@ -450,8 +439,6 @@ def _parse_table(path: Path):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except ValueError as exc:
         raise DataError(f"{path}: malformed table row: {exc}") from exc
-    if data.size == 0:
-        return np.empty((0, N_CHANNELS)), np.empty(0)
     if data.shape[1] != N_CHANNELS + 1:
         raise DataError(
             f"{path}: expected {N_CHANNELS + 1} columns, got {data.shape[1]}"

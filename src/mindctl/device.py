@@ -38,17 +38,6 @@ class CommandProfile:
     wire_ids: dict
     leds: dict
 
-    def __post_init__(self):
-        for mapping in (self.actions, self.wire_ids):
-            if tuple(sorted(mapping)) != LABELS:
-                raise ValueError(
-                    f"profile {self.name!r} must map exactly labels 1..5"
-                )
-            if len(set(mapping.values())) != len(LABELS):
-                raise ValueError(
-                    f"profile {self.name!r} actions must be distinct"
-                )
-
 
 ROBOT_PROFILE = CommandProfile(
     name="robot",

@@ -58,7 +58,8 @@ _FIXED_HEADER = sum(width for _, width, _ in _FIXED_FIELDS)
 class EdfChannel:
     """Per-signal header entry, the one place the channel rules live.
 
-    Every channel has a positive sample count per record; an ordinary
+    Every channel has integer digital bounds, finite physical bounds and
+    a positive integer sample count per record; an ordinary
     (non-annotation) channel also has a 16-bit digital range, min below
     max, and distinct physical bounds, so its calibration is defined. A
     broken rule raises DataError naming the channel's label.
@@ -75,6 +76,16 @@ class EdfChannel:
     prefiltering: str = ""
 
     def __post_init__(self):
+        for name in ("digital_min", "digital_max", "samples_per_record"):
+            value = getattr(self, name)
+            if type(value) is not int:  # exact: a bool or 3.0 is out
+                raise DataError(f"channel {self.label!r}: {name.replace('_', ' ')} "
+                                f"must be an integer, got {value!r}")
+        for name in ("physical_min", "physical_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"channel {self.label!r}: {name.replace('_', ' ')} "
+                                f"must be finite, got {value!r}")
         if self.samples_per_record <= 0:
             raise DataError(
                 f"channel {self.label!r}: samples per record must be "
@@ -440,9 +451,8 @@ def _write_fields(fields, entries: list[dict]) -> bytes:
 
 
 def _fmt_header_number(value: float, what: str) -> str:
-    """Shortest decimal text that fits 8 bytes and parses back exactly."""
-    if not math.isfinite(value):
-        raise DataError(f"{what} {value!r} is not finite")
+    """Shortest decimal text that fits 8 bytes and parses back exactly;
+    ``value`` is finite (the channel and the recording check theirs)."""
     if float(value) == int(value) and abs(value) < 10**8:
         text = str(int(value))
         if len(text) <= 8:

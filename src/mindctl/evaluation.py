@@ -95,10 +95,6 @@ def roc_auc(scores, truth, class_label: int) -> RocCurve:
     """One-vs-rest ROC for ``class_label`` from per-sample score vectors."""
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.int64)
-    if scores.ndim != 2 or scores.shape[0] != truth.shape[0]:
-        raise ValueError(
-            f"scores {scores.shape} and truth {truth.shape} do not align"
-        )
     column = LABELS.index(class_label)
     s = scores[:, column]
     positive = truth == class_label

@@ -373,14 +373,6 @@ def cross_entropy_loss(probs, labels, layers=(), l2: float = 0.0):
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise DataError(
-            f"probs {probs.shape} and labels {labels.shape} do not align"
-        )
-    if labels.min() < 1 or labels.max() > probs.shape[1]:
-        raise DataError(
-            f"labels outside 1..{probs.shape[1]}"
-        )
     picked = np.maximum(probs[np.arange(len(labels)), labels - 1],
                         _PROB_FLOOR)
     loss = -np.log(picked).mean()
@@ -435,8 +427,6 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     with 1 / (1 + exp(-x)) to about one ulp.
     """
     A = np.asarray(X, dtype=np.float64)
-    if A.ndim not in (2, 3):
-        raise DataError(f"sequence input must be 2-D or 3-D, got {A.shape}")
     if keep_caches and A.ndim == 3 and A.shape[1] == 0:
         raise DataError(f"a stack of no sequences, {A.shape}, has no first "
                         f"sequence to cache")

@@ -120,11 +120,6 @@ def execute(levels, runner, workers: int, results: list) -> list:
     the running ones finish, and the exception of the first faulted run
     in run order propagates; the runs that finished stay in ``results``.
     """
-    if len(results) != N_RUNS:
-        raise DataError(
-            f"existing results cover {len(results)} runs, plan has {N_RUNS}"
-        )
-
     faulted = threading.Event()
 
     def run(index):
@@ -163,10 +158,8 @@ class RangeAnalysis:
 
 
 def range_analysis(levels, accuracies) -> RangeAnalysis:
-    """Sum accuracies per factor level and select the best levels."""
-    accuracies = list(accuracies)
-    if len(accuracies) != N_RUNS:
-        raise DataError(f"need {N_RUNS} accuracies, got {len(accuracies)}")
+    """Sum the ``N_RUNS`` accuracies per factor level and select the best
+    levels."""
     missing = [i for i, a in enumerate(accuracies) if a is None]
     if missing:
         raise DataError(

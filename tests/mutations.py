@@ -312,6 +312,90 @@ MUTANTS = {
         "if False:",
         ["tests/test_cli.py::test_serve_device_port_outside_its_range_is_data_error"],
     ),
+    "split-takes-no-batches": (
+        "dataset",
+        "if n_batches < 1:",
+        "if n_batches < 0:",
+        ["tests/test_cli.py::test_bad_input_exits_3_in_one_line[n_b_0]"],
+    ),
+    "ingest-takes-more-subjects-than-found": (
+        "cli",
+        "if len(subjects) < args.subjects:",
+        "if False:",
+        ["tests/test_cli.py::test_bad_input_exits_3_in_one_line[too_many_subjects]"],
+    ),
+    "ingest-cap-unchecked": (
+        "dataset",
+        "if len(samples) < cap:",
+        "if False:",
+        ["tests/test_cli.py::test_bad_input_exits_3_in_one_line[too_few_samples]"],
+    ),
+    "ingest-takes-mixed-rates": (
+        "dataset",
+        "if len(spr) != 1:",
+        "if False:",
+        ["tests/test_cli.py::"
+         "test_bad_input_exits_3_in_one_line[mixed_samples_per_record]"],
+    ),
+    "mapping-missing-key-escapes": (
+        "dataset",
+        "except (KeyError, TypeError) as exc:",
+        "except TypeError as exc:",
+        ["tests/test_cli.py::"
+         "test_bad_input_exits_3_in_one_line[mapping_rule_without_label]"],
+    ),
+    "numeric-failure-exits-3": (
+        "cli",
+        "return EXIT_NUMERIC",
+        "return EXIT_DATA",
+        ["tests/test_cli.py::test_non_finite_loss_exits_4_in_one_line"],
+    ),
+    "protocol-error-is-bad-input": (
+        "errors",
+        "class ProtocolError(Exception):",
+        "class ProtocolError(PipelineError):",
+        ["tests/test_cli.py::test_protocol_error_inside_a_command_is_internal_error"],
+    ),
+    "edf-negative-onset-unchecked": (
+        "edf",
+        "if ann.onset < 0:",
+        "if False:",
+        ["tests/test_cli.py::test_bad_input_exits_3_in_one_line[negative_onset]"],
+    ),
+    "edf-reserved-field-unchecked": (
+        "edf",
+        'if reserved and not reserved.startswith("EDF+C"):',
+        "if False:",
+        ["tests/test_cli.py::"
+         "test_bad_input_exits_3_in_one_line[unknown_reserved_field]"],
+    ),
+    "edf-header-number-without-g-form": (
+        "edf",
+        "for precision in range(7, 0, -1):",
+        "for precision in ():",
+        ["tests/test_edf.py::"
+         "test_header_number_too_long_for_repr_takes_the_shortest_g_form"],
+    ),
+    "edf-channel-takes-float-digital-bounds": (
+        "edf",
+        'for name in ("digital_min", "digital_max", "samples_per_record"):',
+        'for name in ("samples_per_record",):',
+        ["tests/test_edf.py::test_channel_rules_raise_naming_the_channel"],
+    ),
+    "edf-channel-takes-non-finite-physical-bounds": (
+        "edf",
+        'for name in ("physical_min", "physical_max"):',
+        "for name in ():",
+        ["tests/test_edf.py::test_channel_rules_raise_naming_the_channel",
+         "tests/test_edf.py::test_serialize_faults_are_data_errors[nan_physical_min]"],
+    ),
+    "orthogonality-ignores-pair-counts": (
+        "oa",
+        "if any(count != expected for count in seen.values()):",
+        "if False:",
+        ["tests/test_oa.py::"
+         "test_every_pair_held_unequally_often_breaks_orthogonality"],
+    ),
 }
 
 

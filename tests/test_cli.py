@@ -18,17 +18,19 @@ import numpy as np
 import pytest
 
 import mindctl
-from mindctl import cli, dataset, model, oa
+from mindctl import cli, dataset, device, model, oa
 from mindctl.cli import DEFAULT_LEVELS, EXIT_INTERNAL, build_parser, main
-from mindctl.dataset import SampleSet, load_table, save_table
+from mindctl.dataset import TABLE_HEADER, SampleSet, load_table, save_table
 from mindctl.edf import EdfAnnotation, EdfChannel, EdfRecording, serialize_edf
+from mindctl.errors import ProtocolError
 from helpers import make_toy_samples
 
 RATE = 10  # Hz, 1-second records
 
 
-def _write_run(path, seed, annotations):
+def _write_run(path, seed, annotations, first_rate=RATE):
     rng = np.random.default_rng(seed)
+    rates = [first_rate] + [RATE] * 63
     channels = [
         EdfChannel(
             label=f"EEG {i}",
@@ -36,13 +38,13 @@ def _write_run(path, seed, annotations):
             physical_max=2047.0,
             digital_min=-2048,
             digital_max=2047,
-            samples_per_record=RATE,
+            samples_per_record=rate,
         )
-        for i in range(64)
+        for i, rate in enumerate(rates)
     ]
     signals = [
-        rng.integers(-2048, 2048, size=4 * RATE).astype(np.int16)
-        for _ in range(64)
+        rng.integers(-2048, 2048, size=4 * rate).astype(np.int16)
+        for rate in rates
     ]
     rec = EdfRecording(
         patient_id="p",
@@ -798,7 +800,7 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
     tmp = trained_run["tmp"]
     net, test = str(trained_run["model"]), str(trained_run["test"])
     header_only = tmp / "header_only.csv"
-    save_table(SampleSet.empty(), header_only)
+    save_table(SampleSet(np.empty((0, 64)), np.empty(0)), header_only)
     non_utf8 = tmp / "non_utf8.csv"
     non_utf8.write_bytes(trained_run["test"].read_bytes().replace(b",", b"\xff,", 1))
     levels = tmp / "levels.json"
@@ -839,6 +841,101 @@ def test_bad_input_at_each_boundary_is_data_error(trained_run, edf_dir, case,
     assert not (tmp / "out" / "command_log.csv").exists()
     assert not (tmp / "out" / "report.csv").exists()  # eval writes all or none
     assert not list((tmp / "out").glob("roc_class*.csv"))
+
+
+@pytest.mark.parametrize("case", [
+    "no_recordings", "too_many_subjects", "missing_run", "too_few_samples",
+    "mixed_samples_per_record", "negative_onset", "unknown_reserved_field",
+    "mapping_rule_without_label", "config_array", "no_dataset",
+    "wrong_column_count", "whitespace_rows", "n_b_0", "n_b_negative",
+])
+def test_bad_input_exits_3_in_one_line(edf_dir, tmp_path, capsys, case):
+    run = edf_dir / "S001" / "S001R04.edf"
+    if case == "mixed_samples_per_record":
+        _write_run(run, 4, [EdfAnnotation(0.0, 2.0, "T1")], first_rate=2 * RATE)
+    elif case == "negative_onset":  # the T2 annotation's TAL, onset +2
+        run.write_bytes(run.read_bytes().replace(b"+2\x152\x14T2", b"-2\x152\x14T2"))
+    elif case == "unknown_reserved_field":  # the 44 bytes at offset 192
+        blob = run.read_bytes()
+        run.write_bytes(blob[:192] + b"EDF+X".ljust(44) + blob[236:])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    mapping, config = tmp_path / "mapping.json", tmp_path / "config.json"
+    mapping.write_text(json.dumps({"rules": [{"runs": [4], "annotation": "T1"}]}))
+    config.write_text("[1]")
+    table = tmp_path / "table.csv"
+    table.write_text(TABLE_HEADER + {"wrong_column_count": "\n1,2,3\n",
+                                     "whitespace_rows": "\n   \n"}.get(case, "\n"))
+    good = tmp_path / "good.csv"
+    save_table(make_toy_samples(n=28, seed=1), good)
+    ingest = ["ingest", "--edf-dir", str(edf_dir), "--runs", "2,4,6"]
+    argv, line = {
+        "no_recordings": (["ingest", "--edf-dir", str(empty)],
+                          f"no recordings named like S001R04.edf under {empty}"),
+        "too_many_subjects": ([*ingest, "--subjects", "3"],
+                              "requested 3 subjects, found 2"),
+        "missing_run": ([*ingest[:-1], "2,4,8"], "run 8 not found (have [2, 4, 6])"),
+        "too_few_samples": ([*ingest, "--per-subject", "121"],
+                            "subject yields 120 labeled samples, fewer than the "
+                            "requested 121"),
+        "mixed_samples_per_record": (
+            ingest, "first 64 channels disagree on samples per record: [10, 20]"),
+        "negative_onset": (ingest, "negative annotation onset -2.0"),
+        "unknown_reserved_field": (ingest, "unrecognized reserved field 'EDF+X'"),
+        "mapping_rule_without_label": ([*ingest, "--mapping", str(mapping)],
+                                       f"invalid mapping file {mapping}: 'label'"),
+        "config_array": (["train", "--config", str(config)],
+                         f"{config}: expected a JSON object"),
+        "no_dataset": (["train"], "no dataset given (flag --data or config entry "
+                                  "'data')"),
+        "wrong_column_count": (["split", "--data", str(table), "--n-b", "1"],
+                               f"{table}: expected 65 columns, got 3"),
+        # numpy names the cell it could not read; the line starts as given
+        "whitespace_rows": (["split", "--data", str(table), "--n-b", "1"],
+                            f"{table}: malformed table row: "),
+        "n_b_0": (["split", "--data", str(good), "--n-b", "0"],
+                  "batch count must be >= 1, got 0"),
+        "n_b_negative": (["split", "--data", str(good), "--n-b", "-1"],
+                         "batch count must be >= 1, got -1"),
+    }[case]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {line}"), err
+    assert case == "whitespace_rows" or err[0] == f"error: {line}"
+    assert not list(out.glob("*"))  # nothing written
+
+
+def test_non_finite_loss_exits_4_in_one_line(tmp_path, capsys):
+    # an l2 of 1e308 puts the penalty, and so the first step's loss, at inf
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=1), data)
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(data), "--lambda", "1e308", "--width", "8",
+                 "--layers", "4", "--epochs", "1", "--out-dir", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [  # after the "training ..." line
+        "numeric failure: non-finite training loss inf at epoch 1, batch 0"]
+    assert not list(out.glob("*"))
+
+
+def test_protocol_error_inside_a_command_is_internal_error(tmp_path, monkeypatch,
+                                                           capsys):
+    # serve answers a ProtocolError with ERR and replay builds only valid
+    # commands, so one that reaches main is a fault: exit 1, a traceback
+    def faulty(*args, **kwargs):
+        raise ProtocolError("injected fault")
+
+    data = tmp_path / "data.csv"
+    save_table(make_toy_samples(n=28, seed=1), data)
+    assert main(["train", "--data", str(data), "--width", "8", "--layers", "4",
+                 "--epochs", "0", "--out-dir", str(tmp_path)]) == 0
+    monkeypatch.setattr(device.DeviceSession, "handle", faulty)
+    rc = main(["replay", "--model", str(tmp_path / "model.mctl"), "--data", str(data),
+               "--profile", "robot", "--out-dir", str(tmp_path / "replay")])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ProtocolError: injected fault" in err
 
 
 @pytest.mark.parametrize("content", [b'{"rules": "\xff"}', b'{"rules": '],

@@ -250,6 +250,7 @@ def test_table_round_trip_exact(tmp_path):
     path = tmp_path / "table.csv"
     save_table(samples, path)
     assert load_table(path) == samples
+    assert samples != object()  # a SampleSet equals only a SampleSet
 
 
 def test_table_header_and_determinism(tmp_path):
@@ -454,6 +455,20 @@ def test_table_with_its_sidecar_loads_without_the_text_parse(tmp_path, monkeypat
 
     monkeypatch.setattr(np, "loadtxt", no_parse)
     assert _same_bits(load_table(tmp_path / "t.csv"), samples)
+
+
+@pytest.mark.parametrize("edit", [lambda blob: b"x" + blob[1:],
+                                  lambda blob: blob + b"\x00"],
+                         ids=["another_magic", "a_partial_row"])
+def test_sidecar_of_another_magic_or_size_is_not_read(tmp_path, monkeypatch, edit):
+    samples = _edge_samples(3, seed=4)
+    path, side = tmp_path / "t.csv", tmp_path / "t.csv.bin"
+    save_table(samples, path)
+    side.write_bytes(edit(side.read_bytes()))
+    parse, parsed = dataset._parse_table, []
+    monkeypatch.setattr(dataset, "_parse_table",
+                        lambda p: parsed.append(p) or parse(p))
+    assert _same_bits(load_table(path), samples) and parsed == [path]
 
 
 def test_interrupted_save_leaves_no_stale_sidecar(tmp_path, monkeypatch):

@@ -49,10 +49,11 @@ def test_appliance_mapping_examples():
 
 
 def test_profiles_total_and_injective():
+    # the profiles are module constants, so this test holds their rule
     for profile in PROFILES.values():
-        actions = [profile.actions[label] for label in range(1, 6)]
-        assert len(actions) == 5
-        assert len(set(actions)) == 5
+        for mapping in (profile.actions, profile.wire_ids):
+            assert sorted(mapping) == [1, 2, 3, 4, 5]
+            assert len(set(mapping.values())) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -452,9 +452,16 @@ def _annotation_only_bytes():
     (_patched(168, "31.02.20"), "invalid start date/time: day is out of range"),
     (golden_two_channel_annotated_bytes().replace(b"+0.25\x15", b"+x.25\x15"),
      r"non-numeric TAL onset/duration in b'\+x.25"),
+    (golden_two_channel_annotated_bytes().replace(b"+0.25\x15", b"00.25\x15"),
+     r"TAL onset must be signed, got b'00.25'"),
+    (golden_two_channel_annotated_bytes().replace(b"\x14T1\x14", b"\x14T1\x00"),
+     r"TAL missing text terminator \(byte offset \d+\)"),
+    (golden_two_channel_annotated_bytes().replace(b"X F ", b"X\xffF ", 1),
+     r"non-ASCII bytes in patient id field \(byte offset 8\)"),
 ], ids=["no_signals", "negative_record_count", "zero_record_duration",
         "truncated_signal_headers", "annotation_channel_only", "invalid_start_date",
-        "non_numeric_tal_onset"])
+        "non_numeric_tal_onset", "unsigned_tal_onset", "tal_without_terminator",
+        "non_ascii_header_text"])
 def test_parse_boundary_cases_are_data_errors(blob, message):
     with pytest.raises(DataError, match=message):
         parse_edf(blob)
@@ -518,7 +525,7 @@ def _annotate(rec, annotation):
     (lambda rec: _relabel(rec, transducer="x\t"), r"'x\\t' ends in whitespace",
      "written"),
     (lambda rec: _relabel(rec, physical_min=float("nan")),
-     "physical min nan is not finite", "written"),
+     "physical min must be finite, got nan", "built"),
     (lambda rec: _relabel(rec, label=ANNOTATION_LABEL), "cannot be labelled", "built"),
     (lambda rec: _restart(rec, year=2090), "1985..2084", "built"),
     (lambda rec: _restart(rec, year=1970), "1985..2084", "built"),
@@ -588,6 +595,12 @@ def _channel(**fields):
     ({"physical_max": -200.0}, r"physical min equals physical max \(-200.0\)"),
     ({"digital_max": 40000}, r"digital range \[-2048, 40000\] exceeds 16 bits"),
     ({"digital_min": -40000}, r"digital range \[-40000, 2047\] exceeds 16 bits"),
+    ({"digital_min": -2048.5}, "digital min must be an integer, got -2048.5"),
+    ({"digital_max": True}, "digital max must be an integer, got True"),
+    ({"samples_per_record": 3.0}, "samples per record must be an integer, got 3.0"),
+    ({"physical_min": float("nan")}, "physical min must be finite, got nan"),
+    ({"physical_max": float("inf"), "label": "EDF Annotations"},
+     "physical max must be finite, got inf"),
 ])
 def test_channel_rules_raise_naming_the_channel(fields, message):
     label = fields.get("label", "EEG C3")
@@ -601,6 +614,20 @@ def test_annotation_channel_takes_any_bounds(bounds):
     ch = _channel(label="EDF Annotations", digital_min=dmin, digital_max=dmax,
                   physical_min=pmin, physical_max=pmax)
     assert (ch.digital_min, ch.physical_max) == (dmin, pmax)
+
+
+def test_header_number_too_long_for_repr_takes_the_shortest_g_form():
+    # 1e10 is too large for an integer field text and its repr,
+    # '10000000000.0', is 13 bytes: only '%g' at some precision fits
+    rec = _make_recording(with_annotations=False)
+    rec = dataclasses.replace(rec, channels=(
+        dataclasses.replace(rec.channels[0], physical_max=1e10), *rec.channels[1:]))
+    blob = serialize_edf(rec)
+    # the two physical max fields follow the label, transducer, dimension
+    # and physical min fields of both signals
+    at = 256 + 2 * (16 + 80 + 8 + 8)
+    assert blob[at : at + 16] == b"1e+10   200     "
+    assert parse_edf(blob) == rec
 
 
 def test_parse_names_the_channel_that_breaks_a_rule():

@@ -470,7 +470,8 @@ def test_knn_argument_errors():
     with pytest.raises(DataError, match="k must be"):
         knn_classify(train, _embed([[1, 1]]), k=2)
     with pytest.raises(DataError, match="empty"):
-        knn_classify(SampleSet.empty(), _embed([[1, 1]]), k=1)
+        empty = SampleSet(np.empty((0, 64)), np.empty(0))
+        knn_classify(empty, _embed([[1, 1]]), k=1)
 
 
 @pytest.mark.parametrize("k", [2.5, True, "3", 0, -1], ids=repr)

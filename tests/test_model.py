@@ -530,8 +530,11 @@ def test_checkpoint_preserves_inference(toy_model, toy_split):
      r"not int \(field: param_bytes\)"),
     (lambda blob: _replaced(blob, ("param_bytes",), 8),
      r"declares 8 \(field: param_bytes\)"),
+    (lambda blob: blob[:20], r"manifest truncated \(field: manifest\)"),
+    (lambda blob: blob[:9] + b"\xff" + blob[10:],
+     r"manifest unreadable: .* \(field: manifest\)"),
 ], ids=["shorter-than-the-header", "param-bytes-a-string",
-        "param-bytes-off-the-topology"])
+        "param-bytes-off-the-topology", "manifest-cut-short", "manifest-not-utf8"])
 def test_load_names_the_field_it_rejects(toy_model, change, message):
     with pytest.raises(DataError, match=message):
         load(change(save(toy_model)))

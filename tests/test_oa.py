@@ -70,6 +70,12 @@ def test_swapping_two_entries_of_a_column_breaks_orthogonality():
     assert not is_orthogonal(tuple(map(tuple, rows)))
 
 
+def test_every_pair_held_unequally_often_breaks_orthogonality():
+    # a repeat of the first row keeps every level pair present, but (1, 1)
+    # now occurs twice in every column pair and the rest once
+    assert not is_orthogonal(L16 + L16[:1])
+
+
 def test_each_level_occurs_four_times():
     for f in range(5):
         column = [row[f] for row in L16]
@@ -318,6 +324,17 @@ _FUZZ_RESULTS = ("run,l2,lr,width,layers,batches,accuracy\n" + "".join(
     for run, acc in enumerate([*KNOWN_RUN_ACCURACIES[:5], "",
                                *KNOWN_RUN_ACCURACIES[6:]])
 )).encode("ascii")
+
+
+@pytest.mark.parametrize("blob, message", [
+    (_FUZZ_RESULTS.replace(b",accuracy\n", b",acc\n"), "unexpected results header"),
+    (_FUZZ_RESULTS.rsplit(b"\n", 2)[0] + b"\n", "expected 16 result rows, got 15"),
+], ids=["header", "row_count"])
+def test_load_results_of_another_layout_is_data_error(tmp_path, blob, message):
+    path = tmp_path / "results.csv"
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=message):
+        load_results(_FUZZ_PLAN, path)
 
 
 @settings(max_examples=200, deadline=None)
