@@ -246,8 +246,11 @@ def _initial_pass(layers, split: DatasetSplit, l2: float, keep: bool):
     0 and the test block at the last. ``forward_sequence`` walks the
     stack in blocks of about n/16k² rows (``nn._lag``), so its ring of
     step rows holds about a k-th of one sequence's, and the caches it
-    keeps are column 0's, the first batch's own forward; so the pass
-    peaks below one training step on the batch.
+    keeps are column 0's, the first batch's own forward: the LSTM
+    layers' gates, cells and outputs, but no affine output below them,
+    which the step recomputes from the batch as this pass computed it
+    (``nn.sequence_gradients``). So the pass peaks below one training
+    step on the batch.
 
     Returns ``((test accuracy, test loss, mean train loss), kept)``.
     ``kept`` is a list holding the first batch's ``(logits, caches)``

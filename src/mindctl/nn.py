@@ -10,8 +10,11 @@ that are multiples of 8 (``_lstm_run``). A gradient comes in two
 halves: ``forward_sequence`` with caches, then ``sequence_gradients``
 on that forward, so a forward run for another purpose (a lockstep
 stack, whose caches are its first sequence's) can feed the backward.
-The backward computes in the forward's caches, so a forward feeds one
-gradient.
+A cached forward keeps the first input and the LSTM layers' gates,
+cells and outputs, but no output of the affine layers below the LSTM
+run: the backward recomputes those, bit for bit, when it reaches them.
+It computes in the forward's caches and drops each layer's once that
+layer's gradient is taken, so a forward feeds one gradient.
 The backward pass is hand-derived for exactly this layer vocabulary
 (affine chains feeding a stack of LSTM layers) rather than a generic
 autodiff graph, and is validated against central finite differences.
@@ -146,6 +149,15 @@ def _lag(n, k=1):
     return lag
 
 
+def _groups(n, k):
+    """``(lag, group)`` of a forward of n rows of k sequences: its LSTM
+    layers step in blocks of lag rows (``_lag``), and its affine layers
+    take a group of k blocks at once (or every block, if fewer), about
+    n/16 samples, where a 2-D sequence's take one block."""
+    lag = _lag(n, k)
+    return lag, max(1, min(k, -(-n // lag)))
+
+
 def _lstm_span(layers, fan_in):
     """Positions ``(first, stop)`` of the LSTM layers in ``layers``, a
     stack fed rows of ``fan_in`` values; ``first == stop`` when there are
@@ -189,9 +201,8 @@ def _lstm_run(A, layers, first, stop, caches):
     ``lag`` rows (see ``_lag``) behind layer j. The rows go in blocks of
     ``lag``; before a block, each LSTM layer's ``x @ W_in + b`` is one
     product over its block, whose rows the layer before it has just
-    finished. The affine layers take a group of k blocks at once (or
-    every block, if fewer), about n/16 samples, where a 2-D sequence's
-    take one block: before each group of the lowest LSTM layer, the
+    finished. The affine layers take a group of blocks at once
+    (``_groups``): before each group of the lowest LSTM layer, the
     group's rows go through the affine layers before the run, and the
     last LSTM layer's output is gathered a group at a time for the
     affine layers after the run, which write the output
@@ -222,7 +233,7 @@ def _lstm_run(A, layers, first, stop, caches):
     A = A[:, None] if A.ndim == 2 else A  # a 2-D sequence as a stack of one
     (n, k, _), run = A.shape, layers[first:stop]
     width, depth = run[0].width, len(run)
-    lag = _lag(n, k)
+    lag, group = _groups(n, k)
     blocks = -(-n // lag)
     halves = np.full(4 * width, 0.5)
     halves[3 * width :] = 1.0
@@ -249,7 +260,6 @@ def _lstm_run(A, layers, first, stop, caches):
     ))
     out = np.empty((n, k, layers[-1].b.shape[0] if stop < len(layers) else width))
     flat_out = out.reshape(n * k, out.shape[-1])
-    group = max(1, min(k, blocks))  # blocks the affine layers take at once
     above = np.empty((group * lag, k, width))  # the run's output, gathered
     dense = _affine_chain(layers, caches, group * lag * k)
 
@@ -299,12 +309,12 @@ def _lstm_run(A, layers, first, stop, caches):
 def _affine_chain(layers, caches, rows):
     """``_affine_group``'s entry per layer of ``layers`` (None for an LSTM
     layer): its W, b, a buffer of ``rows`` rows (None for the output
-    layer, which writes its rows of the stack's output) and, unless
-    None, the cached input its output is."""
+    layer, which writes its rows of the stack's output) and the cached
+    input its output is (None where the caches keep none)."""
     return [None if isinstance(layer, LstmParams) else (
         layer.W, layer.b,
         None if i + 1 == len(layers) else np.empty((rows, len(layer.b))),
-        None if caches is None or i + 1 == len(layers) else caches[i + 1]["input"],
+        None if caches is None or i + 1 == len(layers) else caches[i + 1].get("input"),
     ) for i, layer in enumerate(layers)]
 
 
@@ -415,16 +425,24 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     are None unless requested: ``{"input"}`` for an affine layer and
     ``{"input", "gates", "c", "h"}`` for an LSTM layer, where ``gates``
     is the (n, 4*width) block of activated gates in ``GATE_ORDER`` and
-    ``c``/``h`` are the per-step cell memory and output. A stack's
-    caches are its first sequence's, so they feed ``sequence_gradients``
-    as a 2-D run's would; caches of a stack of no sequences are a
-    DataError. They are laid out whole before the walk
+    ``c``/``h`` are the per-step cell memory and output. The first
+    layer's input is the batch itself, and its cache also holds ``k``,
+    the count of sequences stepped in lockstep (1 for a 2-D sequence).
+    The inputs of the later layers up to the lowest LSTM layer, the
+    outputs of the affine layers below the run, are cheap products of
+    the batch and are not kept: ``sequence_gradients`` recomputes them.
+    A stack's caches are its first sequence's, so they feed
+    ``sequence_gradients`` as a 2-D run's would; caches of a stack of no
+    sequences are a DataError. They are laid out whole before the walk
     (``_caches``) and each block fills its rows of them. They feed one
     gradient: ``sequence_gradients`` computes in them and empties the
     list.
 
     The sigmoid gates are computed as (1 + tanh(x/2)) / 2, which agrees
-    with 1 / (1 + exp(-x)) to about one ulp.
+    with 1 / (1 + exp(-x)) to about one ulp. The call runs with numpy's
+    overflow and invalid-operation errors raised, so a product that
+    overflows (inputs or weights too large) is a NumericError naming the
+    largest input and weight magnitudes, checked once per call.
     """
     A = np.asarray(X, dtype=np.float64)
     if keep_caches and A.ndim == 3 and A.shape[1] == 0:
@@ -435,36 +453,49 @@ def forward_sequence(layers, X, keep_caches: bool = False):
     # they left the benchmark's score-actuate peak RSS up to 14 MB higher
     # in about half of its runs, as the allocator keeps the heap those
     # temporaries fragment.
-    caches = _caches(layers, A) if keep_caches else None
-    if first < stop:
-        return _lstm_run(A, layers, first, stop, caches), caches
-    if layers:  # an affine chain: every row in one group
-        S = A[:, None] if A.ndim == 2 else A
-        n, k = S.shape[:2]
-        A = np.empty(A.shape[:-1] + layers[-1].b.shape)
-        flat_out = A.reshape(n * k, A.shape[-1])
-        _affine_group(S, _affine_chain(layers, caches, n * k), flat_out, 0)
+    caches = _caches(layers, A, first) if keep_caches else None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if first < stop:
+                return _lstm_run(A, layers, first, stop, caches), caches
+            if layers:  # an affine chain: every row in one group
+                S = A[:, None] if A.ndim == 2 else A
+                n, k = S.shape[:2]
+                out = np.empty(A.shape[:-1] + layers[-1].b.shape)
+                flat_out = out.reshape(n * k, out.shape[-1])
+                _affine_group(S, _affine_chain(layers, caches, n * k), flat_out, 0)
+                return out, caches
+    except FloatingPointError as exc:
+        raise NumericError(
+            f"non-finite values in the forward pass ({exc}): inputs up to "
+            f"{np.abs(A).max():.3g} and weights up to "
+            f"{np.abs(flat(layers)).max():.3g} in magnitude") from None
     return A, caches
 
 
-def _caches(layers, A):
-    """Empty caches for the forward of ``A`` through ``layers`` (a
-    stack's are its first sequence's): the first input is that sequence
-    (a stack's column 0, copied unless contiguous), an LSTM layer's
-    ``h`` is the next layer's ``input``, one array, and an affine
-    layer's output gets its own array."""
+def _caches(layers, A, first):
+    """Empty caches for the forward of ``A`` through ``layers``, whose
+    LSTM run starts at ``first`` (a stack's are its first sequence's):
+    the first input is that sequence (a stack's column 0, copied unless
+    contiguous), and the first cache's ``k`` is the stack's sequence
+    count. The affine outputs below the run, the inputs of layers 1 to
+    ``first``, get no array (``sequence_gradients`` recomputes them). An
+    LSTM layer's ``h`` is the next layer's ``input``, one array, and an
+    affine layer above the run gets its own."""
     n, caches = len(A), []
     kept = np.ascontiguousarray(A[:, 0]) if A.ndim == 3 else A
-    for layer in layers:
-        if kept is None:
+    for index, layer in enumerate(layers):
+        if kept is None and index > first:
             kept = np.empty((n, layer.weight_matrices()[0].shape[0]))
-        cache, kept = {"input": kept}, None
+        cache, kept = {} if kept is None else {"input": kept}, None
         if isinstance(layer, LstmParams):
             width = layer.width
             cache.update(gates=np.empty((n, 4 * width)),
                          c=np.empty((n, width)), h=np.empty((n, width)))
             kept = cache["h"]
         caches.append(cache)
+    if caches:  # the count of sequences the forward steps in lockstep
+        caches[0]["k"] = A.shape[1] if A.ndim == 3 else 1
     return caches
 
 
@@ -489,11 +520,14 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
     ``dZ`` is ``cache["gates"]``, each multiplier written over its own
     gate's columns once nothing else reads that gate, and ``cache["c"]``
     becomes ``tanh(c)`` and then ``dc_from_dh``. A copy of the forget
-    gates serves the step loop, and one scratch array holds the input
-    and output multipliers while their gates are still read. ``input``,
-    ``h`` and ``d_out`` are left as they are. Every value comes from the
-    same operations in the same order as in separate arrays, so the
-    result is bit-identical to them.
+    gates serves the step loop and is dropped after it. The input and
+    output multipliers each read a gate whose columns another one takes,
+    so they are formed a block of ``_lag(n)`` rows at a time in a
+    scratch of one block. ``input`` and ``h`` are left as they are;
+    ``d_out``, spent once the step loop has read it, takes the input
+    gradient when the layer's input is as wide as its output. Every
+    value comes from the same operations in the same order as in
+    separate arrays, so the result is bit-identical to them.
 
     The step loop then scales the rows of ``dZ`` in place and multiplies
     them by ``W_rec.T``. It runs window-major: the windows are
@@ -509,30 +543,36 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
     n, width = d_out.shape
     A, cells, outs = cache["input"], cache["c"], cache["h"]
     dZ = cache["gates"]  # each gate's columns come to hold its multiplier
-    gi, gf, go, gm = zi, zf, zo, zm = np.split(dZ, 4, axis=1)
-    gf = gf.copy()  # the step loop's forget gates
+    zi, zf, zo, zm = np.split(dZ, 4, axis=1)
+    gf = zf.copy()  # the step loop's forget gates
 
-    scratch = np.subtract(1.0, gi)
-    scratch *= gi
-    scratch *= gm
-    np.square(gm, out=zm)
-    np.subtract(1.0, zm, out=zm)
-    zm *= gi
-    zi[:] = scratch
     zf[0] = 0.0
     np.subtract(1.0, gf[1:], out=zf[1:])
     zf[1:] *= gf[1:]
     zf[1:] *= cells[:-1]
     tanh_c = np.tanh(cells, out=cells)
-    np.subtract(1.0, go, out=scratch)
-    scratch *= go
-    scratch *= tanh_c
-    # dh to dc through h = go * tanh(c), in the tanh(c) buffer
-    dc_from_dh = np.square(tanh_c, out=tanh_c)
-    np.subtract(1.0, dc_from_dh, out=dc_from_dh)
-    dc_from_dh *= go
-    zo[:] = scratch
-    del scratch  # freed before the step loop and d_in
+    block = _lag(n)
+    scratch = np.empty((block, width))
+    for r in range(0, n, block):
+        # a block of each gate, which its multiplier then replaces
+        gi, go, gm, tc = (z[r : r + block] for z in (zi, zo, zm, tanh_c))
+        s = scratch[: len(gi)]
+        np.subtract(1.0, gi, out=s)
+        s *= gi
+        s *= gm
+        np.square(gm, out=gm)
+        np.subtract(1.0, gm, out=gm)
+        gm *= gi
+        gi[:] = s
+        np.subtract(1.0, go, out=s)
+        s *= go
+        s *= tc
+        # dh to dc through h = go * tanh(c), in the tanh(c) buffer
+        np.square(tc, out=tc)
+        np.subtract(1.0, tc, out=tc)
+        tc *= go
+        go[:] = s
+    dc_from_dh = tanh_c
 
     zif = dZ[:, : 2 * width].reshape(n, 2, width)
     W_rec_T = layer.W_rec.T
@@ -551,14 +591,39 @@ def _lstm_backward(layer: LstmParams, cache, d_out, window: int):
         zm[rows] *= dc
         dc *= gf[rows]
         np.dot(dZ[rows], W_rec_T, out=dh)
+    del gf
 
     grad = LstmParams(
         W_in=A.T @ dZ,
         W_rec=outs[:-1].T @ dZ[1:],
         b=dZ.sum(axis=0),
     )
-    d_in = dZ @ layer.W_in.T
+    # the input gradient goes into d_out's spent buffer when it fits there
+    d_in = np.matmul(dZ, layer.W_in.T, out=d_out if A.shape[1] == width else None)
     return grad, d_in
+
+
+def _affine_inputs(layers, caches):
+    """Put back the inputs of ``layers[1:]`` that the forward did not
+    keep, the outputs of the affine layers before the last, from the
+    first input: through ``_affine_group`` in the forward's groups of
+    rows (``_groups``, or all rows for a stack without LSTM layers), each
+    row beside k - 1 copies of itself where the forward had the other
+    sequences of its stack. So each product row is the one the forward
+    fed on, bit for bit."""
+    X, k = caches[0]["input"], caches[0]["k"]
+    n = len(X)
+    rows = n if isinstance(layers[-1], DenseParams) else math.prod(_groups(n, k))
+    for cache, layer in zip(caches[1:], layers):
+        cache["input"] = np.empty((n, len(layer.b)))
+    chain = _affine_chain(layers, caches, rows * k)[:-1]
+    for t0 in range(0, n, rows):
+        block = X[t0 : t0 + rows, None]
+        # repeated into an array of its own: a broadcast view of one row
+        # would reach matmul with a zero row stride, which numpy takes
+        # outside the BLAS, rounding otherwise than the forward
+        _affine_group(block if k == 1 else np.repeat(block, k, axis=1),
+                      chain, None, t0)
 
 
 def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
@@ -573,9 +638,16 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
     matrices only) is added. ``window`` truncates recurrent gradient
     flow; None unrolls the full sequence.
 
-    It consumes ``forward``: the backward computes in its caches
-    (``_lstm_backward``) and empties their list, so a second call on it
-    is a DataError.
+    It consumes ``forward``: it empties the caches list (a second call
+    on it is a DataError), computes in the caches (``_lstm_backward``)
+    and drops each layer's once that layer's gradient is taken. Just
+    before the first layer whose input the forward did not keep (the
+    lowest LSTM layer, or the last layer of a stack without LSTM
+    layers), it recomputes the affine outputs below it from the batch
+    in the forward's groups of rows (``_affine_inputs``), bit for bit.
+    So beyond its LSTM caches a paper-size step holds about two (n,
+    width) arrays at a time: the incoming gradient, and the copy of the
+    forget gates or the outgoing gradient.
 
     Returns ``(loss, grads)`` with ``grads`` mirroring ``layers``.
     """
@@ -598,7 +670,7 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
         window = n
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    caches = tuple(given)
+    caches = list(given)
     given.clear()  # the backward computes in them: the forward is spent
 
     probs = softmax(logits)
@@ -610,7 +682,10 @@ def sequence_gradients(layers, forward, labels, l2: float = 0.0, window=None):
 
     grads = [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
-        layer, cache = layers[k], caches[k]
+        # each layer's caches are dropped once its gradient is taken
+        layer, cache = layers[k], caches.pop()
+        if "input" not in cache:  # the affine outputs below the LSTM run
+            _affine_inputs(layers[: k + 1], caches + [cache])
         if isinstance(layer, DenseParams):
             grads[k] = DenseParams(
                 W=cache["input"].T @ d_out,

@@ -219,6 +219,31 @@ MUTANTS = {
         ["tests/test_model.py::"
          "test_a_training_step_needs_about_the_memory_of_its_forward"],
     ),
+    "forward-keeps-the-affine-outputs": (
+        "nn",
+        "if kept is None and index > first:",
+        "if kept is None:",
+        ["tests/test_model.py::test_a_training_step_holds_only_its_lstm_caches"],
+    ),
+    "backward-holds-spent-caches": (
+        "nn",
+        "caches = list(given)",
+        "caches = list(given); spent = tuple(caches)",
+        ["tests/test_model.py::test_a_training_step_holds_only_its_lstm_caches"],
+    ),
+    "multipliers-in-a-whole-scratch": (
+        "nn",
+        "block = _lag(n)",
+        "block = n",
+        ["tests/test_model.py::test_a_training_step_holds_only_its_lstm_caches"],
+    ),
+    "recompute-ignores-the-stack": (
+        "nn",
+        'X, k = caches[0]["input"], caches[0]["k"]',
+        'X, k = caches[0]["input"], 1',
+        ["tests/test_nn.py::"
+         "test_backward_recomputes_the_affine_inputs_its_forward_fed_on"],
+    ),
     "gradient-keeps-its-forward": (
         "nn",
         "given.clear()",

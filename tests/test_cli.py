@@ -919,6 +919,49 @@ def test_non_finite_loss_exits_4_in_one_line(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command", ["train", "predict", "eval",
+                                     "export-activations", "replay", "tune"])
+def test_features_that_overflow_the_forward_exit_4_in_one_line(tmp_path, capsys,
+                                                               command):
+    # finite features between 1e308 and 1.7e308 in magnitude: the forward's
+    # first product overflows, so every command that runs it on them fails
+    # naming the magnitudes, and writes nothing; tune records the failure
+    # of each run and then has no accuracies to analyse (exit 3)
+    samples = make_toy_samples(n=28, seed=1)
+    scaled = samples.features / np.abs(samples.features).max() * 1.7e308
+    big = tmp_path / "big.csv"
+    save_table(SampleSet(np.where(np.abs(scaled) < 1e308, np.copysign(1e308, scaled),
+                                  scaled), samples.labels), big)
+    save_table(samples, tmp_path / "good.csv")
+    assert main(["train", "--data", str(tmp_path / "good.csv"), "--width", "8",
+                 "--layers", "4", "--epochs", "0", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    trained = ["--model", str(tmp_path / "model.mctl"), "--data", str(big)]
+    argv = {
+        "train": ["train", "--data", str(big), "--width", "8", "--layers", "4",
+                  "--epochs", "1"],
+        "predict": ["predict", *trained],
+        "eval": ["eval", *trained],
+        "export-activations": ["export-activations", *trained, "--layer", "3"],
+        "replay": ["replay", *trained, "--profile", "robot"],
+        "tune": ["tune", "--data", str(big), "--epochs", "1", "--workers", "1"],
+    }[command]
+    out = tmp_path / "out"
+    cause = ("non-finite values in the forward pass (overflow encountered in "
+             "matmul): inputs up to 1.7e+308 and weights up to 1 in magnitude")
+    if command == "tune":
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("  run (")]
+        assert len(failed) == 16 and all(line.endswith(f"failed: {cause}")
+                                         for line in failed)
+        return
+    assert main([*argv, "--out-dir", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[command == "train":] == [f"numeric failure: {cause}"]
+    assert not list(out.glob("*"))
+
+
 def test_protocol_error_inside_a_command_is_internal_error(tmp_path, monkeypatch,
                                                            capsys):
     # serve answers a ProtocolError with ERR and replay builds only valid

@@ -316,7 +316,7 @@ def _peak_traced_bytes(fn):
 def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
     # n_b 3 and n 700 at the paper topology. Scoring, one forward_sequence
     # call on the (700, 4, 64) view of the blocks, walked in blocks of
-    # _lag(700, 4) = 2 rows, peaks at 0.53 times one 2-D forward of the
+    # _lag(700, 4) = 2 rows, peaks at 0.56 times one 2-D forward of the
     # test block; with a 2-D sequence's lag, n // 16 = 43 rows, it peaks
     # at 2.37 times.
     splits = split(make_toy_samples(n=2800, seed=4), 3)
@@ -332,9 +332,10 @@ def test_epoch_zero_scoring_needs_the_memory_of_one_sequence():
 def test_no_cache_forward_frees_each_layer_before_the_next():
     # 700 rows at the paper topology: a forward without caches keeps no
     # LSTM gates or cells and no whole-sequence affine output, only the
-    # ring of step rows, the block buffers and the output, 0.23 of the
+    # ring of step rows, the block buffers and the output, 0.27 of the
     # cached forward's peak (0.48 for a walk holding one whole layer's
-    # gates and cells at a time, 0.80 for two)
+    # gates and cells at a time, 0.80 for two; 0.23 when the cached
+    # forward also kept the affine outputs below the run)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
     X = np.random.default_rng(2).normal(size=(700, 64))
@@ -413,7 +414,7 @@ def test_kept_forward_gradients_match_the_batch_alone(total, n_batches,
 def test_kept_pass_needs_no_more_memory_than_a_training_step():
     # n_b 3 and n 700 at the paper topology: the pass that keeps batch
     # 1's forward, filling its full-length caches block by block, peaks
-    # at 0.90 of the batch's own cached forward, and so below one
+    # at 0.89 of the batch's own cached forward, and so below one
     # training step on the batch, which holds that forward's caches
     splits = split(make_toy_samples(n=2800, seed=4), 3)
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
@@ -432,8 +433,9 @@ def test_kept_pass_needs_no_more_memory_than_a_training_step():
 
 def test_a_training_step_needs_about_the_memory_of_its_forward():
     # 700 rows at the paper topology: the backward computes in the caches
-    # of the forward it takes, so a step peaks at 1.01 times the cached
-    # forward alone (1.22 when the backward made its own dZ and tanh(c))
+    # of the forward it takes and drops each layer's once it is done, so
+    # a step peaks where its cached forward alone does, 1.00 times it
+    # (1.22 when the backward made its own dZ and tanh(c))
     hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
     layers = build(hp, seed=1).layers
     rng = np.random.default_rng(2)
@@ -443,6 +445,36 @@ def test_a_training_step_needs_about_the_memory_of_its_forward():
     step = _peak_traced_bytes(lambda: sequence_gradients(
         layers, forward_sequence(layers, X, keep_caches=True), y, hp.l2, 100))
     assert step <= 1.05 * forward
+
+
+def test_a_training_step_holds_only_its_lstm_caches():
+    # 700 rows at the paper topology. The cached forward keeps the batch
+    # itself and each LSTM layer's gates, cells and outputs, but no
+    # output of the affine layers below the run. From its return, the
+    # step peaks at those LSTM caches plus 2.61 (n, width) arrays, within
+    # the bound of three (7.75 when the forward kept the affine outputs
+    # and the backward held every layer's caches and a whole scratch)
+    hp = HyperParams(l2=0.001, lr=0.01, width=64, layers=7, batches=3)
+    layers = build(hp, seed=1).layers
+    rng = np.random.default_rng(2)
+    X, y = rng.normal(size=(700, 64)), rng.integers(1, 6, size=700)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forward = forward_sequence(layers, X, keep_caches=True)
+        caches = forward[1]
+        assert [sorted(cache) for cache in caches] == [
+            ["input", "k"], [], [], ["c", "gates", "h"],
+            ["c", "gates", "h", "input"], ["input"]]
+        assert caches[0]["input"] is X
+        lstm = sum(cache[name].nbytes for cache in caches[3:5]
+                   for name in ("gates", "c", "h"))
+        tracemalloc.reset_peak()
+        sequence_gradients(layers, forward, y, hp.l2, 100)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= lstm + 3 * X.nbytes  # X is (n, width)
 
 
 def test_a_forward_feeds_one_gradient(toy_model, toy_split):

@@ -4,6 +4,7 @@ hand-stepped updates) before being compared to the implementation."""
 
 import numpy as np
 import pytest
+import mindctl.nn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from mindctl.model import build, HyperParams
 from mindctl.nn import (
     DenseParams,
     LstmParams,
+    _affine_inputs,
     _lag,
     _lstm_backward,
     adam_init,
@@ -108,9 +110,12 @@ def test_affine_shape_error_names_shapes():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=40, k=3, widths=[64, 10, 5], seed=0)
+@example(n=1, k=2, widths=[1, 1], seed=0)  # one row of a stack, put back
 def test_affine_chain_matches_per_layer_oracle(n, k, widths, seed):
     # depth 1-3: each layer X @ W + b over the stack's rows as one 2-D
-    # product, bit for bit; the caches hold column 0 of each layer's input
+    # product, bit for bit. The caches hold column 0 of the first input
+    # and the stack's k; the backward puts back column 0 of each later
+    # layer's input, bit for bit, and its gradients match the reference
     rng = np.random.default_rng(seed)
     fan_ins = [64] + widths[:-1]
     layers = [DenseParams(W=rng.normal(size=(f, w)), b=rng.normal(size=w))
@@ -123,10 +128,19 @@ def test_affine_chain_matches_per_layer_oracle(n, k, widths, seed):
         A = (A.reshape(-1, A.shape[-1]) @ layer.W).reshape(
             A.shape[:-1] + (layer.W.shape[1],)) + layer.b
     assert out.shape == A.shape and np.array_equal(out, A)
+    assert [list(cache) for cache in caches] == [["input", "k"]] + [[]] * (len(layers) - 1)
+    assert caches[0]["k"] == (1 if k is None else k)
+    _affine_inputs(layers, caches)
     assert [cache["input"].shape for cache in caches] == [
         (n, f) for f in fan_ins]
     for cache, expected in zip(caches, inputs):
         assert np.array_equal(cache["input"], expected)
+    y = rng.integers(1, widths[-1] + 1, size=n)
+    _, grads = gradients(layers, inputs[0], y, 0.01)
+    _, ref_grads = reference_gradients(layers, inputs[0], y, 0.01, n)
+    for got, ref in zip(grads, ref_grads):
+        for (name, a), (_, r) in zip(got.arrays(), ref.arrays()):
+            assert _max_scaled_gap(a, r) < 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +655,46 @@ def test_window_major_backward_matches_step_major_reference(n, window):
         assert np.array_equal(cache[name], a), name
 
 
+@pytest.mark.parametrize("width, k", [(64, 1), (9, 1), (64, 4), (9, 4)])
+def test_backward_recomputes_the_affine_inputs_its_forward_fed_on(width, k,
+                                                                  monkeypatch):
+    # The forward keeps no output of the three affine layers below the
+    # LSTM run. The backward recomputes them in the forward's groups of
+    # rows, so they are the values the forward fed on, compared with ==,
+    # at a width that is a multiple of 8 and at one that is not, for a
+    # 2-D batch and for column 0 of a stack of 4, as epoch 0 keeps it
+    # (at width 9 a 2-D batch's groups of 43 rows give other bits there
+    # than the stack's groups of 8 rows of 4 sequences). Each group
+    # through those layers leaves its rows in the chain's buffers.
+    hp = HyperParams(l2=0.0, lr=0.01, width=width, layers=7, batches=3)
+    layers = build(hp, seed=width).layers
+    rng = np.random.default_rng(width)
+    X, y = rng.normal(size=(700, k, 64)), rng.integers(1, 6, size=700)
+    groups, kept = [], []
+    real = mindctl.nn._affine_group
+
+    def recorded(x, chain, flat_out, t0):
+        out = real(x, chain, flat_out, t0)
+        if len(chain) == 3:  # the layers below the run
+            rows = x.shape[0] * x.shape[1]
+            groups.append([buf[:rows:k].copy() for _, _, buf, _ in chain])
+            kept.append([cached for *_, cached in chain])
+        return out
+
+    monkeypatch.setattr("mindctl.nn._affine_group", recorded)
+    out, caches = forward_sequence(layers, X if k > 1 else X[:, 0],
+                                   keep_caches=True)
+    fed = len(groups)
+    sequence_gradients(layers, (out[:, 0].copy() if k > 1 else out, caches),
+                       y, 0.0, 100)
+    assert fed > 1 and len(groups) == 2 * fed
+    assert all(cached is None for cached in kept[0])
+    for layer, recomputed in enumerate(kept[-1]):
+        values = np.concatenate([group[layer] for group in groups[:fed]])
+        assert values.shape == recomputed.shape == (700, width)
+        assert (recomputed == values).all(), layer
+
+
 # ---------------------------------------------------------------------------
 # lockstep stacks and carried state
 
@@ -751,13 +805,20 @@ def test_empty_and_one_row_forwards_keep_their_shapes(shape):
     out, caches = forward_sequence(layers, X, keep_caches=keep)
     assert out.shape == shape[:-1] + (5,)
     if keep:
+        k = caches[0].pop("k")
+        assert k == (shape[1] if len(shape) == 3 else 1)
+        lstm = {"gates": (n, 16), "c": (n, 4), "h": (n, 4)}
+        layout = [{"input": (n, 3)}, lstm, {"input": (n, 4), **lstm},
+                  {"input": (n, 4)}]
         assert [{name: arr.shape for name, arr in cache.items()}
-                for cache in caches] == [
-            {"input": (n, 3)},
-            {"input": (n, 4), "gates": (n, 16), "c": (n, 4), "h": (n, 4)},
-            {"input": (n, 4), "gates": (n, 16), "c": (n, 4), "h": (n, 4)},
-            {"input": (n, 4)},
-        ]
+                for cache in caches] == layout
+        # the lower LSTM layer's input, an affine output, as the backward
+        # puts it back
+        caches[0]["k"] = k
+        _affine_inputs(layers[:2], caches[:2])
+        layout[1] = {"input": (n, 4), **lstm}
+        assert [{name: arr.shape for name, arr in cache.items()}
+                for cache in caches[1:]] == layout[1:]
 
 
 def test_caches_of_a_stack_of_no_sequences_are_a_data_error(monkeypatch):
@@ -800,12 +861,21 @@ def test_stack_outside_the_family_is_a_data_error(monkeypatch):
 @pytest.mark.parametrize("k", [1, 3])
 def test_stack_caches_are_its_first_sequence(k):
     # contiguous 2-D copies of column 0, equal to that sequence's own
-    # caches, with each LSTM output shared as the next layer's input
+    # caches, with each LSTM output shared as the next layer's input; an
+    # affine layer above the run keeps its input, one below it does not,
+    # and the one the backward puts back is the sequence's own too
     rng = np.random.default_rng(k)
-    layers = _random_stack(rng)
+    dense, lstm1, lstm2, output = _random_stack(rng)
+    above = DenseParams(W=rng.normal(size=(4, 4)), b=rng.normal(size=4))
+    layers = [dense, lstm1, lstm2, above, output]
     stack = rng.normal(size=(9, k, 3))
     _, caches = forward_sequence(layers, stack, keep_caches=True)
     _, own = forward_sequence(layers, stack[:, 0].copy(), keep_caches=True)
+    assert "input" not in caches[1] and "input" in caches[4]
+    assert (caches[0]["k"], own[0]["k"]) == (k, 1)
+    for cached in (caches, own):
+        _affine_inputs(layers[:2], cached[:2])
+        del cached[0]["k"]
     for index, (cache, ref) in enumerate(zip(caches, own)):
         assert list(cache) == list(ref)
         for name, arr in cache.items():
